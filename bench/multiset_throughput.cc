@@ -6,8 +6,8 @@
 // Modes over one catalog:
 //   per_filter  for every key, Contains() on every catalog filter — what a
 //               caller without the subsystem writes
-//   linear      MultiSetIndex with force_scan: every set probed, but each
-//               through one BatchQueryEngine pass (prefetching fast path)
+//   linear      MultiSetIndex with force_scan: every set probed, through
+//               the same shared-probe batch resolves as the tree
 //   tree        the real MultiSetIndex: summary-tree descent, scan
 //               fallback for the non-mergeable sets
 //

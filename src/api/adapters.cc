@@ -481,6 +481,12 @@ class CuckooAdapter : public AdapterCore<MembershipFilter, CuckooFilter> {
     if (impl_.ContainsWithStats(key, stats)) return true;
     return overfull_.find(key) != overfull_.end();
   }
+  // The probe protocol answers for the fingerprint table alone, so it is
+  // offered only while the side table holds nothing the engine would miss.
+  BatchFastPath batch_fast_path() const override {
+    if (!overfull_.empty()) return {};
+    return {BatchFastPath::Kind::kCuckoo, &impl_};
+  }
   Status Remove(std::string_view key) override {
     // The exact side table first: removing from it can never disturb other
     // keys, and it frees degraded capacity.

@@ -35,10 +35,10 @@ namespace shbf {
 /// non-virtual path: hash pre-compute, software prefetch, two-pass resolve.
 ///
 /// Adapters whose wrapped class exposes the Probe protocol (ShbfM, Bloom-
-/// Filter, ShbfX, ShbfA) return their concrete impl here; everything else
-/// returns the default `kNone` and the engine falls back to the virtual
-/// per-key interface. `impl` points at an instance of the class named by
-/// `kind` and is only valid while the owning filter is alive.
+/// Filter, ShbfX, ShbfA, CuckooFilter, ...) return their concrete impl here;
+/// everything else returns the default `kNone` and the engine falls back to
+/// the virtual per-key interface. `impl` points at an instance of the class
+/// named by `kind` and is only valid while the owning filter is alive.
 struct BatchFastPath {
   enum class Kind : uint8_t {
     kNone = 0,          ///< no specialized path; use the virtual interface
@@ -50,6 +50,7 @@ struct BatchFastPath {
     kBlockedShbfM = 6,  ///< `impl` is a `const BlockedShbfM*`
     kSplitBlockBloom = 7,  ///< `impl` is a `const SplitBlockBloomFilter*`
     kSplitBlockShbfM = 8,  ///< `impl` is a `const SplitBlockShbfM*`
+    kCuckoo = 9,           ///< `impl` is a `const CuckooFilter*`
   };
   Kind kind = Kind::kNone;
   const void* impl = nullptr;

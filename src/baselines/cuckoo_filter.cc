@@ -30,12 +30,23 @@ CuckooFilter::CuckooFilter(const Params& params)
   CheckOk(params.Validate());
 }
 
-CuckooFilter::IndexPair CuckooFilter::Locate(std::string_view key) const {
+void CuckooFilter::PrepareProbe(std::string_view key, Probe* probe) const {
   uint64_t fp_mask = slots_.max_value();
   uint64_t fingerprint = family_.Hash(1, key) & fp_mask;
   if (fingerprint == 0) fingerprint = 1;  // 0 is the empty-slot marker
   size_t i1 = family_.Hash(0, key) & (num_buckets_ - 1);
-  return {i1, AltIndex(i1, fingerprint), fingerprint};
+  *probe = {i1, AltIndex(i1, fingerprint), fingerprint};
+}
+
+void CuckooFilter::PrefetchProbe(const Probe& probe) const {
+  const size_t bucket_bits = size_t{bucket_size_} * fingerprint_bits_;
+  __builtin_prefetch(slots_.words() + probe.i1 * bucket_bits / 64, 0, 1);
+  __builtin_prefetch(slots_.words() + probe.i2 * bucket_bits / 64, 0, 1);
+}
+
+bool CuckooFilter::ResolveProbe(const Probe& probe) const {
+  return InVictimStash(probe) || BucketContains(probe.i1, probe.fingerprint) ||
+         BucketContains(probe.i2, probe.fingerprint);
 }
 
 size_t CuckooFilter::AltIndex(size_t index, uint64_t fingerprint) const {
@@ -77,7 +88,8 @@ bool CuckooFilter::RemoveFromBucket(size_t bucket, uint64_t fingerprint) {
 
 bool CuckooFilter::Insert(std::string_view key) {
   if (victim_.used) return false;  // full since the last failure
-  IndexPair loc = Locate(key);
+  Probe loc;
+  PrepareProbe(key, &loc);
   if (TryInsertIntoBucket(loc.i1, loc.fingerprint) ||
       TryInsertIntoBucket(loc.i2, loc.fingerprint)) {
     ++num_items_;
@@ -104,28 +116,16 @@ bool CuckooFilter::Insert(std::string_view key) {
   return false;
 }
 
-bool CuckooFilter::Contains(std::string_view key) const {
-  IndexPair loc = Locate(key);
-  if (victim_.used && victim_.fingerprint == loc.fingerprint &&
-      (victim_.index == loc.i1 || victim_.index == loc.i2)) {
-    return true;
-  }
-  return BucketContains(loc.i1, loc.fingerprint) ||
-         BucketContains(loc.i2, loc.fingerprint);
-}
-
 bool CuckooFilter::ContainsWithStats(std::string_view key,
                                      QueryStats* stats) const {
   ++stats->queries;
   stats->hash_computations += 3;
-  IndexPair loc = Locate(key);
+  Probe loc;
+  PrepareProbe(key, &loc);
   // The victim stash must be consulted exactly as in Contains(): skipping
   // it would let the stats path report a false negative for a key whose
   // fingerprint was displaced into the stash.
-  if (victim_.used && victim_.fingerprint == loc.fingerprint &&
-      (victim_.index == loc.i1 || victim_.index == loc.i2)) {
-    return true;
-  }
+  if (InVictimStash(loc)) return true;
   ++stats->memory_accesses;  // bucket 1
   if (BucketContains(loc.i1, loc.fingerprint)) return true;
   ++stats->memory_accesses;  // bucket 2
@@ -133,9 +133,9 @@ bool CuckooFilter::ContainsWithStats(std::string_view key,
 }
 
 bool CuckooFilter::Delete(std::string_view key) {
-  IndexPair loc = Locate(key);
-  if (victim_.used && victim_.fingerprint == loc.fingerprint &&
-      (victim_.index == loc.i1 || victim_.index == loc.i2)) {
+  Probe loc;
+  PrepareProbe(key, &loc);
+  if (InVictimStash(loc)) {
     victim_.used = false;
     --num_items_;
     return true;

@@ -47,14 +47,40 @@ class CuckooFilter {
   bool Insert(std::string_view key);
 
   /// Membership query. No false negatives for successfully inserted keys.
-  bool Contains(std::string_view key) const;
+  bool Contains(std::string_view key) const {
+    Probe probe;
+    PrepareProbe(key, &probe);
+    return ResolveProbe(probe);
+  }
   bool ContainsWithStats(std::string_view key, QueryStats* stats) const;
+
+  /// Precomputed query state for one key: both candidate buckets and the
+  /// fingerprint (all three hashes, no slot memory touched). The batch
+  /// engine prepares a group of these, prefetches their buckets, then
+  /// resolves; Contains is the same two steps back to back.
+  struct Probe {
+    size_t i1;
+    size_t i2;
+    uint64_t fingerprint;
+  };
+
+  void PrepareProbe(std::string_view key, Probe* probe) const;
+
+  /// Hints the cache to fetch both buckets `probe` reads.
+  void PrefetchProbe(const Probe& probe) const;
+
+  /// Resolves a prepared probe (victim stash included); identical answer
+  /// to Contains(key).
+  bool ResolveProbe(const Probe& probe) const;
 
   /// Deletes one copy of `key`'s fingerprint; returns false if absent.
   bool Delete(std::string_view key);
 
   size_t num_buckets() const { return num_buckets_; }
   uint32_t bucket_size() const { return bucket_size_; }
+  uint32_t fingerprint_bits() const { return fingerprint_bits_; }
+  HashAlgorithm hash_algorithm() const { return family_.algorithm(); }
+  uint64_t seed() const { return family_.master_seed(); }
   size_t num_items() const { return num_items_; }
   double LoadFactor() const {
     return static_cast<double>(num_items_) /
@@ -78,19 +104,17 @@ class CuckooFilter {
                           std::optional<CuckooFilter>* out);
 
  private:
-  struct IndexPair {
-    size_t i1;
-    size_t i2;
-    uint64_t fingerprint;
-  };
-
   struct Victim {
     bool used = false;
     size_t index = 0;
     uint64_t fingerprint = 0;
   };
 
-  IndexPair Locate(std::string_view key) const;
+  /// True iff the stash holds `probe`'s fingerprint in one of its buckets.
+  bool InVictimStash(const Probe& probe) const {
+    return victim_.used && victim_.fingerprint == probe.fingerprint &&
+           (victim_.index == probe.i1 || victim_.index == probe.i2);
+  }
   size_t AltIndex(size_t index, uint64_t fingerprint) const;
   bool BucketContains(size_t bucket, uint64_t fingerprint) const;
   bool TryInsertIntoBucket(size_t bucket, uint64_t fingerprint);

@@ -1,9 +1,12 @@
 #include "engine/batch_query_engine.h"
 
 #include <algorithm>
+#include <memory>
+#include <variant>
 
 #include "baselines/blocked_bloom_filter.h"
 #include "baselines/bloom_filter.h"
+#include "baselines/cuckoo_filter.h"
 #include "baselines/split_block_bloom_filter.h"
 #include "core/simd.h"
 #include "obs/metrics.h"
@@ -187,6 +190,7 @@ bool FastPathSupported(BatchFastPath::Kind kind, const void* impl) {
       // FillMask bounds nothing by k (the mask covers the whole block), so
       // the only bound is the probe's fixed-size mask, sized for every
       // legal block. Always supported.
+    case BatchFastPath::Kind::kCuckoo:  // three hashes, whatever the geometry
       return true;
     case BatchFastPath::Kind::kBlockedShbfM:
       return static_cast<const BlockedShbfM*>(impl)->num_pairs() <=
@@ -238,6 +242,25 @@ inline bool RecordBatchEntry(size_t num_keys) {
   return true;
 }
 
+// shbf_m, bloom and cuckoo: the kinds whose probe SharedProbeBatch can
+// share, and whose whole answer is the plain two-pass loop. Calls fn(impl)
+// on the concrete filter and returns what fn returns; false for any other
+// kind or an unsupported fast path.
+template <typename Fn>
+bool VisitShareable(const BatchFastPath& fp, Fn&& fn) {
+  if (!FastPathSupported(fp.kind, fp.impl)) return false;
+  switch (fp.kind) {
+    case BatchFastPath::Kind::kShbfM:
+      return fn(*static_cast<const ShbfM*>(fp.impl));
+    case BatchFastPath::Kind::kBloom:
+      return fn(*static_cast<const BloomFilter*>(fp.impl));
+    case BatchFastPath::Kind::kCuckoo:
+      return fn(*static_cast<const CuckooFilter*>(fp.impl));
+    default:
+      return false;
+  }
+}
+
 // One implementation serves both the string-keyed and the view-keyed public
 // overloads; the fast paths are container-generic.
 template <typename Keys>
@@ -250,22 +273,17 @@ void ContainsBatchImpl(const MembershipFilter& filter, const Keys& keys,
   if (FastPathSupported(fp.kind, fp.impl)) {
     if (record) EngineMetrics::Get().fastpath_batches->Increment();
     switch (fp.kind) {
-      case BatchFastPath::Kind::kShbfM: {
-        const auto* impl = static_cast<const ShbfM*>(fp.impl);
-        TwoPassLoop(*impl, keys, batch_size,
-                    [&](size_t i, const ShbfM::Probe& probe) {
-                      (*results)[i] = impl->ResolveProbe(probe) ? 1 : 0;
-                    });
+      case BatchFastPath::Kind::kShbfM:
+      case BatchFastPath::Kind::kBloom:
+      case BatchFastPath::Kind::kCuckoo:
+        VisitShareable(fp, [&](const auto& impl) {
+          TwoPassLoop(impl, keys, batch_size,
+                      [&](size_t i, const auto& probe) {
+                        (*results)[i] = impl.ResolveProbe(probe) ? 1 : 0;
+                      });
+          return true;
+        });
         return;
-      }
-      case BatchFastPath::Kind::kBloom: {
-        const auto* impl = static_cast<const BloomFilter*>(fp.impl);
-        TwoPassLoop(*impl, keys, batch_size,
-                    [&](size_t i, const BloomFilter::Probe& probe) {
-                      (*results)[i] = impl->ResolveProbe(probe) ? 1 : 0;
-                    });
-        return;
-      }
       case BatchFastPath::Kind::kShbfX: {
         // The multiplicity view of membership: count > 0 (same answer the
         // adapter's Contains derives from QueryCount).
@@ -350,6 +368,21 @@ void ContainsBatchImpl(const MembershipFilter& filter, const Keys& keys,
   filter.ContainsBatch(keys, results);
 }
 
+ProbeGeometry GeometryOf(const ShbfM& f) {
+  return {BatchFastPath::Kind::kShbfM, f.hash_algorithm(), f.seed(),
+          {f.num_bits(), f.num_hashes(), f.max_offset_span()}};
+}
+
+ProbeGeometry GeometryOf(const BloomFilter& f) {
+  return {BatchFastPath::Kind::kBloom, f.hash_algorithm(), f.seed(),
+          {f.num_bits(), f.num_hashes(), 0}};
+}
+
+ProbeGeometry GeometryOf(const CuckooFilter& f) {
+  return {BatchFastPath::Kind::kCuckoo, f.hash_algorithm(), f.seed(),
+          {f.num_buckets(), f.fingerprint_bits(), 0}};
+}
+
 }  // namespace
 
 BatchQueryEngine::BatchQueryEngine(BatchOptions options)
@@ -429,6 +462,101 @@ void BatchQueryEngine::QueryCountBatch(const ShbfX& filter,
               [&](size_t i, const ShbfX::Probe& probe) {
                 (*counts)[i] = filter.ResolveProbe(probe, policy);
               });
+}
+
+std::optional<ProbeGeometry> ShareableProbeGeometry(
+    const MembershipFilter& filter) {
+  std::optional<ProbeGeometry> geometry;
+  VisitShareable(filter.batch_fast_path(), [&](const auto& impl) {
+    geometry = GeometryOf(impl);
+    return true;
+  });
+  return geometry;
+}
+
+// Default-initialized probes on purpose: a slot is always prepared before
+// it is read, so zeroing it would be wasted stores.
+struct SharedProbeBatch::Store {
+  std::variant<std::unique_ptr<ShbfM::Probe[]>,
+               std::unique_ptr<BloomFilter::Probe[]>,
+               std::unique_ptr<CuckooFilter::Probe[]>>
+      probes;
+  size_t capacity = 0;
+  std::vector<uint8_t> prepared;  ///< per key of the current batch
+};
+
+SharedProbeBatch::SharedProbeBatch(const BatchQueryEngine& engine)
+    : engine_(engine), stores_(kMaxStores) {}
+
+SharedProbeBatch::~SharedProbeBatch() = default;
+
+template <typename Impl>
+bool SharedProbeBatch::ResolveShared(const Impl& impl, size_t store_index,
+                                     const std::vector<uint32_t>& indices,
+                                     std::vector<uint8_t>* results) {
+  using Probes = std::unique_ptr<typename Impl::Probe[]>;
+  Store& store = stores_[store_index];
+  std::optional<ProbeGeometry>& claimed = claimed_[store_index];
+  if (!claimed.has_value()) {
+    SHBF_CHECK(num_keys() <= kMaxKeys) << "SharedProbeBatch: too many keys";
+    claimed = GeometryOf(impl);
+    store.prepared.assign(num_keys(), 0);
+    if (!std::holds_alternative<Probes>(store.probes) ||
+        store.capacity < num_keys()) {
+      store.probes = Probes(new typename Impl::Probe[num_keys()]);
+      store.capacity = num_keys();
+    }
+  } else if (*claimed != GeometryOf(impl)) {
+    return false;  // claimed by another geometry in this batch
+  }
+  if (RecordBatchEntry(indices.size())) {
+    EngineMetrics::Get().fastpath_batches->Increment();
+  }
+  // The engine's two-pass group loop, with each key's probe taken from the
+  // shared slots (prepared there on first use) instead of a group scratch.
+  typename Impl::Probe* probes = std::get<Probes>(store.probes).get();
+  uint8_t* prepared = store.prepared.data();
+  const size_t group_size = engine_.batch_size();
+  for (size_t start = 0; start < indices.size(); start += group_size) {
+    const size_t end = std::min(indices.size(), start + group_size);
+    for (size_t j = start; j < end; ++j) {
+      const uint32_t i = indices[j];
+      if (prepared[i] == 0) {
+        impl.PrepareProbe(keys_[i], &probes[i]);
+        prepared[i] = 1;
+      }
+      impl.PrefetchProbe(probes[i]);
+    }
+    for (size_t j = start; j < end; ++j) {
+      (*results)[j] = impl.ResolveProbe(probes[indices[j]]) ? 1 : 0;
+    }
+  }
+  return true;
+}
+
+void SharedProbeBatch::ContainsBatch(const MembershipFilter& filter,
+                                     size_t store,
+                                     const std::vector<uint32_t>& indices,
+                                     std::vector<uint8_t>* results) {
+  results->resize(indices.size());
+  if (indices.empty()) return;
+  if (store != kNoStore) {
+    SHBF_CHECK(store < kMaxStores) << "SharedProbeBatch: no store " << store;
+    if (VisitShareable(filter.batch_fast_path(), [&](const auto& impl) {
+          return ResolveShared(impl, store, indices, results);
+        })) {
+      return;
+    }
+  }
+  // The regular engine pass. Ascending indices covering the whole batch
+  // are the identity, so the batch's own views serve without a gather.
+  if (indices.size() == keys_.size()) {
+    engine_.ContainsBatch(filter, keys_, results);
+    return;
+  }
+  gathered_.clear();
+  for (uint32_t i : indices) gathered_.push_back(keys_[i]);
+  engine_.ContainsBatch(filter, gathered_, results);
 }
 
 }  // namespace shbf

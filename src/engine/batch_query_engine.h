@@ -11,12 +11,12 @@
 //   pass 2  ResolveProbe   test the now-resident (or in-flight) windows
 //
 // The protocol is implemented natively — without virtual dispatch — by the
-// six structures whose query is a pure windowed-read (ShbfM §3, ShbfA §4,
-// ShbfX §5, the classic Bloom filter, and the cache-blocked variants
-// BlockedBloomFilter / BlockedShbfM); the engine discovers them through
-// MembershipFilter::batch_fast_path(). Every other registered filter is
-// served through its virtual interface, so the engine answers for all
-// schemes and is bit-identical to the per-key path in every case
+// structures whose query is a pure read of a few precomputable locations
+// (ShbfM §3, ShbfA §4, ShbfX §5, the classic Bloom filter, the cache-blocked
+// and split-block variants, and the cuckoo filter); the engine discovers
+// them through MembershipFilter::batch_fast_path(). Every other registered
+// filter is served through its virtual interface, so the engine answers for
+// all schemes and is bit-identical to the per-key path in every case
 // (tests/batch_engine_test.cc enforces this).
 //
 // The blocked ShBF_M path goes one step further: pass 2 gathers every pair
@@ -28,14 +28,18 @@
 #ifndef SHBF_ENGINE_BATCH_QUERY_ENGINE_H_
 #define SHBF_ENGINE_BATCH_QUERY_ENGINE_H_
 
+#include <compare>
 #include <cstddef>
 #include <cstdint>
+#include <optional>
+#include <span>
 #include <string>
 #include <string_view>
 #include <vector>
 
 #include "api/set_query_filter.h"
 #include "core/set_query_types.h"
+#include "hash/hash_family.h"
 #include "shbf/shbf_multiplicity.h"
 
 namespace shbf {
@@ -66,9 +70,9 @@ class BatchQueryEngine {
                      std::vector<uint8_t>* results) const;
 
   /// View-indexed overload: identical answers without requiring the caller
-  /// to own the key bytes (the multi-set frontier descent passes views into
-  /// its caller's keys instead of copying survivors). Views must stay valid
-  /// for the duration of the call.
+  /// to own the key bytes (SharedProbeBatch and the sharded wrapper pass
+  /// views into their caller's keys instead of copying them). Views must
+  /// stay valid for the duration of the call.
   void ContainsBatch(const MembershipFilter& filter,
                      const std::vector<std::string_view>& keys,
                      std::vector<uint8_t>* results) const;
@@ -98,6 +102,75 @@ class BatchQueryEngine {
 
  private:
   size_t batch_size_;
+};
+
+/// Everything a probe depends on besides the key: two filters with equal
+/// geometries prepare bit-identical probes for every key.
+struct ProbeGeometry {
+  BatchFastPath::Kind kind;
+  HashAlgorithm algorithm;
+  uint64_t seed;
+  uint64_t shape[3];
+
+  auto operator<=>(const ProbeGeometry&) const = default;
+};
+
+/// The geometry of `filter`'s probe if SharedProbeBatch can share it
+/// (shbf_m, bloom and cuckoo on a supported fast path), nullopt otherwise.
+std::optional<ProbeGeometry> ShareableProbeGeometry(
+    const MembershipFilter& filter);
+
+/// Membership answers for many filters over one batch of at most kMaxKeys
+/// keys. Filters of one shareable geometry that the caller gives a common
+/// probe store resolve, through the engine's group/prefetch loop, from
+/// probes prepared there once per key and batch, on first use. A store
+/// serves the first geometry that uses it after Reset; every other filter
+/// gets a regular BatchQueryEngine pass, so answers never depend on how
+/// stores were assigned.
+///
+/// Holds per-call scratch, at most kMaxStores x kMaxKeys probes (2 MiB
+/// with bloom's, the largest): create one per call, never share one
+/// between threads.
+class SharedProbeBatch {
+ public:
+  static constexpr size_t kMaxKeys = 1024;
+  static constexpr size_t kMaxStores = 4;
+  static constexpr size_t kNoStore = static_cast<size_t>(-1);
+
+  /// `engine` supplies the group size and must outlive the batch.
+  explicit SharedProbeBatch(const BatchQueryEngine& engine);
+  ~SharedProbeBatch();  // out of line: Store is incomplete here
+
+  /// Starts a new batch over `keys` (strings or views, at most kMaxKeys;
+  /// the bytes they view must outlive its use), discarding earlier probes.
+  template <typename Key>
+  void Reset(std::span<const Key> keys) {
+    keys_.assign(keys.begin(), keys.end());
+    for (auto& geometry : claimed_) geometry.reset();
+  }
+
+  size_t num_keys() const { return keys_.size(); }
+
+  /// `results` is resized to `indices.size()`; entry j becomes 1 iff
+  /// `filter.Contains(keys[indices[j]])`. Indices must be ascending and
+  /// < num_keys(); `store` is < kMaxStores or kNoStore.
+  void ContainsBatch(const MembershipFilter& filter, size_t store,
+                     const std::vector<uint32_t>& indices,
+                     std::vector<uint8_t>* results);
+
+ private:
+  struct Store;  // one geometry's probes
+
+  template <typename Impl>
+  bool ResolveShared(const Impl& impl, size_t store,
+                     const std::vector<uint32_t>& indices,
+                     std::vector<uint8_t>* results);
+
+  const BatchQueryEngine& engine_;
+  std::vector<std::string_view> keys_;
+  std::vector<Store> stores_;  ///< kMaxStores of them
+  std::optional<ProbeGeometry> claimed_[kMaxStores];  ///< since Reset
+  std::vector<std::string_view> gathered_;  ///< per-filter pass keys
 };
 
 }  // namespace shbf

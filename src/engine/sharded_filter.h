@@ -39,7 +39,6 @@
 #include "api/filter_spec.h"
 #include "api/set_query_filter.h"
 #include "core/check.h"
-#include "core/task_pool.h"
 #include "engine/batch_query_engine.h"
 #include "hash/hash_family.h"
 #include "obs/metrics.h"
@@ -198,10 +197,6 @@ class ShardedFilter {
     bool exclusive_reads = false;
   };
 
-  /// Below this many keys the fan-out's task handoff costs more than the
-  /// serial loop saves; measured on the serve smoke workloads.
-  static constexpr size_t kParallelBatchMinKeys = 512;
-
   template <typename Keys>
   void ContainsBatchAnyKeys(const Keys& keys,
                             std::vector<uint8_t>* results) const {
@@ -211,16 +206,10 @@ class ShardedFilter {
     for (size_t i = 0; i < keys.size(); ++i) {
       partition[ShardOf(keys[i])].push_back(i);
     }
-    // Only shards that drew keys participate; a skewed batch on a wide
-    // ensemble should not spawn empty tasks.
-    std::vector<size_t> active;
-    active.reserve(shards_.size());
-    for (size_t s = 0; s < shards_.size(); ++s) {
-      if (!partition[s].empty()) active.push_back(s);
-    }
-    // Shard balance telemetry: the per-active-shard partition sizes. A
-    // healthy selector keeps the histogram tight around keys/shards; a
-    // heavy tail here means batch latency is pinned to one hot shard.
+    // Shard balance telemetry: the per-shard partition sizes of the shards
+    // that drew keys. A healthy selector keeps the histogram tight around
+    // keys/shards; a heavy tail here means batch latency is pinned to one
+    // hot shard.
     if (obs::Enabled()) {
       static obs::Counter* const batches =
           obs::MetricsRegistry::Global().GetCounter("sharded.batches_total");
@@ -228,31 +217,25 @@ class ShardedFilter {
           obs::MetricsRegistry::Global().GetHistogram(
               "sharded.shard_batch_keys");
       batches->Increment();
-      for (size_t s : active) shard_keys->Record(partition[s].size());
+      for (const auto& part : partition) {
+        if (!part.empty()) shard_keys->Record(part.size());
+      }
     }
-    // One task per active shard: each gathers its views, answers under its
-    // own lock, and scatters into result slots no other shard owns (every
-    // key index lives in exactly one partition), so tasks share nothing but
-    // the pre-sized output vector. Answers are bit-identical to the serial
-    // loop — parallelism only reorders *when* disjoint slots are written.
-    auto run_shard = [&](size_t s) {
-      std::vector<std::string_view> shard_keys;
-      std::vector<uint8_t> shard_results;
-      shard_keys.reserve(partition[s].size());
-      for (size_t i : partition[s]) shard_keys.emplace_back(keys[i]);
+    // Shard by shard on the calling thread: the server already runs frames
+    // in parallel, so shards stripe locks rather than split the batch.
+    std::vector<std::string_view> sub_keys;
+    std::vector<uint8_t> shard_results;
+    for (size_t s = 0; s < shards_.size(); ++s) {
+      if (partition[s].empty()) continue;
+      sub_keys.clear();
+      for (size_t i : partition[s]) sub_keys.emplace_back(keys[i]);
       const Shard& shard = *shards_[s];
       WithReadLock(shard, [&] {
-        batch_fn_(*shard.filter, shard_keys, &shard_results);
+        batch_fn_(*shard.filter, sub_keys, &shard_results);
       });
       for (size_t j = 0; j < partition[s].size(); ++j) {
         (*results)[partition[s][j]] = shard_results[j];
       }
-    };
-    if (active.size() >= 2 && keys.size() >= kParallelBatchMinKeys) {
-      TaskPool::Shared().ParallelFor(
-          active.size(), [&](size_t t) { run_shard(active[t]); });
-    } else {
-      for (size_t s : active) run_shard(s);
     }
   }
 

@@ -1,9 +1,11 @@
 #include "multiset/multi_set_index.h"
 
 #include <algorithm>
+#include <functional>
+#include <numeric>
+#include <span>
 #include <utility>
 
-#include "core/task_pool.h"
 #include "obs/metrics.h"
 
 namespace shbf {
@@ -177,152 +179,96 @@ Status MultiSetIndex::Build(SetCatalog* catalog,
     if (!s.ok()) return s;
   }
   if (index->levels_ == 0 && !index->scan_leaves_.empty()) index->levels_ = 1;
+  index->AssignProbeStores();
   *out = std::move(index);
   return Status::Ok();
 }
 
-void MultiSetIndex::WhichSets(std::string_view key, SetIdBitmap* out) const {
-  *out = SetIdBitmap(id_bound_);
-  uint64_t probes = 0;
-  for (size_t leaf : scan_leaves_) {
-    const Node& node = nodes_[leaf];
-    if (!node.live || node.filter == nullptr) continue;
-    ++probes;
-    if (node.filter->Contains(key)) out->Set(node.set_id);
-  }
-  std::vector<size_t> stack(roots_.rbegin(), roots_.rend());
-  while (!stack.empty()) {
-    const Node& node = nodes_[stack.back()];
-    stack.pop_back();
-    if (node.is_leaf && (!node.live || node.filter == nullptr)) continue;
-    ++probes;
-    if (!node.filter->Contains(key)) continue;
-    if (node.is_leaf) {
-      out->Set(node.set_id);
-    } else {
-      stack.insert(stack.end(), node.children.rbegin(),
-                   node.children.rend());
+void MultiSetIndex::AssignProbeStores() {
+  std::map<ProbeGeometry, std::vector<size_t>> users;
+  for (size_t n = 0; n < nodes_.size(); ++n) {
+    if (const auto geometry = ShareableProbeGeometry(*nodes_[n].filter)) {
+      users[*geometry].push_back(n);
     }
   }
-  probes_.fetch_add(probes, std::memory_order_relaxed);
+  std::multimap<size_t, const std::vector<size_t>*, std::greater<>> by_use;
+  for (const auto& [geometry, nodes] : users) {
+    by_use.emplace(nodes.size(), &nodes);
+  }
+  size_t store = 0;
+  for (const auto& [uses, nodes] : by_use) {
+    // A shared probe saves work only when a second node reads it.
+    if (uses < 2 || store == SharedProbeBatch::kMaxStores) break;
+    for (size_t n : *nodes) nodes_[n].probe_store = store;
+    ++store;
+  }
 }
 
-namespace {
-
-/// Below this many keys the parallel fan-out's task handoff outweighs the
-/// probe work it spreads; matches the sharded wrapper's threshold.
-constexpr size_t kParallelWhichSetsMinKeys = 512;
-
-}  // namespace
+void MultiSetIndex::WhichSets(std::string_view key, SetIdBitmap* out) const {
+  std::vector<SetIdBitmap> answers;
+  WhichSetsBatch(std::vector<std::string_view>{key}, &answers);
+  *out = std::move(answers.front());
+}
 
 template <typename Keys>
 void MultiSetIndex::WhichSetsBatchImpl(const Keys& keys,
                                        std::vector<SetIdBitmap>* out) const {
   out->assign(keys.size(), SetIdBitmap(id_bound_));
-  if (keys.empty()) return;
-  uint64_t probes = 0;
-  // Keys dropped at interior summaries (alive - survivors): the work the
-  // tree saved versus brute-force scanning every leaf. pruned/probes is the
-  // summary tree's effectiveness ratio in the metrics dump.
-  uint64_t pruned = 0;
-  const bool parallel = keys.size() >= kParallelWhichSetsMinKeys;
-
-  // Scan leaves see every key, in one engine pass per filter. Distinct
-  // leaves are distinct filter objects, so the passes are independent: fan
-  // them across the pool with per-leaf result buffers and merge the bitmap
-  // updates serially afterwards (two tasks must not Set() the same bitmap).
-  std::vector<size_t> live_scan;
-  live_scan.reserve(scan_leaves_.size());
-  for (size_t leaf : scan_leaves_) {
-    const Node& node = nodes_[leaf];
-    if (node.live && node.filter != nullptr) live_scan.push_back(leaf);
-  }
-  {
-    std::vector<std::vector<uint8_t>> leaf_results(live_scan.size());
-    auto scan_one = [&](size_t t) {
-      engine_.ContainsBatch(*nodes_[live_scan[t]].filter, keys,
-                            &leaf_results[t]);
-    };
-    if (parallel && live_scan.size() >= 2) {
-      TaskPool::Shared().ParallelFor(live_scan.size(), scan_one);
-    } else {
-      for (size_t t = 0; t < live_scan.size(); ++t) scan_one(t);
-    }
-    for (size_t t = 0; t < live_scan.size(); ++t) {
-      probes += keys.size();
-      const Node& node = nodes_[live_scan[t]];
-      for (size_t i = 0; i < keys.size(); ++i) {
-        if (leaf_results[t][i] != 0) (*out)[i].Set(node.set_id);
-      }
-    }
-  }
-
-  // Tree descent: each work item is (node, indices of keys still alive for
-  // that subtree). One engine batch per node resolves the whole frontier —
-  // hashes precomputed and windows prefetched across the group — and only
-  // the survivors descend. The descent proceeds in waves (one wave = one
-  // tree level of pending items): every item in a wave touches a distinct
-  // node, so the engine passes fan across the pool; the bitmap updates and
-  // the next wave's construction stay serial, in wave order, which keeps
-  // answers and the probe count bit-identical to the old depth-first loop.
+  uint64_t probes = 0;  // one per key per filter consulted
+  uint64_t pruned = 0;  // keys dropped at summary nodes
+  // Depth-first over (node, indices of the keys still alive for its
+  // subtree): one batch resolve per node, and only the survivors descend.
   struct Work {
     size_t node;
     std::vector<uint32_t> alive;
   };
-  std::vector<uint32_t> all(keys.size());
-  for (size_t i = 0; i < keys.size(); ++i) all[i] = static_cast<uint32_t>(i);
-  std::vector<Work> wave;
-  wave.reserve(roots_.size());
-  for (size_t root : roots_) wave.push_back(Work{root, all});
-
-  // Survivor frontiers are views into the caller's keys — the descent
-  // copies indices and pointers, never key bytes.
-  while (!wave.empty()) {
-    std::vector<std::vector<uint32_t>> survivors(wave.size());
-    auto probe_one = [&](size_t t) {
-      const Work& work = wave[t];
-      const Node& node = nodes_[work.node];
-      if (node.is_leaf && (!node.live || node.filter == nullptr)) return;
-      std::vector<uint8_t> results;
-      // A full frontier probes `keys` directly, skipping even the view
-      // gather (once per root per batch).
-      if (work.alive.size() == keys.size()) {
-        engine_.ContainsBatch(*node.filter, keys, &results);
-      } else {
-        std::vector<std::string_view> gathered;
-        gathered.reserve(work.alive.size());
-        for (uint32_t i : work.alive) gathered.emplace_back(keys[i]);
-        engine_.ContainsBatch(*node.filter, gathered, &results);
+  std::vector<Work> stack;
+  std::vector<uint32_t> all;
+  std::vector<uint8_t> results;
+  // The probe cache lives for this call only, and chunking bounds it: at
+  // most kMaxStores x kMaxKeys probes, whatever the batch size.
+  SharedProbeBatch batch(engine_);
+  for (size_t begin = 0; begin < keys.size();
+       begin += SharedProbeBatch::kMaxKeys) {
+    batch.Reset(std::span(keys).subspan(
+        begin, std::min(SharedProbeBatch::kMaxKeys, keys.size() - begin)));
+    SetIdBitmap* answers = out->data() + begin;
+    all.resize(batch.num_keys());
+    std::iota(all.begin(), all.end(), 0u);
+    for (size_t leaf : scan_leaves_) {
+      const Node& node = nodes_[leaf];
+      if (!node.live || node.filter == nullptr) continue;
+      batch.ContainsBatch(*node.filter, node.probe_store, all, &results);
+      probes += all.size();
+      for (size_t i = 0; i < all.size(); ++i) {
+        if (results[i] != 0) answers[i].Set(node.set_id);
       }
-      survivors[t].reserve(work.alive.size());
-      for (size_t g = 0; g < work.alive.size(); ++g) {
-        if (results[g] != 0) survivors[t].push_back(work.alive[g]);
-      }
-    };
-    if (parallel && wave.size() >= 2) {
-      TaskPool::Shared().ParallelFor(wave.size(), probe_one);
-    } else {
-      for (size_t t = 0; t < wave.size(); ++t) probe_one(t);
     }
-    std::vector<Work> next;
-    for (size_t t = 0; t < wave.size(); ++t) {
-      const Node& node = nodes_[wave[t].node];
+    for (size_t root : roots_) stack.push_back(Work{root, all});
+    while (!stack.empty()) {
+      Work work = std::move(stack.back());
+      stack.pop_back();
+      const Node& node = nodes_[work.node];
       if (node.is_leaf && (!node.live || node.filter == nullptr)) continue;
-      probes += wave[t].alive.size();
-      if (!node.is_leaf) {
-        pruned += wave[t].alive.size() - survivors[t].size();
+      batch.ContainsBatch(*node.filter, node.probe_store, work.alive,
+                          &results);
+      probes += work.alive.size();
+      size_t kept = 0;
+      for (size_t g = 0; g < work.alive.size(); ++g) {
+        if (results[g] != 0) work.alive[kept++] = work.alive[g];
       }
-      if (survivors[t].empty()) continue;
+      if (!node.is_leaf) pruned += work.alive.size() - kept;
+      work.alive.resize(kept);
+      if (kept == 0) continue;
       if (node.is_leaf) {
-        for (uint32_t i : survivors[t]) (*out)[i].Set(node.set_id);
+        for (uint32_t i : work.alive) answers[i].Set(node.set_id);
         continue;
       }
-      for (size_t c = 0; c + 1 < node.children.size(); ++c) {
-        next.push_back(Work{node.children[c], survivors[t]});
+      for (size_t c = node.children.size() - 1; c > 0; --c) {
+        stack.push_back(Work{node.children[c], work.alive});
       }
-      next.push_back(Work{node.children.back(), std::move(survivors[t])});
+      stack.push_back(Work{node.children.front(), std::move(work.alive)});
     }
-    wave = std::move(next);
   }
   probes_.fetch_add(probes, std::memory_order_relaxed);
   if (obs::Enabled()) {

@@ -24,11 +24,12 @@
 // children become tree roots. Sparse member filters (high bits/key) earn
 // deep trees; densely filled ones degrade gracefully toward the scan.
 //
-// Batched queries (WhichSetsBatch) descend the tree level by level with a
-// shared BatchQueryEngine pass per node: every key still alive for that
-// subtree is hashed, prefetched and resolved in one two-pass engine call,
-// so the engine's memory-level parallelism applies at every level of the
-// descent — and dead keys leave the frontier at the highest level possible.
+// Queries descend the trees with one batch resolve per node over the keys
+// still alive for its subtree, so dead keys leave the frontier at the
+// highest level possible. The resolves go through a per-call
+// SharedProbeBatch, which hashes each key once per shared probe geometry
+// (a tree's nodes share one, as do sets built from one FilterSpec) instead
+// of once per node.
 //
 // Thread safety: queries are const and safe to run concurrently AFTER
 // PrepareForConstReads(); AddKey / AddKeys / RemoveSet require exclusive
@@ -86,12 +87,13 @@ class MultiSetIndex {
   /// Sets bit s in `*out` iff set s (possibly) contains `key` — exactly the
   /// bits a brute-force Contains loop over the live sets would set (no
   /// false negatives; the same false positives as the member filters).
+  /// A one-key WhichSetsBatch.
   void WhichSets(std::string_view key, SetIdBitmap* out) const;
 
   /// Batched WhichSets: `out` is resized to keys.size(); entry i receives
-  /// WhichSets(keys[i]). Frontier descent with one engine batch per node;
-  /// survivor frontiers are gathered as views into `keys`, so no key bytes
-  /// are copied during the descent.
+  /// WhichSets(keys[i]). The descent runs over chunks of
+  /// SharedProbeBatch::kMaxKeys keys and tracks survivors as key indices,
+  /// so no key bytes are copied.
   void WhichSetsBatch(const std::vector<std::string>& keys,
                       std::vector<SetIdBitmap>* out) const;
 
@@ -142,6 +144,8 @@ class MultiSetIndex {
     std::vector<size_t> children;  ///< empty for leaves
     size_t parent = kNoParent;
     uint32_t set_id = 0;  ///< leaves only
+    /// SharedProbeBatch store of this node's probe geometry, or kNoStore.
+    size_t probe_store = SharedProbeBatch::kNoStore;
     bool is_leaf = false;
     bool live = true;
   };
@@ -161,8 +165,13 @@ class MultiSetIndex {
                             const FilterRegistry& registry,
                             std::unique_ptr<MembershipFilter>* out);
 
-  /// Shared frontier descent behind both WhichSetsBatch overloads; `Keys`
-  /// is a vector of std::string or std::string_view.
+  /// Gives the kMaxStores most used shareable probe geometries, among
+  /// those with at least two nodes, a SharedProbeBatch store each; every
+  /// other node keeps its own engine pass.
+  void AssignProbeStores();
+
+  /// The descent behind both WhichSetsBatch overloads; `Keys` is a vector
+  /// of std::string or std::string_view.
   template <typename Keys>
   void WhichSetsBatchImpl(const Keys& keys,
                           std::vector<SetIdBitmap>* out) const;

@@ -42,17 +42,21 @@ class SetIdBitmap {
     return total;
   }
 
+  /// Calls `fn(id)` for every set id present, ascending, straight off the
+  /// bitmap words.
+  template <typename Fn>
+  void ForEachId(Fn&& fn) const {
+    for (size_t w = 0; w < words_.size(); ++w) {
+      for (uint64_t word = words_[w]; word != 0; word &= word - 1) {
+        fn(static_cast<uint32_t>(w * 64 + __builtin_ctzll(word)));
+      }
+    }
+  }
+
   /// The set ids present, ascending.
   std::vector<uint32_t> ToIds() const {
     std::vector<uint32_t> ids;
-    for (size_t w = 0; w < words_.size(); ++w) {
-      uint64_t word = words_[w];
-      while (word != 0) {
-        const int bit = __builtin_ctzll(word);
-        ids.push_back(static_cast<uint32_t>(w * 64 + bit));
-        word &= word - 1;
-      }
-    }
+    ForEachId([&](uint32_t id) { ids.push_back(id); });
     return ids;
   }
 

@@ -830,9 +830,8 @@ ShbfServer::Response ShbfServer::HandleWhichSets(ByteReader* reader) {
   ByteWriter writer;
   writer.PutU64(answers.size());
   for (const SetIdBitmap& bitmap : answers) {
-    const std::vector<uint32_t> ids = bitmap.ToIds();
-    writer.PutU32(static_cast<uint32_t>(ids.size()));
-    for (uint32_t id : ids) writer.PutU32(id);
+    writer.PutU32(static_cast<uint32_t>(bitmap.Count()));
+    bitmap.ForEachId([&](uint32_t id) { writer.PutU32(id); });
     if (writer.size() + 1 > options_.max_frame_bytes) {  // +1: status byte
       return Error(wire::WireStatus::kTooLarge,
                    "WHICH_SETS: response exceeds the frame limit; send "

@@ -1,12 +1,13 @@
 // Engine-vs-per-key differential: BatchQueryEngine must be bit-identical to
 // the scalar interface for every registered filter — the fast paths are an
-// execution strategy, never a semantic change. Also pins down that the six
+// execution strategy, never a semantic change. Also pins down that the
 // probe-protocol structures actually expose their fast path (a silently
 // dropped fast path would keep answers right and throughput wrong).
 
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -71,6 +72,9 @@ TEST(BatchEngineTest, ProbeProtocolFiltersExposeTheirFastPath) {
       {"shbf_a", BatchFastPath::Kind::kShbfA},
       {"blocked_bloom", BatchFastPath::Kind::kBlockedBloom},
       {"blocked_shbf_m", BatchFastPath::Kind::kBlockedShbfM},
+      {"split_block_bloom", BatchFastPath::Kind::kSplitBlockBloom},
+      {"split_block_shbf_m", BatchFastPath::Kind::kSplitBlockShbfM},
+      {"cuckoo", BatchFastPath::Kind::kCuckoo},
   };
   for (const auto& [name, kind] : expected) {
     SCOPED_TRACE(name);
@@ -79,6 +83,88 @@ TEST(BatchEngineTest, ProbeProtocolFiltersExposeTheirFastPath) {
     const BatchFastPath fp = filter->batch_fast_path();
     EXPECT_EQ(fp.kind, kind);
     EXPECT_NE(fp.impl, nullptr);
+  }
+
+  // A cuckoo adapter whose exact overfull side table holds keys answers
+  // beyond its fingerprint table, so it must leave the probe path.
+  const FilterSpec tiny = FilterSpec::ForKeys(16, 64.0, 4);
+  std::unique_ptr<MembershipFilter> cuckoo;
+  ASSERT_TRUE(registry.Create("cuckoo", tiny, &cuckoo).ok());
+  const auto keys = Universe(0xf011);
+  for (size_t i = 0; i < 200; ++i) cuckoo->Add(keys[i]);
+  EXPECT_EQ(cuckoo->batch_fast_path().kind, BatchFastPath::Kind::kNone);
+  BatchQueryEngine engine;
+  std::vector<uint8_t> batched;
+  engine.ContainsBatch(*cuckoo, keys, &batched);
+  for (size_t i = 0; i < keys.size(); ++i) {
+    ASSERT_EQ(batched[i] != 0, cuckoo->Contains(keys[i])) << "key " << i;
+  }
+}
+
+TEST(BatchEngineTest, SharedProbeBatchMatchesPerKeyWhateverTheStores) {
+  // Filters of five shareable geometries (seed, size and kind differ) and
+  // one kind without a shareable probe, under three store assignments: all
+  // on one store (later geometries must fall back, not read its probes),
+  // one store each, and none.
+  const auto universe = Universe(0x5a4ed);
+  const auto& registry = FilterRegistry::Global();
+  FilterSpec wider = EngineSpec(1);
+  wider.num_cells *= 2;
+  const struct {
+    const char* name;
+    FilterSpec spec;
+  } configs[] = {{"shbf_m", EngineSpec(1)}, {"shbf_m", EngineSpec(2)},
+                 {"shbf_m", wider},         {"bloom", EngineSpec(1)},
+                 {"cuckoo", EngineSpec(1)}, {"blocked_bloom", EngineSpec(1)}};
+  std::vector<std::unique_ptr<MembershipFilter>> filters;
+  for (const auto& [name, spec] : configs) {
+    filters.emplace_back();
+    ASSERT_TRUE(registry.Create(name, spec, &filters.back()).ok());
+    for (size_t i = 0; i < kNumKeys; ++i) filters.back()->Add(universe[i]);
+  }
+  std::unique_ptr<MembershipFilter> twin;
+  ASSERT_TRUE(registry.Create("shbf_m", EngineSpec(1), &twin).ok());
+  EXPECT_EQ(ShareableProbeGeometry(*filters[0]),
+            ShareableProbeGeometry(*twin));
+  EXPECT_NE(ShareableProbeGeometry(*filters[0]),
+            ShareableProbeGeometry(*filters[1]));
+  EXPECT_NE(ShareableProbeGeometry(*filters[0]),
+            ShareableProbeGeometry(*filters[2]));
+  EXPECT_FALSE(ShareableProbeGeometry(*filters[5]).has_value());
+
+  BatchQueryEngine engine({.batch_size = 7});
+  std::vector<uint8_t> results;
+  for (int assignment = 0; assignment < 3; ++assignment) {
+    SCOPED_TRACE(assignment);
+    SharedProbeBatch batch(engine);
+    // Two batches that straddle the member/absent boundary differently, so
+    // a probe kept across Reset would answer for the wrong key; the second
+    // is larger, so the stores must grow.
+    for (size_t begin : {kNumKeys - 300, kNumKeys - 700}) {
+      const std::span<const std::string> keys(
+          universe.data() + begin,
+          begin == kNumKeys - 300 ? 500 : SharedProbeBatch::kMaxKeys);
+      batch.Reset(keys);
+      std::vector<uint32_t> all(keys.size()), some;
+      for (uint32_t i = 0; i < all.size(); ++i) {
+        all[i] = i;
+        if (i % 3 == 1) some.push_back(i);
+      }
+      for (const auto* indices : {&some, &all}) {
+        for (size_t f = 0; f < filters.size(); ++f) {
+          size_t store = SharedProbeBatch::kNoStore;
+          if (assignment == 0) store = 0;
+          if (assignment == 1) store = f % SharedProbeBatch::kMaxStores;
+          batch.ContainsBatch(*filters[f], store, *indices, &results);
+          ASSERT_EQ(results.size(), indices->size());
+          for (size_t j = 0; j < indices->size(); ++j) {
+            ASSERT_EQ(results[j] != 0,
+                      filters[f]->Contains(keys[(*indices)[j]]))
+                << "filter " << f << " key " << (*indices)[j];
+          }
+        }
+      }
+    }
   }
 }
 

@@ -89,6 +89,33 @@ TEST(CuckooFilterTest, FillToFailureThenVictimStaysVisible) {
   EXPECT_TRUE(inserted_again);
 }
 
+TEST(CuckooFilterTest, ResolvedProbeMatchesContainsIncludingTheStash) {
+  CuckooFilter cf({.num_buckets = 16, .bucket_size = 4, .fingerprint_bits = 8});
+  auto w = MakeMembershipWorkload(200, 2000, 97);
+  // Fill to the first failure: the last displaced fingerprint, which
+  // belongs to one of `inserted` (the failing key included), now lives
+  // only in the victim stash.
+  std::vector<std::string> inserted;
+  for (const auto& key : w.members) {
+    inserted.push_back(key);
+    if (!cf.Insert(key)) break;
+  }
+  ASSERT_TRUE(cf.HasVictim());
+
+  auto resolved = [&](const std::string& key) {
+    CuckooFilter::Probe probe;
+    cf.PrepareProbe(key, &probe);
+    return cf.ResolveProbe(probe);
+  };
+  for (const auto& key : inserted) {
+    EXPECT_TRUE(resolved(key)) << "false negative for " << key;
+    EXPECT_EQ(resolved(key), cf.Contains(key)) << key;
+  }
+  for (const auto& key : w.non_members) {
+    EXPECT_EQ(resolved(key), cf.Contains(key)) << key;
+  }
+}
+
 TEST(CuckooFilterTest, HighLoadFactorAchievable) {
   // (2,4)-cuckoo with 500 kicks sustains ~95% occupancy.
   CuckooFilter cf(BaseParams(1024));

@@ -241,6 +241,142 @@ TEST(MultiSetIndexTest, GeometryClustersThatCannotMergeBecomeSeparateRoots) {
   }
 }
 
+TEST(MultiSetIndexTest, ProbesNeverCrossHashFamilies) {
+  // Each backend in two hash families or geometries: a probe shared across
+  // families would turn member keys into false negatives. Same-name sets
+  // that refuse to merge scan, so scan leaves and tree nodes both mix
+  // families.
+  const struct {
+    const char* name;
+    size_t keys;
+    uint64_t seed;
+  } configs[] = {{"shbf_m", 300, 1}, {"shbf_m", 1200, 1}, {"shbf_m", 300, 2},
+                 {"bloom", 300, 1},  {"cuckoo", 300, 1},  {"cuckoo", 300, 2}};
+  SetCatalog catalog;
+  std::vector<std::string> queries;
+  for (size_t i = 0; i < 24; ++i) {
+    const auto& config = configs[i % 6];
+    FilterSpec spec = FilterSpec::ForKeys(config.keys, 64.0, 4);
+    spec.seed = config.seed;
+    std::unique_ptr<MembershipFilter> filter;
+    CheckOk(FilterRegistry::Global().Create(config.name, spec, &filter));
+    for (size_t k = 0; k < 60; ++k) {
+      queries.push_back("set-" + std::to_string(i) + "-key-" +
+                        std::to_string(k));
+      filter->Add(queries.back());
+    }
+    CheckOk(catalog.AddSet("set-" + std::to_string(i), std::move(filter)));
+  }
+  // Past two SharedProbeBatch chunks, with a partial tail.
+  for (int i = 0; queries.size() < 2500; ++i) {
+    queries.push_back("absent-" + std::to_string(i));
+  }
+  std::unique_ptr<MultiSetIndex> index;
+  ASSERT_TRUE(MultiSetIndex::Build(&catalog, {}, &index).ok());
+  EXPECT_GT(index->stats().summary_nodes, 0u);
+  EXPECT_GT(index->stats().scan_leaves, 8u);
+
+  std::vector<SetIdBitmap> answers;
+  index->WhichSetsBatch(queries, &answers);
+  ASSERT_EQ(answers.size(), queries.size());
+  for (size_t q = 0; q < queries.size(); ++q) {
+    ASSERT_EQ(answers[q], BruteForce(catalog, queries[q])) << queries[q];
+  }
+  const std::vector<std::string> one = {queries[61]};
+  index->WhichSetsBatch(one, &answers);
+  ASSERT_EQ(answers.size(), 1u);
+  EXPECT_EQ(answers[0], BruteForce(catalog, one[0]));
+  index->WhichSetsBatch(std::vector<std::string>{}, &answers);
+  EXPECT_TRUE(answers.empty());
+}
+
+TEST(MultiSetIndexTest, CuckooSetsFilledToFailureMatchBruteForce) {
+  // A tiny cuckoo set driven to its first failed insert parks a fingerprint
+  // in the victim stash and keeps the probe fast path, so the shared probe
+  // must consult the stash. One more add lands in the exact overfull side
+  // table, which takes the set off the fast path.
+  const FilterSpec tiny = FilterSpec::ForKeys(16, 64.0, 4);
+  auto key = [](size_t k) { return "full-key-" + std::to_string(k); };
+  auto fill = [&](size_t adds) {
+    std::unique_ptr<MembershipFilter> filter;
+    CheckOk(FilterRegistry::Global().Create("cuckoo", tiny, &filter));
+    for (size_t k = 0; k < adds; ++k) filter->Add(key(k));
+    return filter;
+  };
+  size_t first_failure = 0;
+  auto growing = fill(0);
+  for (size_t k = 0; k < 200 && first_failure == 0; ++k) {
+    growing->Add(key(k));
+    if (growing->batch_fast_path().kind == BatchFastPath::Kind::kNone) {
+      first_failure = k;  // add k overflowed: add k - 1 failed
+    }
+  }
+  ASSERT_GT(first_failure, 0u) << "200 adds never overflowed a tiny cuckoo";
+
+  SetCatalog catalog = MakeCatalog({"shbf_m", "shbf_m", "cuckoo"}, 12, 50);
+  auto stashed = fill(first_failure);
+  auto overfull = fill(first_failure + 40);
+  EXPECT_EQ(stashed->batch_fast_path().kind, BatchFastPath::Kind::kCuckoo);
+  EXPECT_EQ(overfull->batch_fast_path().kind, BatchFastPath::Kind::kNone);
+  CheckOk(catalog.AddSet("stashed", std::move(stashed)));
+  CheckOk(catalog.AddSet("overfull", std::move(overfull)));
+  std::unique_ptr<MultiSetIndex> index;
+  ASSERT_TRUE(MultiSetIndex::Build(&catalog, {}, &index).ok());
+
+  std::vector<std::string> queries = MakeQueries(12, 50);
+  const size_t first_full_key = queries.size();
+  for (size_t k = 0; k < first_failure + 40; ++k) queries.push_back(key(k));
+  std::vector<SetIdBitmap> answers;
+  index->WhichSetsBatch(queries, &answers);
+  ASSERT_EQ(answers.size(), queries.size());
+  for (size_t q = 0; q < queries.size(); ++q) {
+    EXPECT_EQ(answers[q], BruteForce(catalog, queries[q])) << queries[q];
+  }
+  // No false negatives, independent of Contains: the key whose fingerprint
+  // sits in the stash must still be reported.
+  const uint32_t stashed_id = catalog.Find("stashed")->id;
+  for (size_t k = 0; k < first_failure; ++k) {
+    EXPECT_TRUE(answers[first_full_key + k].Test(stashed_id)) << key(k);
+  }
+}
+
+TEST(MultiSetIndexTest, ManyProbeGeometriesMatchBruteForce) {
+  // Sized per set, as `shbf_cli multiset build` sizes them: 48 shbf_m sets
+  // of distinct sizes, each its own probe geometry (they refuse to merge
+  // and scan), plus six geometries of three sets each, more than a
+  // SharedProbeBatch has stores, so some shared geometries get a store and
+  // the rest, like the distinct ones, their own engine pass.
+  SetCatalog catalog;
+  std::vector<std::string> queries;
+  auto add_set = [&](size_t capacity, size_t members) {
+    const std::string name = "set-" + std::to_string(catalog.size());
+    auto filter = MakeFilter("shbf_m", capacity);
+    for (size_t k = 0; k < members; ++k) {
+      queries.push_back(name + "-key-" + std::to_string(k));
+      filter->Add(queries.back());
+    }
+    CheckOk(catalog.AddSet(name, std::move(filter)));
+  };
+  for (size_t i = 0; i < 48; ++i) add_set(40 + 7 * i, 40 + 7 * i);
+  for (size_t g = 0; g < 6; ++g) {
+    for (size_t copy = 0; copy < 3; ++copy) add_set(1000 + 100 * g, 30);
+  }
+  ASSERT_GT(queries.size(), SharedProbeBatch::kMaxKeys);
+  for (int i = 0; i < 1000; ++i) {
+    queries.push_back("absent-" + std::to_string(i));
+  }
+  std::unique_ptr<MultiSetIndex> index;
+  ASSERT_TRUE(MultiSetIndex::Build(&catalog, {}, &index).ok());
+  EXPECT_GE(index->stats().scan_leaves, 48u);
+
+  std::vector<SetIdBitmap> answers;
+  index->WhichSetsBatch(queries, &answers);
+  ASSERT_EQ(answers.size(), queries.size());
+  for (size_t q = 0; q < queries.size(); ++q) {
+    ASSERT_EQ(answers[q], BruteForce(catalog, queries[q])) << queries[q];
+  }
+}
+
 TEST(MultiSetIndexTest, BuildRejectsBadInputs) {
   SetCatalog empty;
   std::unique_ptr<MultiSetIndex> index;

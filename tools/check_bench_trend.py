@@ -13,10 +13,11 @@ never fail — benches grow new workloads and retire old ones as the catalog
 evolves. Rows without a throughput metric (e.g. fpr rows) are ignored.
 
 Reports carry a "host" stamp ({"cpu": ..., "dispatch": ...,
-"hw_concurrency": N}) since v0.6. When both files are stamped and the stamps
-disagree, the comparison is refused (exit 0 with a note): numbers from a
-different machine or SIMD dispatch tier are weather, not a trend. Unstamped
-(pre-0.6) baselines still compare.
+"hw_concurrency": N}) since v0.6. When the stamps disagree, or only one file
+has one, the comparison is refused (exit 0 with a note): numbers from a
+different machine or SIMD dispatch tier are weather, not a trend, and an
+unstamped (pre-0.6) baseline cannot show it came from this host. Two
+unstamped files still compare.
 
 Rows with threads > 1 use the wider --max-mt-regression bound: oversubscribed
 wall clock on a shared runner is scheduler luck as much as code (the same
@@ -130,9 +131,10 @@ def main(argv):
     current, cur_host = load_report(paths[1])
 
     # Cross-host guard: a baseline measured on different hardware (or a
-    # different SIMD dispatch tier) cannot gate this run. Refusing is not a
-    # failure — the next commit of the report re-baselines on this host.
-    if base_host is not None and cur_host is not None and base_host != cur_host:
+    # different SIMD dispatch tier), or one without a stamp to tell, cannot
+    # gate this run. Refusing is not a failure — the next commit of the
+    # report re-baselines on this host.
+    if base_host != cur_host:
         print(
             f"note: refusing comparison, host stamps differ\n"
             f"  baseline: {json.dumps(base_host, sort_keys=True)}\n"
