@@ -13,17 +13,15 @@
 //   sharded_mt     a shards-way ShardedMembershipFilter queried from
 //                  `threads` threads, each batching its slice
 //
-// After the throughput modes, each blocked variant's FPR is measured
+// After the throughput modes, each split-block variant's FPR is measured
 // against its unblocked base at equal bits/key (fpr rows), and two
 // acceptance gates run:
-//   - FPR gate: blocked/split-block FPR <= 2x the base FPR (+ sampling
-//     noise floor)
+//   - FPR gate: split-block FPR <= 2x the base FPR (+ sampling noise floor)
 //   - speed gates, enforced when the run is at gate scale (>= 1M queries,
 //     >= 8 MB filter); --no-speed-gate disables them (sanitizer builds time
 //     nothing fairly):
-//       blocked_shbf_m batched >= 1.35x shbf_m batched
-//       split_block_shbf_m batched >= 1.3x blocked_shbf_m batched
-//       split_block_shbf_m per_key > blocked_shbf_m per_key
+//       split_block_shbf_m batched >= 1.35x shbf_m batched
+//       split_block_shbf_m per_key > shbf_m per_key
 //
 // usage: bench_batch_throughput [--filter=<name>] [--build-keys=N]
 //          [--query-keys=N] [--bits-per-key=B] [--k=K] [--batch=N]
@@ -341,19 +339,19 @@ double MeasureFpr(const std::string& name, const Config& config,
   return static_cast<double>(positives) / absent_keys.size();
 }
 
-/// The blocked-variant FPR gate: measures base and blocked at equal
-/// bits/key, emits fpr rows, and fails if the blocked rate exceeds 2x the
+/// The split-block FPR gate: measures base and variant at equal bits/key,
+/// emits fpr rows, and fails if the variant's rate exceeds 2x the
 /// base rate plus a sampling noise floor (a handful of extra positives must
 /// not flunk a tiny --smoke sample).
-bool CheckFprPair(const std::string& base, const std::string& blocked,
+bool CheckFprPair(const std::string& base, const std::string& variant,
                   const Config& config,
                   const std::vector<std::string>& build_keys,
                   const std::vector<std::string>& absent_keys,
                   JsonReport* report) {
   const double base_fpr = MeasureFpr(base, config, build_keys, absent_keys);
-  const double blocked_fpr =
-      MeasureFpr(blocked, config, build_keys, absent_keys);
-  if (base_fpr < 0 || blocked_fpr < 0) return false;
+  const double variant_fpr =
+      MeasureFpr(variant, config, build_keys, absent_keys);
+  if (base_fpr < 0 || variant_fpr < 0) return false;
   const auto emit = [&](const std::string& name, double fpr) {
     std::printf("# fpr,%s,%.6f\n", name.c_str(), fpr);
     report->AddRow()
@@ -363,12 +361,12 @@ bool CheckFprPair(const std::string& base, const std::string& blocked,
         .Set("fpr", fpr);
   };
   emit(base, base_fpr);
-  emit(blocked, blocked_fpr);
+  emit(variant, variant_fpr);
   const double noise_floor = 8.0 / absent_keys.size();
-  if (blocked_fpr > 2.0 * base_fpr + noise_floor) {
+  if (variant_fpr > 2.0 * base_fpr + noise_floor) {
     std::fprintf(stderr,
                  "GATE FAILED: %s FPR %.6f exceeds 2x %s FPR %.6f\n",
-                 blocked.c_str(), blocked_fpr, base.c_str(), base_fpr);
+                 variant.c_str(), variant_fpr, base.c_str(), base_fpr);
     return false;
   }
   return true;
@@ -447,9 +445,7 @@ int Main(int argc, char** argv) {
     // CI sweeps every registered variant through the identity checks.
     names = FilterRegistry::Global().Names();
   } else {
-    names = {"shbf_m",        "bloom",
-             "blocked_shbf_m", "blocked_bloom",
-             "split_block_shbf_m", "split_block_bloom"};
+    names = {"shbf_m", "bloom", "split_block_shbf_m", "split_block_bloom"};
   }
   bool ok = true;
   JsonReport report("batch_throughput");
@@ -460,7 +456,7 @@ int Main(int argc, char** argv) {
          ok;
   }
 
-  // FPR gate: each blocked variant against its unblocked base at equal
+  // FPR gate: each split-block variant against its unblocked base at equal
   // bits/key, on a key set disjoint from the build keys. The sample stays
   // large even in smoke mode — at ~0.3% FPR a 10k sample's noise swamps
   // the 2x ratio the gate checks.
@@ -472,19 +468,8 @@ int Main(int argc, char** argv) {
   const auto has = [&](const char* name) {
     return std::find(names.begin(), names.end(), name) != names.end();
   };
-  if (has("bloom") && has("blocked_bloom")) {
-    ok = CheckFprPair("bloom", "blocked_bloom", config, build_keys,
-                      absent_keys, &report) &&
-         ok;
-  }
-  if (has("shbf_m") && has("blocked_shbf_m")) {
-    ok = CheckFprPair("shbf_m", "blocked_shbf_m", config, build_keys,
-                      absent_keys, &report) &&
-         ok;
-  }
-  // The split-block variants answer to the same FPR budget: confining every
-  // probe to one sub-word costs accuracy exactly like blocking does, and
-  // the same 2x bound applies.
+  // Confining every probe to one sub-word of one block costs accuracy; the
+  // budget is 2x the unblocked base.
   if (has("bloom") && has("split_block_bloom")) {
     ok = CheckFprPair("bloom", "split_block_bloom", config, build_keys,
                       absent_keys, &report) &&
@@ -496,64 +481,37 @@ int Main(int argc, char** argv) {
          ok;
   }
 
-  // Speed gate: at gate scale (>= 1M queries against >= 8 MB of filter,
-  // where memory stalls dominate), the blocked + SIMD engine path must
-  // beat the plain shbf_m fast path by 1.35x. The bar was 1.5x when the
-  // denominator hashed each key twice; inlining the one-pass 128-bit hash
-  // sped the UNBLOCKED baseline by ~50% (it pays the hash per probe pair,
-  // so it gains the most), which compresses the ratio without the blocked
-  // path getting any slower — the pre-inlining binary measures ~1.4x on
-  // the same host. The bar tracks the blocking win, not the hash win.
-  if (!config.no_speed_gate && has("shbf_m") && has("blocked_shbf_m")) {
+  // Speed gates: at gate scale (>= 1M queries against >= 8 MB of filter,
+  // where memory stalls dominate), the split-block layout must pay for
+  // itself against the plain shbf_m fast path, both batched (1.35x: one
+  // line fetch and one vector compare per key against k/2 windows spread
+  // over the array) and per key (strictly faster — baking the mask at
+  // probe time is what makes even the unbatched query cheap).
+  if (!config.no_speed_gate && has("shbf_m") && has("split_block_shbf_m")) {
     const FilterRun& plain = runs["shbf_m"];
-    const FilterRun& blocked = runs["blocked_shbf_m"];
+    const FilterRun& split = runs["split_block_shbf_m"];
     const bool at_gate_scale = config.query_keys >= 1000000 &&
                                plain.filter_bytes >= 8u << 20;
     if (at_gate_scale && plain.batched_mops > 0) {
-      const double ratio = blocked.batched_mops / plain.batched_mops;
-      std::printf("# speed_gate,blocked_shbf_m_vs_shbf_m,%.2fx\n", ratio);
+      const double ratio = split.batched_mops / plain.batched_mops;
+      std::printf("# speed_gate,split_block_shbf_m_vs_shbf_m,%.2fx\n", ratio);
       if (ratio < 1.35) {
         std::fprintf(stderr,
-                     "GATE FAILED: blocked_shbf_m batched %.2f Mops is only "
-                     "%.2fx shbf_m's %.2f Mops (need 1.35x)\n",
-                     blocked.batched_mops, ratio, plain.batched_mops);
-        ok = false;
-      }
-    }
-  }
-
-  // Split-block gates: the one-vector-op resolve must pay for itself
-  // against the gather-based blocked path, both batched (1.3x) and per key
-  // (strictly faster — the per-key win is the whole point of baking the
-  // mask at probe time). Same gate scale as above.
-  if (!config.no_speed_gate && has("blocked_shbf_m") &&
-      has("split_block_shbf_m")) {
-    const FilterRun& blocked = runs["blocked_shbf_m"];
-    const FilterRun& split = runs["split_block_shbf_m"];
-    const bool at_gate_scale = config.query_keys >= 1000000 &&
-                               blocked.filter_bytes >= 8u << 20;
-    if (at_gate_scale && blocked.batched_mops > 0) {
-      const double ratio = split.batched_mops / blocked.batched_mops;
-      std::printf("# speed_gate,split_block_shbf_m_vs_blocked_shbf_m,%.2fx\n",
-                  ratio);
-      if (ratio < 1.3) {
-        std::fprintf(stderr,
                      "GATE FAILED: split_block_shbf_m batched %.2f Mops is "
-                     "only %.2fx blocked_shbf_m's %.2f Mops (need 1.3x)\n",
-                     split.batched_mops, ratio, blocked.batched_mops);
+                     "only %.2fx shbf_m's %.2f Mops (need 1.35x)\n",
+                     split.batched_mops, ratio, plain.batched_mops);
         ok = false;
       }
     }
-    if (at_gate_scale && blocked.per_key_mops > 0) {
-      const double ratio = split.per_key_mops / blocked.per_key_mops;
-      std::printf("# speed_gate,split_block_shbf_m_per_key_vs_blocked,"
-                  "%.2fx\n",
+    if (at_gate_scale && plain.per_key_mops > 0) {
+      const double ratio = split.per_key_mops / plain.per_key_mops;
+      std::printf("# speed_gate,split_block_shbf_m_per_key_vs_shbf_m,%.2fx\n",
                   ratio);
       if (ratio <= 1.0) {
         std::fprintf(stderr,
                      "GATE FAILED: split_block_shbf_m per_key %.2f Mops does "
-                     "not beat blocked_shbf_m's %.2f Mops\n",
-                     split.per_key_mops, blocked.per_key_mops);
+                     "not beat shbf_m's %.2f Mops\n",
+                     split.per_key_mops, plain.per_key_mops);
         ok = false;
       }
     }

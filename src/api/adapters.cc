@@ -24,7 +24,6 @@
 #include "api/filter_registry.h"
 #include "api/filter_spec.h"
 #include "api/set_query_filter.h"
-#include "baselines/blocked_bloom_filter.h"
 #include "baselines/split_block_bloom_filter.h"
 #include "baselines/bloom_filter.h"
 #include "baselines/cm_sketch.h"
@@ -36,7 +35,6 @@
 #include "baselines/one_mem_bf.h"
 #include "baselines/spectral_bloom_filter.h"
 #include "core/serde.h"
-#include "shbf/blocked_shbf_membership.h"
 #include "shbf/split_block_shbf_membership.h"
 #include "shbf/counting_shbf_membership.h"
 #include "shbf/generalized_shbf.h"
@@ -188,92 +186,6 @@ class ShbfMAdapter : public AdapterCore<MembershipFilter, ShbfM> {
   }
   Status MergeFrom(const MembershipFilter& other) override {
     const auto* peer = dynamic_cast<const ShbfMAdapter*>(&other);
-    if (peer == nullptr) {
-      return Status::FailedPrecondition(
-          name_ + ": MergeFrom needs another " + name_ + " instance");
-    }
-    Status s = impl_.MergeFrom(peer->impl_);
-    if (s.ok()) adds_ += peer->adds_;
-    return s;
-  }
-  size_t num_elements() const override { return impl_.num_elements(); }
-  size_t memory_bytes() const override {
-    return impl_.bits().allocated_bytes();
-  }
-  std::string ToBytes() const override { return WrapNative(impl_.ToBytes()); }
-};
-
-class BlockedBloomAdapter
-    : public AdapterCore<MembershipFilter, BlockedBloomFilter> {
- public:
-  using AdapterCore::AdapterCore;
-  void Add(std::string_view key) override {
-    impl_.Add(key);
-    ++adds_;
-  }
-  bool Contains(std::string_view key) const override {
-    return impl_.Contains(key);
-  }
-  bool ContainsWithStats(std::string_view key,
-                         QueryStats* stats) const override {
-    return impl_.ContainsWithStats(key, stats);
-  }
-  void ContainsBatch(const std::vector<std::string>& keys,
-                     std::vector<uint8_t>* results) const override {
-    impl_.ContainsBatch(keys, results);
-  }
-  using MembershipFilter::ContainsBatch;  // keep the view overload visible
-  BatchFastPath batch_fast_path() const override {
-    return {BatchFastPath::Kind::kBlockedBloom, &impl_};
-  }
-  uint32_t capabilities() const override {
-    return kIncrementalAdd | kMergeable;
-  }
-  Status MergeFrom(const MembershipFilter& other) override {
-    const auto* peer = dynamic_cast<const BlockedBloomAdapter*>(&other);
-    if (peer == nullptr) {
-      return Status::FailedPrecondition(
-          name_ + ": MergeFrom needs another " + name_ + " instance");
-    }
-    Status s = impl_.MergeFrom(peer->impl_);
-    if (s.ok()) adds_ += peer->adds_;
-    return s;
-  }
-  size_t num_elements() const override { return impl_.num_elements(); }
-  size_t memory_bytes() const override {
-    return impl_.bits().allocated_bytes();
-  }
-  std::string ToBytes() const override { return WrapNative(impl_.ToBytes()); }
-};
-
-class BlockedShbfMAdapter
-    : public AdapterCore<MembershipFilter, BlockedShbfM> {
- public:
-  using AdapterCore::AdapterCore;
-  void Add(std::string_view key) override {
-    impl_.Add(key);
-    ++adds_;
-  }
-  bool Contains(std::string_view key) const override {
-    return impl_.Contains(key);
-  }
-  bool ContainsWithStats(std::string_view key,
-                         QueryStats* stats) const override {
-    return impl_.ContainsWithStats(key, stats);
-  }
-  void ContainsBatch(const std::vector<std::string>& keys,
-                     std::vector<uint8_t>* results) const override {
-    impl_.ContainsBatch(keys, results);
-  }
-  using MembershipFilter::ContainsBatch;  // keep the view overload visible
-  BatchFastPath batch_fast_path() const override {
-    return {BatchFastPath::Kind::kBlockedShbfM, &impl_};
-  }
-  uint32_t capabilities() const override {
-    return kIncrementalAdd | kMergeable;
-  }
-  Status MergeFrom(const MembershipFilter& other) override {
-    const auto* peer = dynamic_cast<const BlockedShbfMAdapter*>(&other);
     if (peer == nullptr) {
       return Status::FailedPrecondition(
           name_ + ": MergeFrom needs another " + name_ + " instance");
@@ -1262,63 +1174,6 @@ Status RegisterAll(FilterRegistry* r) {
              return OpenBitArrayImage<ShbfMAdapter, ShbfM>(
                  "shbf_m", params, header, regions, g.max_offset_span, out);
            }});
-  if (!s.ok()) return s;
-
-  // blocked_bloom: num_cells bits rounded up to whole block_bits blocks; an
-  // extra hash picks the block and all num_hashes probes stay inside it
-  // (register-blocked resolve, one cache line per query).
-  s = r->Register(
-      {.name = "blocked_bloom",
-       .family = FilterFamily::kMembership,
-       .description =
-           "cache-blocked Bloom filter (Putze 2007; one line per key)",
-       .capabilities = kIncrementalAdd | kMergeable,
-       .factory =
-           [](const FilterSpec& spec, std::unique_ptr<MembershipFilter>* out) {
-             return MakeAdapter<BlockedBloomAdapter>(
-                 "blocked_bloom",
-                 BlockedBloomFilter::Params{.num_bits = spec.num_cells,
-                                            .num_hashes = spec.num_hashes,
-                                            .block_bits = spec.block_bits,
-                                            .hash_algorithm =
-                                                spec.hash_algorithm,
-                                            .seed = spec.seed},
-                 out);
-           },
-       .deserializer = NativeDeserializer<BlockedBloomAdapter,
-                                          BlockedBloomFilter>(
-           "blocked_bloom")});
-  if (!s.ok()) return s;
-
-  // blocked_shbf_m: num_hashes rounded up to even; block_bits raised to the
-  // scheme's 128-bit minimum (a 64-bit block leaves too few base positions
-  // once the offset span is subtracted).
-  s = r->Register(
-      {.name = "blocked_shbf_m",
-       .family = FilterFamily::kMembership,
-       .description =
-           "cache-blocked shifting Bloom filter, membership (paper §3 + "
-           "Putze-style blocking)",
-       .capabilities = kIncrementalAdd | kMergeable,
-       .factory =
-           [](const FilterSpec& spec, std::unique_ptr<MembershipFilter>* out) {
-             uint32_t k = RoundUpToMultiple(spec.num_hashes < 2 ? 2
-                                                                : spec.num_hashes,
-                                            2);
-             uint32_t block_bits = spec.block_bits < BlockedShbfM::kMinBlockBits
-                                       ? BlockedShbfM::kMinBlockBits
-                                       : spec.block_bits;
-             return MakeAdapter<BlockedShbfMAdapter>(
-                 "blocked_shbf_m",
-                 BlockedShbfM::Params{.num_bits = spec.num_cells,
-                                      .num_hashes = k,
-                                      .block_bits = block_bits,
-                                      .hash_algorithm = spec.hash_algorithm,
-                                      .seed = spec.seed},
-                 out);
-           },
-       .deserializer = NativeDeserializer<BlockedShbfMAdapter, BlockedShbfM>(
-           "blocked_shbf_m")});
   if (!s.ok()) return s;
 
   // split_block_bloom: each of the k probes owns one sub_block_bits-wide

@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <chrono>
+#include <string_view>
+#include <utility>
 
 #include "core/serde.h"
 #include "engine/auto_scaling_filter.h"
@@ -20,8 +22,9 @@ constexpr uint32_t kEnvelopeMagic = 0x52424853;  // "SHBR" little-endian
 // "unsupported version" instead of deserializing shifted garbage.
 // v3: FilterSpec wire records grew delta_capacity/auto_scale (the mutation
 // pipeline), again shifting every payload that embeds a spec.
-// v4: FilterSpec wire records grew block_bits (the cache-blocked variants),
-// appended past the v3 layout.
+// v4: FilterSpec wire records grew a u32 slot appended past the v3 layout
+// (the block size of the since-retired cache-blocked filters; now written
+// as a constant and skipped on read, see filter_spec.cc).
 // v5: FilterSpec wire records grew sub_block_bits (the split-block
 // variants), appended past the v4 layout. The v5 reader still accepts v4
 // blobs: spec-bearing payloads deserialize under a SpecWireVersionScope so
@@ -29,6 +32,25 @@ constexpr uint32_t kEnvelopeMagic = 0x52424853;  // "SHBR" little-endian
 constexpr uint8_t kEnvelopeVersion = 5;
 constexpr uint8_t kMinReadableEnvelopeVersion = 4;
 constexpr size_t kMaxNameLength = 256;
+
+/// Filters removed from the registry, each with the one to rebuild as.
+/// Their serde tags stay reserved in core/serde.h.
+constexpr std::pair<std::string_view, std::string_view> kRetiredFilters[] = {
+    {"blocked_bloom", "split_block_bloom"},
+    {"blocked_shbf_m", "split_block_shbf_m"},
+};
+
+/// NotFound for a name the registry does not know, pointing a retired
+/// name at its replacement.
+Status UnknownFilter(const std::string& context, std::string_view name) {
+  std::string message = context + " \"" + std::string(name) + "\"";
+  for (const auto& [retired, replacement] : kRetiredFilters) {
+    if (name == retired) {
+      message += " (retired; rebuild as " + std::string(replacement) + ")";
+    }
+  }
+  return Status::NotFound(message);
+}
 
 bool ConsumePrefix(std::string_view* name, std::string_view prefix) {
   if (name->substr(0, prefix.size()) != prefix) return false;
@@ -132,8 +154,7 @@ Status FilterRegistry::Create(std::string_view name, const FilterSpec& spec,
                               std::unique_ptr<MembershipFilter>* out) const {
   const Entry* entry = Find(name);
   if (entry == nullptr) {
-    return Status::NotFound("FilterRegistry: no filter named \"" +
-                            std::string(name) + "\"");
+    return UnknownFilter("FilterRegistry: no filter named", name);
   }
   Status valid = spec.Validate();
   if (!valid.ok()) return valid;
@@ -332,9 +353,8 @@ Status FilterRegistry::Deserialize(
     // registered — check it here, where the error can say so cleanly.
     std::string_view base = StripWrapperPrefixes(name_view);
     if (Find(base) == nullptr) {
-      return Status::NotFound(
-          "FilterRegistry: wrapper blob names unknown base filter \"" +
-          std::string(base) + "\"");
+      return UnknownFilter(
+          "FilterRegistry: wrapper blob names unknown base filter", base);
     }
     if (name_view.substr(0, ShardedMembershipFilter::kNamePrefix.size()) ==
         ShardedMembershipFilter::kNamePrefix) {
@@ -348,8 +368,7 @@ Status FilterRegistry::Deserialize(
   }
   const Entry* entry = Find(name);
   if (entry == nullptr) {
-    return Status::NotFound("FilterRegistry: blob names unknown filter \"" +
-                            name + "\"");
+    return UnknownFilter("FilterRegistry: blob names unknown filter", name);
   }
   if (entry->deserializer == nullptr) {
     return Status::FailedPrecondition("FilterRegistry: \"" + name +

@@ -47,12 +47,6 @@ struct FilterSpec {
   /// Word size for the one-memory-access BF.
   uint32_t word_bits = 64;
 
-  /// Block size for the cache-blocked variants (blocked_bloom,
-  /// blocked_shbf_m): all of a key's probes are confined to one block of
-  /// this many bits. Power of two in [64, 512]; 512 = one cache line.
-  /// Ignored by the unblocked schemes.
-  uint32_t block_bits = 512;
-
   /// Sub-word width of the split-block variants (split_block_bloom,
   /// split_block_shbf_m): each probe/pair owns one sub-word of this many
   /// bits inside its block, which is what makes the one-vector-op resolve
@@ -118,7 +112,7 @@ namespace spec_serde {
 
 /// The spec wire layout version written by WriteSpec — tracks the registry
 /// envelope version (filter_registry.cc) for the versions that extended the
-/// spec record: v4 appended block_bits, v5 appended sub_block_bits.
+/// spec record: v4 appended a u32 slot, v5 appended sub_block_bits.
 inline constexpr int kSpecWireLatest = 5;
 
 /// Fixed-layout FilterSpec codec used by adapter-level (replay) serde.

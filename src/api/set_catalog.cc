@@ -207,6 +207,12 @@ Status SetCatalog::Deserialize(std::string_view bytes,
     }
     std::unique_ptr<MembershipFilter> filter;
     Status s = registry.Deserialize(blob, &filter);
+    if (s.code() == Status::Code::kNotFound) {
+      // An unknown or retired filter name: stays NotFound, so the caller
+      // can tell "rebuild this set" from a corrupt catalog.
+      return Status::NotFound("SetCatalog: set '" + name + "': " +
+                              s.message());
+    }
     if (!s.ok()) {
       return Status::InvalidArgument("SetCatalog: set '" + name + "': " +
                                      s.ToString());

@@ -41,13 +41,11 @@ namespace shbf {
 /// named by `kind` and is only valid while the owning filter is alive.
 struct BatchFastPath {
   enum class Kind : uint8_t {
-    kNone = 0,          ///< no specialized path; use the virtual interface
-    kShbfM = 1,         ///< `impl` is a `const ShbfM*`
-    kBloom = 2,         ///< `impl` is a `const BloomFilter*`
-    kShbfX = 3,         ///< `impl` is a `const ShbfX*`
-    kShbfA = 4,         ///< `impl` is a `const ShbfA*`
-    kBlockedBloom = 5,  ///< `impl` is a `const BlockedBloomFilter*`
-    kBlockedShbfM = 6,  ///< `impl` is a `const BlockedShbfM*`
+    kNone = 0,   ///< no specialized path; use the virtual interface
+    kShbfM = 1,  ///< `impl` is a `const ShbfM*`
+    kBloom = 2,  ///< `impl` is a `const BloomFilter*`
+    kShbfX = 3,  ///< `impl` is a `const ShbfX*`
+    kShbfA = 4,  ///< `impl` is a `const ShbfA*`
     kSplitBlockBloom = 7,  ///< `impl` is a `const SplitBlockBloomFilter*`
     kSplitBlockShbfM = 8,  ///< `impl` is a `const SplitBlockShbfM*`
     kCuckoo = 9,           ///< `impl` is a `const CuckooFilter*`

@@ -53,24 +53,10 @@ void CmSketch::Insert(std::string_view key) {
 }
 
 uint64_t CmSketch::QueryCount(std::string_view key) const {
-  if (depth_ > 64) {
-    // Past the gather buffer: the plain early-exit loop.
-    uint64_t min_value = ~0ull;
-    for (uint32_t row = 0; row < depth_; ++row) {
-      min_value = std::min(min_value, counters_.Get(CellIndex(row, key)));
-      if (min_value == 0) return 0;
-    }
-    return min_value;
-  }
-  // Gather every row's cell, extract all counters in one SIMD pass, then
-  // take the min — same answer as the per-row loop.
-  size_t cells[64];
-  uint64_t values[64];
-  for (uint32_t row = 0; row < depth_; ++row) cells[row] = CellIndex(row, key);
-  counters_.GetMany(cells, depth_, values);
-  uint64_t min_value = values[0];
-  for (uint32_t row = 1; row < depth_; ++row) {
-    min_value = std::min(min_value, values[row]);
+  uint64_t min_value = ~0ull;
+  for (uint32_t row = 0; row < depth_; ++row) {
+    min_value = std::min(min_value, counters_.Get(CellIndex(row, key)));
+    if (min_value == 0) return 0;
   }
   return min_value;
 }

@@ -41,7 +41,7 @@ SplitBlockBloomFilter::SplitBlockBloomFilter(const Params& params)
       block_bits_(params.block_bits),
       sub_block_bits_(params.sub_block_bits),
       num_blocks_(CeilDiv(params.num_bits, size_t{params.block_bits})),
-      // Blocks are self-contained, so no slack bits (as blocked_bloom).
+      // Blocks are self-contained, so no slack bits.
       bits_(num_blocks_ * params.block_bits, /*slack_bits=*/0) {
   CheckOk(params.Validate());
   BuildLayout();
@@ -85,7 +85,7 @@ void SplitBlockBloomFilter::BuildLayout() {
 // chains — an earlier derivation built the positions from a serial
 // SplitMix64 stream plus a per-key MaskFromShifts kernel call, and that
 // latency chain (plus per-key vector dispatch) made the split per-key
-// query measurably SLOWER than the blocked one it is meant to beat. The
+// query measurably SLOWER than the blocked layout it replaced. The
 // block prefetch is issued as soon as the block index exists, so the
 // position math runs inside the line fetch.
 void SplitBlockBloomFilter::DeriveLanes(const void* data, size_t len,

@@ -1,16 +1,16 @@
 // Split-block Bloom filter (cf. Boost.Bloom's multiblock<> subfilters) —
 // the one-vector-op-per-key membership baseline.
 //
-// The blocked filter (blocked_bloom_filter.h) already confines a key's k
-// probes to one cache-line block, but derives each probe position with a
-// serial modulo/scatter chain: position bits land anywhere in the block, so
+// A blocked Bloom filter (Putze/Sanders/Singler) confines a key's k probes
+// to one cache-line block, but derives each probe position with a serial
+// modulo/scatter chain: position bits land anywhere in the block, so
 // building the probe mask is k dependent OR-scatters. The split-block
 // layout divides the block into `sub_block_bits`-wide sub-words and pins
 // probe i to sub-word i % num_sub — the probe-to-word mapping becomes
 // key-independent and the whole derivation chain goes wide:
 //
-//   * ONE 128-bit hash pass (HashFamily::HashPair) replaces the two 64-bit
-//     passes the blocked variants pay;
+//   * ONE 128-bit hash pass (HashFamily::HashPair) picks the block and
+//     every position;
 //   * the block index is a multiply-shift range reduction (FastRange64),
 //     not a division;
 //   * the k in-sub-word positions are disjoint 6-bit FIELDS of h2 (plus
@@ -22,8 +22,8 @@
 //     group with ONE simd::MaskFromShifts call (AVX2 `vpsllvq` / NEON
 //     `vshlq` / AVX-512 zmm) — see PrepareShiftLanes/ResolveLanes.
 //
-// The resolve is the same whole-block subset test as the blocked filter
-// (simd::BlockSubsetTest; one 512-bit op on AVX-512F).
+// The resolve is one whole-block subset test (simd::BlockSubsetTest; one
+// 512-bit op on AVX-512F).
 //
 // Geometry: sub_block_bits ∈ {8, 16, 32, 64} (powers of two dividing 64,
 // so a sub-word never straddles a 64-bit word), block_bits a multiple of
@@ -32,7 +32,7 @@
 // (clamped) so the default geometry wastes nothing and probe i owns word i.
 //
 // FPR: one probe per sub-word is the classic partitioned-Bloom variant of
-// the blocked filter — same Poisson block-loading penalty, bounded by the
+// a blocked filter — the Poisson block-loading penalty, bounded by the
 // bench's acceptance gate at 2x the unblocked base at equal bits/key.
 
 #ifndef SHBF_BASELINES_SPLIT_BLOCK_BLOOM_FILTER_H_
@@ -53,7 +53,7 @@ namespace shbf {
 
 class SplitBlockBloomFilter {
  public:
-  /// Same block bounds as the blocked filter: a probe mask fits 8 words.
+  /// A block is at most one cache line: a probe mask fits 8 words.
   static constexpr uint32_t kMinBlockBits = 64;
   static constexpr uint32_t kMaxBlockBits = 512;
   static constexpr uint32_t kMaxBlockWords = kMaxBlockBits / 64;
@@ -100,7 +100,7 @@ class SplitBlockBloomFilter {
   void ContainsBatch(const std::vector<std::string>& keys,
                      std::vector<uint8_t>* results) const;
 
-  /// Precomputed query state — same shape as BlockedBloomFilter::Probe, so
+  /// Precomputed query state — same shape as SplitBlockShbfM::Probe, so
   /// the engine resolves both through one BlockSubsetTest path.
   struct Probe {
     size_t block_word;              ///< first word of the block

@@ -2,8 +2,6 @@
 
 #include <algorithm>
 
-#include "core/simd.h"
-
 namespace shbf {
 
 PackedCounterArray::PackedCounterArray(size_t num_counters,
@@ -106,31 +104,6 @@ uint64_t PackedCounterArray::Get(size_t i) const {
     value |= words_data_[word + 1] << (64 - shift);
   }
   return value & max_value_;
-}
-
-void PackedCounterArray::GetMany(const size_t* indices, size_t n,
-                                 uint64_t* out) const {
-  // The straddle word (words_[word + 1]) is always addressable thanks to the
-  // constructor's extra word, so the gather needs no bounds branch. When the
-  // counter does not straddle, the kernel's hi contribution lands above bit
-  // z and the field mask removes it — same answer as Get, branch-free.
-  constexpr size_t kChunk = 64;
-  uint64_t lo[kChunk];
-  uint64_t hi[kChunk];
-  uint64_t shifts[kChunk];
-  for (size_t start = 0; start < n; start += kChunk) {
-    const size_t m = std::min(kChunk, n - start);
-    for (size_t j = 0; j < m; ++j) {
-      const size_t i = indices[start + j];
-      SHBF_DCHECK(i < num_counters_);
-      const size_t bit = i * bits_per_counter_;
-      const size_t word = bit >> 6;
-      lo[j] = words_data_[word];
-      hi[j] = words_data_[word + 1];
-      shifts[j] = bit & 63;
-    }
-    simd::ExtractFieldMany(lo, hi, shifts, max_value_, m, out + start);
-  }
 }
 
 void PackedCounterArray::Set(size_t i, uint64_t value) {

@@ -55,12 +55,6 @@ class PackedCounterArray {
   /// Reads counter `i`.
   uint64_t Get(size_t i) const;
 
-  /// Reads counters `indices[0..n)` into `out[0..n)` — bit-identical to n
-  /// calls to Get, but the shift-and-mask extraction runs through the SIMD
-  /// field kernel (core/simd.h: 4 counters per AVX2 op), which the sketch
-  /// query paths (k counters then min) feed with their whole gather.
-  void GetMany(const size_t* indices, size_t n, uint64_t* out) const;
-
   /// Overwrites counter `i` with `value` (value <= max_value()).
   void Set(size_t i, uint64_t value);
 

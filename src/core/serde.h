@@ -122,8 +122,10 @@ enum class StructureTag : uint8_t {
   kDynamicCountFilter = 12,
   kGeneralizedShbfM = 13,
   kCountingShbfM = 14,
-  kBlockedBloomFilter = 15,
-  kBlockedShbfM = 16,
+  // 15 and 16 belonged to the retired blocked_bloom / blocked_shbf_m
+  // filters. Never reuse them: an old blob must not parse as a new type.
+  kRetiredBlockedBloomFilter = 15,
+  kRetiredBlockedShbfM = 16,
   kSplitBlockBloomFilter = 17,
   kSplitBlockShbfM = 18,
 };

@@ -1,25 +1,21 @@
 // Vector probe kernels with runtime dispatch (scalar / NEON / AVX2 /
 // AVX-512).
 //
-// Four primitives cover the hot loops of the batched query engine and the
-// packed counter substrate:
+// Two primitives cover the split-block filters' hot loops in the batched
+// query engine:
 //
-//   MaskTestMany      lane i: (words[i] & needs[i]) == needs[i]
-//                     — the ShBF pair test across a whole probe group. Each
-//                     64-bit lane carries one window whose `need` pattern
-//                     holds two bits (base | base+offset), so one AVX2 op
-//                     resolves 4 windows = 8 probed bits (NEON: 2 = 4).
 //   BlockSubsetTest   (block & mask) == mask over a whole cache-line block
-//                     — the blocked-Bloom resolve, 256 bits per AVX2 op
+//                     — the split-block resolve, 256 bits per AVX2 op
 //                     (one 512-bit op on AVX-512F parts).
 //   MaskFromShifts    lane i: pattern << shifts[i] — fused mask
 //                     construction for the split-block layouts, where every
 //                     probe owns its own sub-word: one AVX2 `vpsllvq`
 //                     (NEON `vshlq`) turns 4 (2) probe positions into 4 (2)
 //                     finished mask words with no scatter conflicts.
-//   ExtractFieldMany  lane i: ((lo[i] >> s[i]) | (hi[i] << (64 − s[i])))
-//                     & field_mask — packed-counter extraction across a
-//                     gather of counters, straddle word included.
+//
+// A kernel stays only while a paired run shows its vector body beating
+// the scalar one by at least 10% somewhere the engine uses it
+// (docs/design.md "SIMD kernels and dispatch").
 //
 // The AVX2/AVX-512 bodies are compiled per-function (`target("avx2")`,
 // `target("avx512f")`), so no global -mavx2 flag is needed and the binary
@@ -28,7 +24,6 @@
 // SHBF_FORCE_SCALAR / ForceScalar(true) demote every kernel to the scalar
 // reference, which the vector bodies must match bit for bit
 // (tests/simd_kernel_test.cc sweeps random inputs under both settings).
-// Kernels without a 512-bit body dispatch kAvx512 to their AVX2 one.
 
 #ifndef SHBF_CORE_SIMD_H_
 #define SHBF_CORE_SIMD_H_
@@ -54,13 +49,6 @@ namespace simd {
 // Scalar reference implementations (the semantic ground truth)
 // ------------------------------------------------------------------------
 
-inline void MaskTestManyScalar(const uint64_t* words, const uint64_t* needs,
-                               size_t n, uint8_t* out) {
-  for (size_t i = 0; i < n; ++i) {
-    out[i] = (words[i] & needs[i]) == needs[i] ? 1 : 0;
-  }
-}
-
 inline bool BlockSubsetTestScalar(const uint8_t* block, const uint64_t* mask,
                                   size_t num_words) {
   for (size_t w = 0; w < num_words; ++w) {
@@ -78,45 +66,12 @@ inline void MaskFromShiftsScalar(const uint64_t* shifts, uint64_t pattern,
   }
 }
 
-inline void ExtractFieldManyScalar(const uint64_t* lo, const uint64_t* hi,
-                                   const uint64_t* shifts, uint64_t field_mask,
-                                   size_t n, uint64_t* out) {
-  for (size_t i = 0; i < n; ++i) {
-    const uint64_t s = shifts[i];
-    uint64_t value = lo[i] >> s;
-    // The straddle word contributes nothing when s == 0 (and << 64 would be
-    // UB), so guard it here; the AVX2 shift instructions yield 0 for counts
-    // >= 64 and need no guard.
-    if (s != 0) value |= hi[i] << (64 - s);
-    out[i] = value & field_mask;
-  }
-}
-
 // ------------------------------------------------------------------------
 // AVX2 bodies (per-function target attribute; callable after a runtime
 // AVX2 check only)
 // ------------------------------------------------------------------------
 
 #if SHBF_SIMD_X86
-
-__attribute__((target("avx2"))) inline void MaskTestManyAvx2(
-    const uint64_t* words, const uint64_t* needs, size_t n, uint8_t* out) {
-  size_t i = 0;
-  for (; i + 4 <= n; i += 4) {
-    const __m256i w = _mm256_loadu_si256(
-        reinterpret_cast<const __m256i*>(words + i));
-    const __m256i need = _mm256_loadu_si256(
-        reinterpret_cast<const __m256i*>(needs + i));
-    const __m256i eq = _mm256_cmpeq_epi64(_mm256_and_si256(w, need), need);
-    // One sign bit per 64-bit lane: bit j of `hits` is lane j's verdict.
-    const int hits = _mm256_movemask_pd(_mm256_castsi256_pd(eq));
-    out[i + 0] = hits & 1;
-    out[i + 1] = (hits >> 1) & 1;
-    out[i + 2] = (hits >> 2) & 1;
-    out[i + 3] = (hits >> 3) & 1;
-  }
-  MaskTestManyScalar(words + i, needs + i, n - i, out + i);
-}
 
 __attribute__((target("avx2"))) inline bool BlockSubsetTestAvx2(
     const uint8_t* block, const uint64_t* mask, size_t num_words) {
@@ -173,31 +128,6 @@ __attribute__((target("avx512f"))) inline void MaskFromShiftsAvx512(
   MaskFromShiftsScalar(shifts + i, pattern, n - i, out + i);
 }
 
-__attribute__((target("avx2"))) inline void ExtractFieldManyAvx2(
-    const uint64_t* lo, const uint64_t* hi, const uint64_t* shifts,
-    uint64_t field_mask, size_t n, uint64_t* out) {
-  const __m256i mask = _mm256_set1_epi64x(static_cast<long long>(field_mask));
-  const __m256i sixty_four = _mm256_set1_epi64x(64);
-  size_t i = 0;
-  for (; i + 4 <= n; i += 4) {
-    const __m256i lo_v = _mm256_loadu_si256(
-        reinterpret_cast<const __m256i*>(lo + i));
-    const __m256i hi_v = _mm256_loadu_si256(
-        reinterpret_cast<const __m256i*>(hi + i));
-    const __m256i s = _mm256_loadu_si256(
-        reinterpret_cast<const __m256i*>(shifts + i));
-    // srlv/sllv produce 0 for shift counts >= 64, so the s == 0 lane gets
-    // hi << 64 == 0 — exactly the scalar guard, without a branch.
-    const __m256i value = _mm256_or_si256(
-        _mm256_srlv_epi64(lo_v, s),
-        _mm256_sllv_epi64(hi_v, _mm256_sub_epi64(sixty_four, s)));
-    _mm256_storeu_si256(reinterpret_cast<__m256i*>(out + i),
-                        _mm256_and_si256(value, mask));
-  }
-  ExtractFieldManyScalar(lo + i, hi + i, shifts + i, field_mask, n - i,
-                         out + i);
-}
-
 #endif  // SHBF_SIMD_X86
 
 // ------------------------------------------------------------------------
@@ -205,19 +135,6 @@ __attribute__((target("avx2"))) inline void ExtractFieldManyAvx2(
 // ------------------------------------------------------------------------
 
 #if SHBF_SIMD_NEON
-
-inline void MaskTestManyNeon(const uint64_t* words, const uint64_t* needs,
-                             size_t n, uint8_t* out) {
-  size_t i = 0;
-  for (; i + 2 <= n; i += 2) {
-    const uint64x2_t w = vld1q_u64(words + i);
-    const uint64x2_t need = vld1q_u64(needs + i);
-    const uint64x2_t eq = vceqq_u64(vandq_u64(w, need), need);
-    out[i + 0] = vgetq_lane_u64(eq, 0) != 0;
-    out[i + 1] = vgetq_lane_u64(eq, 1) != 0;
-  }
-  MaskTestManyScalar(words + i, needs + i, n - i, out + i);
-}
 
 inline void MaskFromShiftsNeon(const uint64_t* shifts, uint64_t pattern,
                                size_t n, uint64_t* out) {
@@ -253,26 +170,6 @@ inline bool BlockSubsetTestNeon(const uint8_t* block, const uint64_t* mask,
 // Dispatched entry points
 // ------------------------------------------------------------------------
 
-/// out[i] = (words[i] & needs[i]) == needs[i], for i < n.
-inline void MaskTestMany(const uint64_t* words, const uint64_t* needs,
-                         size_t n, uint8_t* out) {
-  switch (ActiveLevel()) {
-#if SHBF_SIMD_X86
-    case Level::kAvx512:  // no 512-bit body; the AVX2 one is the widest
-    case Level::kAvx2:
-      MaskTestManyAvx2(words, needs, n, out);
-      return;
-#endif
-#if SHBF_SIMD_NEON
-    case Level::kNeon:
-      MaskTestManyNeon(words, needs, n, out);
-      return;
-#endif
-    default:
-      MaskTestManyScalar(words, needs, n, out);
-  }
-}
-
 /// True iff every bit of `mask` is set in `block`, over `num_words` words
 /// starting at byte `block` (little-endian word slicing, as BitArray lays
 /// bits out).
@@ -293,25 +190,6 @@ inline bool BlockSubsetTest(const uint8_t* block, const uint64_t* mask,
 #endif
     default:
       return BlockSubsetTestScalar(block, mask, num_words);
-  }
-}
-
-/// out[i] = ((lo[i] >> shifts[i]) | straddle from hi[i]) & field_mask —
-/// the packed-counter read (PackedCounterArray::Get) across a gather.
-/// Requires shifts[i] < 64. NEON has no per-lane variable 64-bit shift that
-/// zeroes out-of-range counts, so AArch64 uses the scalar body.
-inline void ExtractFieldMany(const uint64_t* lo, const uint64_t* hi,
-                             const uint64_t* shifts, uint64_t field_mask,
-                             size_t n, uint64_t* out) {
-  switch (ActiveLevel()) {
-#if SHBF_SIMD_X86
-    case Level::kAvx512:  // no 512-bit body; the AVX2 one is the widest
-    case Level::kAvx2:
-      ExtractFieldManyAvx2(lo, hi, shifts, field_mask, n, out);
-      return;
-#endif
-    default:
-      ExtractFieldManyScalar(lo, hi, shifts, field_mask, n, out);
   }
 }
 

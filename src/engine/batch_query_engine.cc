@@ -4,13 +4,11 @@
 #include <memory>
 #include <variant>
 
-#include "baselines/blocked_bloom_filter.h"
 #include "baselines/bloom_filter.h"
 #include "baselines/cuckoo_filter.h"
 #include "baselines/split_block_bloom_filter.h"
 #include "core/simd.h"
 #include "obs/metrics.h"
-#include "shbf/blocked_shbf_membership.h"
 #include "shbf/shbf_association.h"
 #include "shbf/shbf_membership.h"
 #include "shbf/split_block_shbf_membership.h"
@@ -21,20 +19,13 @@ namespace {
 // Below this footprint the filter is cache-resident and the two-pass
 // prefetch protocol is pure overhead: the staging pass writes probes to a
 // scratch vector that pass 2 immediately re-reads, while the prefetches hit
-// lines already in cache. Group size 1 degrades TwoPassLoop to the straight
-// hash → mask → test loop (prepare and resolve back to back, no staging
-// traffic), which measures faster for every blocked/split variant that fits
-// here (docs/benchmarks.md "Cache-resident batch sizing"). 4 MiB sits below
-// typical shared-LLC slices while safely above L2, so filters this small are
-// resident once the batch has touched them.
+// lines already in cache. Group size 1 degrades the split-block loop to the
+// straight hash → mask → test loop (prepare and resolve back to back, no
+// staging traffic), which measures faster for both split-block variants
+// when they fit here (docs/benchmarks.md "Cache-resident batch sizing").
+// 4 MiB sits below typical shared-LLC slices while safely above L2, so
+// filters this small are resident once the batch has touched them.
 constexpr size_t kCacheResidentBytes = size_t{4} << 20;
-
-// The group size the blocked/split fast paths actually run with: the
-// configured batch_size for memory-resident filters (prefetch pipelining
-// wins), 1 for cache-resident ones (staging overhead loses).
-size_t EffectiveGroupSize(size_t filter_bytes, size_t batch_size) {
-  return filter_bytes <= kCacheResidentBytes ? 1 : batch_size;
-}
 
 // A split-block probe touches exactly one line, prefetched inside
 // PrepareProbe, so the staging group only has to keep one fetch per key in
@@ -42,8 +33,8 @@ size_t EffectiveGroupSize(size_t filter_bytes, size_t batch_size) {
 // (10-12 on current x86). Deeper groups spill probe state out of registers
 // while the surplus prefetches queue behind the buffers: group 8 measures
 // ~14% over group 32 at gate scale (docs/benchmarks.md "Cache-resident
-// batch sizing"). Gather-style paths keep the full batch_size — they issue
-// k fetches per key and need the wider window.
+// batch sizing"). The unblocked kinds keep the full batch_size — they issue
+// up to k fetches per key and need the wider window.
 constexpr size_t kSplitBlockGroupCap = 8;
 
 // Runs the two-pass protocol over `keys` in groups of `group_size`:
@@ -64,46 +55,6 @@ void TwoPassLoop(const Impl& impl, const Keys& keys, size_t group_size,
     }
     for (size_t g = 0; g < group; ++g) {
       resolve(start + g, probes[g]);
-    }
-  }
-}
-
-// The blocked ShBF_M resolve, vectorized across the group: pass 2 gathers
-// every pair window of the group (now resident thanks to the prefetch pass)
-// into one flat array, replicates each key's `need` pattern alongside, and
-// hands the whole gather to simd::MaskTestMany — 4 windows = 8 probed bits
-// per AVX2 op (NEON: 2 = 4) instead of one test-and-branch per window. The
-// per-key verdict is the AND over its pair lanes.
-template <typename Keys>
-void BlockedShbfMGroupLoop(const BlockedShbfM& impl, const Keys& keys,
-                           size_t group_size, std::vector<uint8_t>* results) {
-  const uint32_t pairs = impl.num_pairs();
-  const size_t cap = std::min(group_size, keys.size());
-  std::vector<BlockedShbfM::Probe> probes(cap);
-  std::vector<uint64_t> windows(cap * pairs);
-  std::vector<uint64_t> needs(cap * pairs);
-  std::vector<uint8_t> hits(cap * pairs);
-  for (size_t start = 0; start < keys.size(); start += group_size) {
-    const size_t group = std::min(group_size, keys.size() - start);
-    for (size_t g = 0; g < group; ++g) {
-      // No PrefetchProbe here: Derive already prefetched the block between
-      // its two hash passes, and a second prefetch instruction per key is
-      // measurable overhead on prefetch-queue-limited parts.
-      impl.PrepareProbe(keys[start + g], &probes[g]);
-    }
-    size_t n = 0;
-    for (size_t g = 0; g < group; ++g) {
-      for (uint32_t p = 0; p < pairs; ++p, ++n) {
-        windows[n] = impl.bits().LoadWindow(probes[g].bases[p]);
-        needs[n] = probes[g].need;
-      }
-    }
-    simd::MaskTestMany(windows.data(), needs.data(), n, hits.data());
-    n = 0;
-    for (size_t g = 0; g < group; ++g) {
-      uint8_t ok = 1;
-      for (uint32_t p = 0; p < pairs; ++p, ++n) ok &= hits[n];
-      (*results)[start + g] = ok;
     }
   }
 }
@@ -169,6 +120,26 @@ void SplitBlockGroupLoop(const Impl& impl, const Keys& keys,
   }
 }
 
+// Both split-block kinds: no gather/staging pass at all, a key's whole
+// answer is one block mask + one BlockSubsetTest (the shbf_m pair bits are
+// baked into the mask too). Memory-resident filters run groups of at most
+// kSplitBlockGroupCap keys, cache-resident ones group size 1 (staging
+// overhead loses). Narrow-k filters stage probes (scalar mask build inside
+// PrepareProbe); wide-k ones fuse the group's mask construction into one
+// MaskFromShifts kernel call.
+template <typename Impl, typename Keys>
+void SplitBlockContains(const Impl& impl, const Keys& keys, size_t batch_size,
+                        std::vector<uint8_t>* results) {
+  const size_t group = impl.bits().allocated_bytes() <= kCacheResidentBytes
+                           ? 1
+                           : std::min(batch_size, kSplitBlockGroupCap);
+  if (group > 1 && impl.probe_lanes() >= kFuseLanes) {
+    SplitBlockGroupLoop(impl, keys, group, results);
+  } else {
+    SplitBlockProbeLoop(impl, keys, group, results);
+  }
+}
+
 // The probe protocol bounds k; a spec-built filter can exceed the bound, in
 // which case the engine must decline the fast path rather than trip the
 // implementation's CHECK.
@@ -186,15 +157,8 @@ bool FastPathSupported(BatchFastPath::Kind kind, const void* impl) {
     case BatchFastPath::Kind::kShbfA:
       return static_cast<const ShbfA*>(impl)->num_hashes() <=
              ShbfA::kMaxBatchHashes;
-    case BatchFastPath::Kind::kBlockedBloom:
-      // FillMask bounds nothing by k (the mask covers the whole block), so
-      // the only bound is the probe's fixed-size mask, sized for every
-      // legal block. Always supported.
     case BatchFastPath::Kind::kCuckoo:  // three hashes, whatever the geometry
       return true;
-    case BatchFastPath::Kind::kBlockedShbfM:
-      return static_cast<const BlockedShbfM*>(impl)->num_pairs() <=
-             BlockedShbfM::kMaxBatchPairs;
     case BatchFastPath::Kind::kSplitBlockBloom:
       return static_cast<const SplitBlockBloomFilter*>(impl)->num_hashes() <=
              SplitBlockBloomFilter::kMaxBatchHashes;
@@ -306,60 +270,15 @@ void ContainsBatchImpl(const MembershipFilter& filter, const Keys& keys,
                     });
         return;
       }
-      case BatchFastPath::Kind::kBlockedBloom: {
-        // ResolveProbe is already one SIMD subset test over the whole
-        // block (256 bits per AVX2 op), so the per-key resolve is vector
-        // code all the way down.
-        const auto* impl = static_cast<const BlockedBloomFilter*>(fp.impl);
-        TwoPassLoop(*impl, keys,
-                    EffectiveGroupSize(impl->bits().allocated_bytes(),
-                                       batch_size),
-                    [&](size_t i, const BlockedBloomFilter::Probe& probe) {
-                      (*results)[i] = impl->ResolveProbe(probe) ? 1 : 0;
-                    });
+      case BatchFastPath::Kind::kSplitBlockBloom:
+        SplitBlockContains(
+            *static_cast<const SplitBlockBloomFilter*>(fp.impl), keys,
+            batch_size, results);
         return;
-      }
-      case BatchFastPath::Kind::kBlockedShbfM: {
-        const auto* impl = static_cast<const BlockedShbfM*>(fp.impl);
-        BlockedShbfMGroupLoop(
-            *impl, keys,
-            EffectiveGroupSize(impl->bits().allocated_bytes(), batch_size),
-            results);
+      case BatchFastPath::Kind::kSplitBlockShbfM:
+        SplitBlockContains(*static_cast<const SplitBlockShbfM*>(fp.impl),
+                           keys, batch_size, results);
         return;
-      }
-      case BatchFastPath::Kind::kSplitBlockBloom: {
-        // No gather/staging pass at all: a key's whole answer is one
-        // block mask + one BlockSubsetTest. Narrow-k filters stage probes
-        // (scalar mask build inside PrepareProbe); wide-k ones fuse the
-        // group's mask construction into one MaskFromShifts kernel call.
-        const auto* impl = static_cast<const SplitBlockBloomFilter*>(fp.impl);
-        const size_t group =
-            std::min(EffectiveGroupSize(impl->bits().allocated_bytes(),
-                                        batch_size),
-                     kSplitBlockGroupCap);
-        if (group > 1 && impl->probe_lanes() >= kFuseLanes) {
-          SplitBlockGroupLoop(*impl, keys, group, results);
-        } else {
-          SplitBlockProbeLoop(*impl, keys, group, results);
-        }
-        return;
-      }
-      case BatchFastPath::Kind::kSplitBlockShbfM: {
-        // Same one-vector-op shape as split_block_bloom: the pair bits are
-        // baked into the block mask, so no per-pair gather loop (the
-        // blocked_shbf_m path above needs one).
-        const auto* impl = static_cast<const SplitBlockShbfM*>(fp.impl);
-        const size_t group =
-            std::min(EffectiveGroupSize(impl->bits().allocated_bytes(),
-                                        batch_size),
-                     kSplitBlockGroupCap);
-        if (group > 1 && impl->probe_lanes() >= kFuseLanes) {
-          SplitBlockGroupLoop(*impl, keys, group, results);
-        } else {
-          SplitBlockProbeLoop(*impl, keys, group, results);
-        }
-        return;
-      }
       case BatchFastPath::Kind::kNone:
         break;
     }

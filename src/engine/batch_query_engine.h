@@ -12,18 +12,17 @@
 //
 // The protocol is implemented natively — without virtual dispatch — by the
 // structures whose query is a pure read of a few precomputable locations
-// (ShbfM §3, ShbfA §4, ShbfX §5, the classic Bloom filter, the cache-blocked
-// and split-block variants, and the cuckoo filter); the engine discovers
-// them through MembershipFilter::batch_fast_path(). Every other registered
-// filter is served through its virtual interface, so the engine answers for
-// all schemes and is bit-identical to the per-key path in every case
+// (ShbfM §3, ShbfA §4, ShbfX §5, the classic Bloom filter, the split-block
+// variants, and the cuckoo filter); the engine discovers them through
+// MembershipFilter::batch_fast_path(). Every other registered filter is
+// served through its virtual interface, so the engine answers for all
+// schemes and is bit-identical to the per-key path in every case
 // (tests/batch_engine_test.cc enforces this).
 //
-// The blocked ShBF_M path goes one step further: pass 2 gathers every pair
-// window of the group into a flat array and hands it to the SIMD kernel
-// (core/simd.h) — 4 windows = 8 probed bits per AVX2 op (NEON: 2 = 4) —
-// instead of testing windows one at a time. SHBF_FORCE_SCALAR demotes the
-// kernel to its scalar reference without changing any answer.
+// The split-block paths resolve a key with one whole-block SIMD subset test
+// and, at wide k, build a group's masks with one SIMD shift kernel
+// (core/simd.h). SHBF_FORCE_SCALAR demotes both kernels to their scalar
+// references without changing any answer.
 
 #ifndef SHBF_ENGINE_BATCH_QUERY_ENGINE_H_
 #define SHBF_ENGINE_BATCH_QUERY_ENGINE_H_

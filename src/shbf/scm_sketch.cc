@@ -50,32 +50,13 @@ void ScmSketch::Insert(std::string_view key) {
 
 uint64_t ScmSketch::QueryCount(std::string_view key) const {
   uint64_t offset = OffsetOf(key);
-  if (2 * rows_ > 64) {
-    // Past the gather buffer: the plain early-exit loop.
-    uint64_t min_value = ~0ull;
-    for (uint32_t row = 0; row < rows_; ++row) {
-      size_t col = family_.Hash(row, key) % row_width_;
-      size_t cell = row * row_stride_ + col;
-      min_value = std::min({min_value, counters_.Get(cell),
-                            counters_.Get(cell + offset)});
-      if (min_value == 0) return 0;
-    }
-    return min_value;
-  }
-  // Gather both counters of every pair, extract them in one SIMD pass,
-  // then take the min — same answer as the per-row loop.
-  size_t cells[64];
-  uint64_t values[64];
+  uint64_t min_value = ~0ull;
   for (uint32_t row = 0; row < rows_; ++row) {
     size_t col = family_.Hash(row, key) % row_width_;
     size_t cell = row * row_stride_ + col;
-    cells[2 * row] = cell;
-    cells[2 * row + 1] = cell + offset;
-  }
-  counters_.GetMany(cells, 2 * rows_, values);
-  uint64_t min_value = values[0];
-  for (uint32_t i = 1; i < 2 * rows_; ++i) {
-    min_value = std::min(min_value, values[i]);
+    min_value = std::min({min_value, counters_.Get(cell),
+                          counters_.Get(cell + offset)});
+    if (min_value == 0) return 0;
   }
   return min_value;
 }

@@ -95,7 +95,7 @@ void SplitBlockShbfM::BuildLayout() {
 // chains — an earlier derivation walked a serial SplitMix64 stream and
 // called MaskFromShifts per key, and that latency chain (plus per-key
 // vector dispatch) made the split per-key query measurably SLOWER than
-// the blocked one it is meant to beat.
+// the blocked layout it replaced.
 //
 // Each pair lives on the sub-word's CIRCLE: its first bit sits at rotation
 // r (uniform over all sub_block_bits positions) and its second at

@@ -1,11 +1,11 @@
 // Split-block ShBF_M — shifting pairs with a one-vector-op resolve.
 //
-// Blocked ShBF_M confines all k/2 (base, base+offset) pairs to one block
-// but still resolves them as k/2 separate unaligned window loads (gathered
-// and SIMD-tested across keys by the engine). The split-block variant pins
-// pair i to sub-word i % num_sub of its block and places the pair on the
-// sub-word's CIRCLE: first bit at rotation r(e, i), uniform over all
-// sub_block_bits positions, second bit at (r + o(e)) mod sub_block_bits.
+// Confining all k/2 (base, base+offset) pairs to one block still leaves a
+// blocked ShBF_M resolving them as k/2 separate unaligned window loads.
+// The split-block variant pins pair i to sub-word i % num_sub of its block
+// and places the pair on the sub-word's CIRCLE: first bit at rotation
+// r(e, i), uniform over all sub_block_bits positions, second bit at
+// (r + o(e)) mod sub_block_bits.
 // Consequences:
 //
 //   * the probe becomes the same {block_word, mask[8]} shape as the
@@ -24,9 +24,9 @@
 //     low end of each sub-word and measurably breaks the 2x FPR budget.
 //
 // Offsets live in [1, max_offset_span − 1] with max_offset_span <
-// sub_block_bits (default sub_block_bits/2 = 32), mirroring the blocked
-// variant's span. Keys sharing a block collide more than in plain ShBF_M;
-// the acceptance gate bounds the penalty at 2x at equal bits/key.
+// sub_block_bits (default sub_block_bits/2 = 32). Keys sharing a block
+// collide more than in plain ShBF_M; the acceptance gate bounds the
+// penalty at 2x at equal bits/key.
 
 #ifndef SHBF_SHBF_SPLIT_BLOCK_SHBF_MEMBERSHIP_H_
 #define SHBF_SHBF_SPLIT_BLOCK_SHBF_MEMBERSHIP_H_
@@ -96,9 +96,9 @@ class SplitBlockShbfM {
   void ContainsBatch(const std::vector<std::string>& keys,
                      std::vector<uint8_t>* results) const;
 
-  /// Precomputed query state — same shape as SplitBlockBloomFilter::Probe
-  /// (and BlockedBloomFilter::Probe), so the engine resolves all three
-  /// through one BlockSubsetTest path with no gather staging.
+  /// Precomputed query state — same shape as SplitBlockBloomFilter::Probe,
+  /// so the engine resolves both through one BlockSubsetTest path with no
+  /// gather staging.
   struct Probe {
     size_t block_word;              ///< first word of the block
     uint64_t mask[kMaxBlockWords];  ///< every pair pattern, pre-positioned

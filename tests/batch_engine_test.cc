@@ -1,18 +1,25 @@
 // Engine-vs-per-key differential: BatchQueryEngine must be bit-identical to
-// the scalar interface for every registered filter — the fast paths are an
-// execution strategy, never a semantic change. Also pins down that the
-// probe-protocol structures actually expose their fast path (a silently
-// dropped fast path would keep answers right and throughput wrong).
+// the scalar interface for every registered filter, under both SIMD
+// dispatch settings — the fast paths and kernels are an execution strategy,
+// never a semantic change. The string_view batch overloads (engine, sharded
+// wrapper, multi-set index) must answer exactly like the string paths they
+// shadow. Also pins down that the probe-protocol structures actually expose
+// their fast path (a silently dropped fast path would keep answers right
+// and throughput wrong).
 
 #include <gtest/gtest.h>
 
 #include <memory>
 #include <span>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "api/filter_registry.h"
+#include "api/set_catalog.h"
+#include "core/cpu_features.h"
 #include "engine/batch_query_engine.h"
+#include "multiset/multi_set_index.h"
 #include "shbf/shbf_multiplicity.h"
 #include "trace/trace_generator.h"
 
@@ -36,6 +43,9 @@ std::vector<std::string> Universe(uint64_t seed) {
   return gen.DistinctFlowKeys(2 * kNumKeys);  // half members, half absent
 }
 
+// The bit-identity acceptance gate: for every registered filter, the
+// engine's batched answers must equal the per-key loop under BOTH dispatch
+// modes — native SIMD and SHBF_FORCE_SCALAR-equivalent scalar demotion.
 TEST(BatchEngineTest, ContainsBatchMatchesPerKeyForEveryRegisteredFilter) {
   const auto universe = Universe(0xba7c4);
   const auto& registry = FilterRegistry::Global();
@@ -44,19 +54,83 @@ TEST(BatchEngineTest, ContainsBatchMatchesPerKeyForEveryRegisteredFilter) {
     std::unique_ptr<MembershipFilter> filter;
     ASSERT_TRUE(registry.Create(name, EngineSpec(0xba7c4), &filter).ok());
     for (size_t i = 0; i < kNumKeys; ++i) filter->Add(universe[i]);
+    std::vector<uint8_t> expected(universe.size());
+    for (size_t i = 0; i < universe.size(); ++i) {
+      expected[i] = filter->Contains(universe[i]) ? 1 : 0;
+    }
 
-    // Three group sizes: degenerate, odd, and larger than most groups.
-    for (size_t batch_size : {size_t{1}, size_t{7}, size_t{64}}) {
-      SCOPED_TRACE(batch_size);
-      BatchQueryEngine engine({.batch_size = batch_size});
-      std::vector<uint8_t> batched;
-      engine.ContainsBatch(*filter, universe, &batched);
-      ASSERT_EQ(batched.size(), universe.size());
-      for (size_t i = 0; i < universe.size(); ++i) {
-        ASSERT_EQ(batched[i] != 0, filter->Contains(universe[i]))
-            << "divergence at key " << i;
+    for (bool scalar : {false, true}) {
+      SCOPED_TRACE(scalar ? "scalar" : "native");
+      simd::ForceScalar(scalar);
+      // Three group sizes: degenerate, odd, and larger than most groups.
+      for (size_t batch_size : {size_t{1}, size_t{7}, size_t{64}}) {
+        SCOPED_TRACE(batch_size);
+        BatchQueryEngine engine({.batch_size = batch_size});
+        std::vector<uint8_t> batched;
+        engine.ContainsBatch(*filter, universe, &batched);
+        ASSERT_EQ(batched, expected);
       }
     }
+    simd::ForceScalar(false);
+  }
+}
+
+// The view overloads exist to kill survivor-key copies; they must not be
+// able to change a single answer. One sweep pins engine, sharded wrapper
+// and multi-set index view paths against their string counterparts.
+TEST(BatchEngineTest, StringViewBatchOverloadsMatchStringPaths) {
+  const auto universe = Universe(0x71e11);
+  std::vector<std::string_view> views(universe.begin(), universe.end());
+  const auto& registry = FilterRegistry::Global();
+
+  // Engine: every registered filter, both key containers.
+  BatchQueryEngine engine({.batch_size = 32});
+  for (const auto& name : registry.Names()) {
+    SCOPED_TRACE(name);
+    std::unique_ptr<MembershipFilter> filter;
+    ASSERT_TRUE(registry.Create(name, EngineSpec(0x71e11), &filter).ok());
+    for (size_t i = 0; i < kNumKeys; ++i) filter->Add(universe[i]);
+    std::vector<uint8_t> by_string, by_view;
+    engine.ContainsBatch(*filter, universe, &by_string);
+    engine.ContainsBatch(*filter, views, &by_view);
+    ASSERT_EQ(by_view, by_string);
+  }
+
+  // Sharded wrapper: the view overload partitions and scatters like the
+  // string one.
+  FilterSpec sharded_spec = EngineSpec(0x71e11);
+  sharded_spec.shards = 4;
+  std::unique_ptr<MembershipFilter> sharded;
+  ASSERT_TRUE(
+      registry.Create("split_block_shbf_m", sharded_spec, &sharded).ok());
+  for (size_t i = 0; i < kNumKeys; ++i) sharded->Add(universe[i]);
+  std::vector<uint8_t> by_string, by_view;
+  sharded->ContainsBatch(universe, &by_string);
+  sharded->ContainsBatch(views, &by_view);
+  ASSERT_EQ(by_view, by_string);
+
+  // Multi-set index: the view descent must produce the same bitmaps.
+  SetCatalog catalog;
+  for (int s = 0; s < 6; ++s) {
+    std::unique_ptr<MembershipFilter> member;
+    FilterSpec spec = FilterSpec::ForKeys(500, 64.0, 4);
+    spec.max_count = 8;
+    ASSERT_TRUE(registry.Create(s % 2 ? "bloom" : "shbf_m", spec, &member)
+                    .ok());
+    for (int k = 0; k < 500; ++k) {
+      member->Add(universe[(s * 500 + k) % universe.size()]);
+    }
+    ASSERT_TRUE(
+        catalog.AddSet("set-" + std::to_string(s), std::move(member)).ok());
+  }
+  std::unique_ptr<MultiSetIndex> index;
+  ASSERT_TRUE(MultiSetIndex::Build(&catalog, {}, &index).ok());
+  std::vector<SetIdBitmap> string_maps, view_maps;
+  index->WhichSetsBatch(universe, &string_maps);
+  index->WhichSetsBatch(views, &view_maps);
+  ASSERT_EQ(view_maps.size(), string_maps.size());
+  for (size_t i = 0; i < string_maps.size(); ++i) {
+    ASSERT_EQ(view_maps[i], string_maps[i]) << "key " << i;
   }
 }
 
@@ -70,8 +144,6 @@ TEST(BatchEngineTest, ProbeProtocolFiltersExposeTheirFastPath) {
       {"bloom", BatchFastPath::Kind::kBloom},
       {"shbf_x", BatchFastPath::Kind::kShbfX},
       {"shbf_a", BatchFastPath::Kind::kShbfA},
-      {"blocked_bloom", BatchFastPath::Kind::kBlockedBloom},
-      {"blocked_shbf_m", BatchFastPath::Kind::kBlockedShbfM},
       {"split_block_bloom", BatchFastPath::Kind::kSplitBlockBloom},
       {"split_block_shbf_m", BatchFastPath::Kind::kSplitBlockShbfM},
       {"cuckoo", BatchFastPath::Kind::kCuckoo},
@@ -115,7 +187,8 @@ TEST(BatchEngineTest, SharedProbeBatchMatchesPerKeyWhateverTheStores) {
     FilterSpec spec;
   } configs[] = {{"shbf_m", EngineSpec(1)}, {"shbf_m", EngineSpec(2)},
                  {"shbf_m", wider},         {"bloom", EngineSpec(1)},
-                 {"cuckoo", EngineSpec(1)}, {"blocked_bloom", EngineSpec(1)}};
+                 {"cuckoo", EngineSpec(1)},
+                 {"split_block_bloom", EngineSpec(1)}};
   std::vector<std::unique_ptr<MembershipFilter>> filters;
   for (const auto& [name, spec] : configs) {
     filters.emplace_back();

@@ -6,11 +6,13 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <cstring>
 #include <memory>
 #include <string>
 #include <vector>
 
 #include "api/filter_registry.h"
+#include "api/set_catalog.h"
 #include "core/file_io.h"
 #include "storage/filter_image.h"
 #include "trace/trace_generator.h"
@@ -344,11 +346,12 @@ TEST(RegistrySerdeTest, EnvelopeNamesUnknownFilter) {
 }
 
 /// Forges a registry envelope carrying `name` over `payload` (the layout
-/// Serialize writes: SHBR magic, version 4, length-prefixed name, payload).
-std::string ForgeEnvelope(std::string_view name, std::string_view payload) {
+/// Serialize writes: SHBR magic, version, length-prefixed name, payload).
+std::string ForgeEnvelope(std::string_view name, std::string_view payload,
+                          uint8_t version = 4) {
   ByteWriter writer;
   writer.PutU32(0x52424853);  // "SHBR"
-  writer.PutU8(4);
+  writer.PutU8(version);
   writer.PutU32(static_cast<uint32_t>(name.size()));
   writer.PutBytes(name.data(), name.size());
   writer.PutBytes(payload.data(), payload.size());
@@ -393,6 +396,124 @@ TEST(RegistrySerdeTest, CorruptWrapperPrefixBlobsReturnStatusNeverCrash) {
     EXPECT_FALSE(
         registry.Deserialize(ForgeEnvelope(name, bomb.Take()), &out).ok())
         << name;
+  }
+}
+
+TEST(RegistrySerdeTest, RetiredFilterNamesPointAtTheirReplacement) {
+  // blocked_bloom and blocked_shbf_m left the registry; every way of
+  // reaching one by name (a spec, a bare or wrapped envelope, a catalog
+  // member) must come back NotFound and say what to rebuild as.
+  const auto& registry = FilterRegistry::Global();
+  const struct {
+    const char* retired;
+    const char* replacement;
+    const char* same_length_live;  // a registered name of equal length
+  } cases[] = {{"blocked_bloom", "split_block_bloom", "dynamic_count"},
+               {"blocked_shbf_m", "split_block_shbf_m", "counting_bloom"}};
+  for (const auto& c : cases) {
+    SCOPED_TRACE(c.retired);
+    const std::string hint = "rebuild as " + std::string(c.replacement);
+    const auto expect_hint = [&](const Status& s) {
+      EXPECT_EQ(s.code(), Status::Code::kNotFound) << s.ToString();
+      EXPECT_NE(s.message().find(c.retired), std::string::npos)
+          << s.ToString();
+      EXPECT_NE(s.message().find(hint), std::string::npos) << s.ToString();
+    };
+
+    std::unique_ptr<MembershipFilter> out;
+    FilterSpec spec = TestSpec();
+    expect_hint(registry.Create(c.retired, spec, &out));
+    spec.shards = 2;
+    expect_hint(registry.Create(c.retired, spec, &out));
+
+    // A bare envelope, then a sharded one whose single shard is that bare
+    // envelope, both built by hand at the current version.
+    const std::string bare = ForgeEnvelope(c.retired, "payload", 5);
+    expect_hint(registry.Deserialize(bare, &out));
+    ByteWriter sharded;
+    sharded.PutU32(16);  // batch_size
+    sharded.PutU32(1);   // shard count
+    sharded.PutU64(bare.size());
+    sharded.PutBytes(bare.data(), bare.size());
+    expect_hint(registry.Deserialize(
+        ForgeEnvelope("sharded/" + std::string(c.retired), sharded.Take(), 5),
+        &out));
+    for (const char* prefix : {"dynamic/", "scaling/", "sharded/dynamic/"}) {
+      expect_hint(registry.Deserialize(
+          ForgeEnvelope(prefix + std::string(c.retired), "payload", 5),
+          &out));
+    }
+
+    // A catalog member: a real catalog whose one member's envelope name is
+    // rewritten in place to the retired name.
+    std::unique_ptr<MembershipFilter> member;
+    ASSERT_TRUE(registry.Create(c.same_length_live, TestSpec(), &member).ok());
+    SetCatalog catalog;
+    ASSERT_TRUE(catalog.AddSet("only", std::move(member)).ok());
+    std::string blob = catalog.Serialize();
+    const size_t pos = blob.find(c.same_length_live);
+    ASSERT_NE(pos, std::string::npos);
+    blob.replace(pos, std::strlen(c.retired), c.retired);
+    SetCatalog restored;
+    expect_hint(SetCatalog::Deserialize(blob, registry, &restored));
+  }
+}
+
+TEST(RegistrySerdeTest, ReservedSpecSlotIsWrittenAs512AndIgnoredOnRead) {
+  // The v4 spec slot once held the retired blocked filters' block size
+  // (any power of two in [64, 512]). A v5 blob whose slot holds 64 must
+  // load and answer exactly like a fresh build from the same spec. A
+  // plain sharded/shbf_m payload carries no spec record, so the shards
+  // here are dynamic wrappers, which store theirs.
+  const auto& registry = FilterRegistry::Global();
+  const Workload w = MakeWorkload();
+  FilterSpec spec = TestSpec();
+  spec.shards = 2;
+  spec.delta_capacity = 64;
+  std::unique_ptr<MembershipFilter> filter;
+  ASSERT_TRUE(registry.Create("shbf_m", spec, &filter).ok());
+  ASSERT_EQ(filter->name(), "sharded/dynamic/shbf_m");
+  for (const auto& key : w.members) filter->Add(key);
+  std::string blob = FilterRegistry::Serialize(*filter);
+  ASSERT_EQ(blob[4], 5);
+
+  // Each shard's dynamic wrapper stores its base spec: half the cells and
+  // keys, no wrapper knobs.
+  FilterSpec shard_spec = TestSpec();
+  shard_spec.num_cells /= 2;
+  shard_spec.expected_keys /= 2;
+  ByteWriter record_writer;
+  spec_serde::WriteSpec(&record_writer, shard_spec);
+  const std::string record = record_writer.Take();
+  // U64 + 7xU32 + U64 + 2xU32 + U64 + 2xU8 + U64 precede the slot.
+  constexpr size_t kSlotOffset = 70;
+  size_t patched = 0;
+  for (size_t pos = blob.find(record); pos != std::string::npos;
+       pos = blob.find(record, pos + record.size())) {
+    ByteReader slot(std::string_view(blob).substr(pos + kSlotOffset, 4));
+    uint32_t value = 0;
+    ASSERT_TRUE(slot.GetU32(&value));
+    EXPECT_EQ(value, 512u);
+    ByteWriter sixty_four;
+    sixty_four.PutU32(64);
+    blob.replace(pos + kSlotOffset, 4, sixty_four.Take());
+    ++patched;
+  }
+  ASSERT_EQ(patched, spec.shards);
+
+  std::unique_ptr<MembershipFilter> restored;
+  Status s = registry.Deserialize(blob, &restored);
+  ASSERT_TRUE(s.ok()) << s.ToString();
+  EXPECT_EQ(restored->name(), "sharded/dynamic/shbf_m");
+  std::unique_ptr<MembershipFilter> fresh;
+  ASSERT_TRUE(registry.Create("shbf_m", spec, &fresh).ok());
+  for (const auto& key : w.members) fresh->Add(key);
+  for (const auto& key : w.members) {
+    ASSERT_TRUE(restored->Contains(key)) << "false negative after reload";
+  }
+  for (const auto& key : w.probes) {
+    ASSERT_EQ(restored->Contains(key), fresh->Contains(key))
+        << "answer drift on probe key";
   }
 }
 

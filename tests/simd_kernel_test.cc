@@ -3,8 +3,7 @@
 // reference bit for bit on random inputs, at every length (the vector
 // bodies have 4-lane / 2-lane main loops plus scalar tails — odd lengths
 // exercise both), and the ForceScalar override must actually demote the
-// dispatcher. PackedCounterArray::GetMany is pinned against Get the same
-// way, since the sketches' query paths now run through it.
+// dispatcher.
 
 #include "core/simd.h"
 
@@ -15,7 +14,6 @@
 #include <gtest/gtest.h>
 
 #include "core/cpu_features.h"
-#include "core/packed_counter_array.h"
 
 namespace shbf {
 namespace {
@@ -36,31 +34,6 @@ TEST(SimdKernelTest, ForceScalarDemotesTheDispatcher) {
   EXPECT_EQ(simd::ActiveLevel(), simd::Level::kScalar);
   simd::ForceScalar(false);
   EXPECT_EQ(simd::ActiveLevel(), simd::DetectedLevel());
-}
-
-TEST(SimdKernelTest, MaskTestManyMatchesScalarAtEveryLength) {
-  std::mt19937_64 rng(0x51bd1);
-  for (size_t n : {size_t{0}, size_t{1}, size_t{3}, size_t{4}, size_t{7},
-                   size_t{8}, size_t{33}, size_t{257}}) {
-    std::vector<uint64_t> words(n), needs(n);
-    for (size_t i = 0; i < n; ++i) {
-      words[i] = rng();
-      // Half the lanes get a guaranteed-subset need (a hit), half a random
-      // two-bit pair pattern like the ShBF resolve uses (mostly misses).
-      if (i % 2 == 0) {
-        needs[i] = words[i] & rng();
-      } else {
-        needs[i] = 1ull | (1ull << (1 + rng() % 56));
-      }
-    }
-    std::vector<uint8_t> expected(n, 0xcc);
-    simd::MaskTestManyScalar(words.data(), needs.data(), n, expected.data());
-    UnderBothDispatchModes([&] {
-      std::vector<uint8_t> got(n, 0x33);
-      simd::MaskTestMany(words.data(), needs.data(), n, got.data());
-      ASSERT_EQ(got, expected) << "n=" << n;
-    });
-  }
 }
 
 TEST(SimdKernelTest, BlockSubsetTestMatchesScalarForEveryBlockWidth) {
@@ -90,32 +63,6 @@ TEST(SimdKernelTest, BlockSubsetTestMatchesScalarForEveryBlockWidth) {
   }
 }
 
-TEST(SimdKernelTest, ExtractFieldManyMatchesScalarIncludingStraddles) {
-  std::mt19937_64 rng(0xf1e1d);
-  for (uint32_t field_bits : {1u, 4u, 6u, 17u, 32u}) {
-    const uint64_t field_mask = (1ull << field_bits) - 1;
-    for (size_t n : {size_t{1}, size_t{4}, size_t{5}, size_t{64}}) {
-      std::vector<uint64_t> lo(n), hi(n), shifts(n);
-      for (size_t i = 0; i < n; ++i) {
-        lo[i] = rng();
-        hi[i] = rng();
-        // Shift 0 (the scalar guard) and shifts forcing a straddle both
-        // appear; all values stay < 64 as the contract requires.
-        shifts[i] = (i == 0) ? 0 : rng() % 64;
-      }
-      std::vector<uint64_t> expected(n);
-      simd::ExtractFieldManyScalar(lo.data(), hi.data(), shifts.data(),
-                                   field_mask, n, expected.data());
-      UnderBothDispatchModes([&] {
-        std::vector<uint64_t> got(n, ~0ull);
-        simd::ExtractFieldMany(lo.data(), hi.data(), shifts.data(),
-                               field_mask, n, got.data());
-        ASSERT_EQ(got, expected) << "bits=" << field_bits << " n=" << n;
-      });
-    }
-  }
-}
-
 TEST(SimdKernelTest, MaskFromShiftsMatchesScalarAtEveryLength) {
   std::mt19937_64 rng(0x5f1f7);
   // Patterns the split-block filters actually shift: a single bit, the
@@ -138,26 +85,6 @@ TEST(SimdKernelTest, MaskFromShiftsMatchesScalarAtEveryLength) {
         ASSERT_EQ(got, expected) << "pattern=" << pattern << " n=" << n;
       });
     }
-  }
-}
-
-TEST(SimdKernelTest, PackedCounterGetManyMatchesGet) {
-  std::mt19937_64 rng(0x9e7);
-  // 6-bit counters guarantee word straddles (gcd(6, 64) != 64); the last
-  // counter exercises the spare-word guarantee.
-  for (uint32_t bits : {4u, 6u, 13u}) {
-    PackedCounterArray counters(1000, bits);
-    for (int i = 0; i < 5000; ++i) counters.Increment(rng() % 1000);
-    std::vector<size_t> indices;
-    for (int i = 0; i < 300; ++i) indices.push_back(rng() % 1000);
-    indices.push_back(999);
-    UnderBothDispatchModes([&] {
-      std::vector<uint64_t> got(indices.size());
-      counters.GetMany(indices.data(), indices.size(), got.data());
-      for (size_t i = 0; i < indices.size(); ++i) {
-        ASSERT_EQ(got[i], counters.Get(indices[i])) << "index " << indices[i];
-      }
-    });
   }
 }
 
