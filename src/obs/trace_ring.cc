@@ -26,16 +26,16 @@ void RequestTraceRing::Record(RequestTrace trace) {
     }
   }
   if (slow && slow_sink_ != nullptr) {
-    // Outside the lock: stderr writes must not serialize the workers.
+    // Outside the lock: stderr writes must not serialize the connection
+    // threads.
     std::fprintf(slow_sink_,
                  "[shbf slow] seq=%" PRIu64 " conn=%" PRIu64
-                 " op=%s keys=%" PRIu32 " queue_us=%" PRIu64
-                 " handle_us=%" PRIu64 " bytes_in=%" PRIu64
-                 " bytes_out=%" PRIu64 "\n",
+                 " op=%s keys=%" PRIu32 " handle_us=%" PRIu64
+                 " bytes_in=%" PRIu64 " bytes_out=%" PRIu64 "\n",
                  trace.seq, trace.connection_id,
                  trace.opcode_name != nullptr ? trace.opcode_name : "?",
-                 trace.key_count, trace.queue_wait_us, trace.handle_us,
-                 trace.bytes_in, trace.bytes_out);
+                 trace.key_count, trace.handle_us, trace.bytes_in,
+                 trace.bytes_out);
   }
 }
 

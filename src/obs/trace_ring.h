@@ -3,12 +3,12 @@
 // Every answered frame leaves one fixed-size RequestTrace record in a
 // bounded ring (newest overwrite oldest), so an operator inspecting a
 // misbehaving server sees the last ~1024 requests with their opcode, key
-// count, queue wait and handle time — without any log volume in steady
-// state. Frames whose handle time crosses the slow threshold additionally
-// emit one human-readable stderr line at record time:
+// count and handle time — without any log volume in steady state. Frames
+// whose handle time crosses the slow threshold additionally emit one
+// human-readable stderr line at record time:
 //
-//   [shbf slow] seq=812 conn=3 op=QUERY keys=8192 queue_us=1832
-//               handle_us=15021 bytes_in=91430 bytes_out=1029
+//   [shbf slow] seq=812 conn=3 op=QUERY keys=8192 handle_us=15021
+//               bytes_in=91430 bytes_out=1029
 //
 // Record() takes a mutex: the per-frame cost (~20ns uncontended) is noise
 // next to the syscalls that bracket every frame, and it keeps the ring
@@ -36,7 +36,6 @@ struct RequestTrace {
   uint32_t key_count = 0;
   uint64_t bytes_in = 0;
   uint64_t bytes_out = 0;
-  uint64_t queue_wait_us = 0;
   uint64_t handle_us = 0;
 };
 

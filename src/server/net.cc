@@ -1,7 +1,6 @@
 #include "server/net.h"
 
 #include <arpa/inet.h>
-#include <fcntl.h>
 #include <netdb.h>
 #include <netinet/in.h>
 #include <netinet/tcp.h>
@@ -43,8 +42,8 @@ int ListenTcp(const std::string& bind_address, uint16_t port, Status* status) {
     CloseFd(fd);
     return -1;
   }
-  // 1024: the event loop accepts whole bursts per wakeup, so the backlog
-  // only needs to absorb one scheduling gap even at C10K connect storms.
+  // 1024: the acceptor spawns one thread per accept, so the backlog holds
+  // a connect storm (C1K and up) while it catches up.
   if (::listen(fd, 1024) != 0) {
     *status = Status::Internal(Errno("listen"));
     CloseFd(fd);
@@ -159,41 +158,6 @@ void ShutdownReadFd(int fd) {
 
 void CloseFd(int fd) {
   if (fd >= 0) ::close(fd);
-}
-
-bool SetNonBlocking(int fd) {
-  const int flags = ::fcntl(fd, F_GETFL, 0);
-  if (flags < 0) return false;
-  return ::fcntl(fd, F_SETFL, flags | O_NONBLOCK) == 0;
-}
-
-IoResult RecvSome(int fd, void* data, size_t len, size_t* transferred) {
-  *transferred = 0;
-  ssize_t got;
-  do {
-    got = ::recv(fd, data, len, 0);
-  } while (got < 0 && errno == EINTR);
-  if (got > 0) {
-    *transferred = static_cast<size_t>(got);
-    return IoResult::kOk;
-  }
-  if (got == 0) return IoResult::kEof;
-  if (errno == EAGAIN || errno == EWOULDBLOCK) return IoResult::kWouldBlock;
-  return IoResult::kError;
-}
-
-IoResult SendSome(int fd, const void* data, size_t len, size_t* transferred) {
-  *transferred = 0;
-  ssize_t sent;
-  do {
-    sent = ::send(fd, data, len, MSG_NOSIGNAL);
-  } while (sent < 0 && errno == EINTR);
-  if (sent >= 0) {
-    *transferred = static_cast<size_t>(sent);
-    return IoResult::kOk;
-  }
-  if (errno == EAGAIN || errno == EWOULDBLOCK) return IoResult::kWouldBlock;
-  return IoResult::kError;
 }
 
 }  // namespace net

@@ -2,10 +2,8 @@
 // protocol-robustness tests: listen/connect, full-buffer send/recv, and
 // one-frame reads with the length-prefix discipline of protocol.h.
 //
-// Deliberately thin — the blocking calls serve the client library, the
-// legacy thread-per-connection path, and the tests; the nonblocking
-// helpers at the bottom serve the epoll event loop (event_loop.h), which
-// does its own buffered reads and writes.
+// Deliberately thin and blocking: the calls serve the client library, the
+// server's connection threads, and the tests.
 
 #ifndef SHBF_SERVER_NET_H_
 #define SHBF_SERVER_NET_H_
@@ -63,24 +61,6 @@ void ShutdownReadFd(int fd);
 
 /// close(fd), ignoring errors; no-op on fd < 0.
 void CloseFd(int fd);
-
-/// O_NONBLOCK on. False (with errno set) on failure.
-bool SetNonBlocking(int fd);
-
-/// Outcome of one nonblocking send/recv attempt.
-enum class IoResult {
-  kOk,        ///< progress was made (`*transferred` bytes)
-  kWouldBlock,///< the socket is not ready; try again on the next event
-  kEof,       ///< recv only: the peer closed its write side
-  kError,     ///< hard failure (errno) — drop the connection
-};
-
-/// One nonblocking recv into `data`; never blocks on an O_NONBLOCK fd.
-IoResult RecvSome(int fd, void* data, size_t len, size_t* transferred);
-
-/// One nonblocking send of `data`; MSG_NOSIGNAL, never blocks on an
-/// O_NONBLOCK fd. Partial sends report kOk with the partial count.
-IoResult SendSome(int fd, const void* data, size_t len, size_t* transferred);
 
 }  // namespace net
 }  // namespace shbf

@@ -5,9 +5,11 @@
 #include <sys/socket.h>
 #include <sys/stat.h>
 
+#include <algorithm>
 #include <cctype>
 #include <cerrno>
 #include <chrono>
+#include <system_error>
 #include <utility>
 
 #include "api/filter_registry.h"
@@ -61,7 +63,11 @@ ShbfServer::ShbfServer(ServerOptions options)
         static_cast<uint64_t>(options_.slow_request_ms) * 1000);
   }
   auto& registry = obs::MetricsRegistry::Global();
-  queue_wait_us_ = registry.GetHistogram("server.queue_wait_us");
+  connections_closed_ = registry.GetCounter("server.connections_closed_total");
+  connections_rejected_ =
+      registry.GetCounter("server.connections_rejected_total");
+  drains_ = registry.GetCounter("server.drains_total");
+  last_drain_us_ = registry.GetGauge("server.last_drain_us");
   for (uint8_t byte = 1; byte < kOpcodeSlots; ++byte) {
     const auto opcode = static_cast<wire::Opcode>(byte);
     if (std::string_view(wire::OpcodeName(opcode)) == "?") continue;
@@ -175,99 +181,50 @@ Status ShbfServer::Start() {
   if (listen_fd_ < 0) return s;
   port_ = net::LocalPort(listen_fd_);
   start_time_ = std::chrono::steady_clock::now();
-  if (options_.legacy_threads) {
-    running_.store(true, std::memory_order_release);
-    acceptor_ = std::thread(&ShbfServer::AcceptLoop, this);
-    return Status::Ok();
-  }
-  server::EventLoopOptions loop_options;
-  loop_options.max_frame_bytes = options_.max_frame_bytes;
-  loop_options.num_workers = options_.num_workers;
-  loop_options.max_connections = options_.max_connections;
-  loop_options.drain_timeout_ms = options_.drain_timeout_ms;
-  // Byte-identical to what the legacy read loop sends on each violation.
-  loop_options.empty_frame_response =
-      wire::BuildError(wire::WireStatus::kBadFrame, "zero-length frame");
-  loop_options.too_large_response = wire::BuildError(
-      wire::WireStatus::kTooLarge, "frame exceeds the body limit");
-  // Same counter semantics as legacy mode: the loop feeds the server's
-  // atomics directly (accepts; framing violations as protocol errors).
-  loop_options.connections_counter = &connections_accepted_;
-  loop_options.framing_errors_counter = &protocol_errors_;
-  loop_ = std::make_unique<server::EventLoop>(
-      listen_fd_, std::move(loop_options),
-      [this](std::string_view body, bool* hello_done,
-             const server::EventLoop::FrameContext& context) {
-        Response response = HandleFrame(body, hello_done, context);
-        return server::EventLoop::FrameResult{std::move(response.frame),
-                                              response.close_connection};
-      });
-  listen_fd_ = -1;  // the loop owns it now
-  s = loop_->Start();
-  if (!s.ok()) {
-    loop_.reset();
-    return s;
-  }
   running_.store(true, std::memory_order_release);
+  acceptor_ = std::thread(&ShbfServer::AcceptLoop, this);
   return Status::Ok();
 }
 
 void ShbfServer::Stop() {
-  running_.store(false, std::memory_order_release);
-  if (loop_ != nullptr) {
-    // Drains per the EventLoop contract; kept alive for its counters.
-    loop_->Stop();
-    return;
-  }
+  if (!running_.exchange(false, std::memory_order_acq_rel)) return;
+  const auto drain_start = std::chrono::steady_clock::now();
   // Unblock the acceptor first so no new connection slips in mid-teardown.
   net::ShutdownFd(listen_fd_);
   if (acceptor_.joinable()) acceptor_.join();
   net::CloseFd(listen_fd_);
   listen_fd_ = -1;
-  {
-    // Unblock every connection thread stuck in recv — but with SHUT_RD
-    // only: a thread mid-send of a large response keeps its write side and
-    // finishes the frame. (A full SHUT_RDWR here used to cut responses off
-    // mid-send when Stop raced an in-flight reply.)
-    std::lock_guard<std::mutex> lock(connections_mu_);
+  std::unique_lock<std::mutex> lock(connections_mu_);
+  // Unblock every connection thread waiting for its next frame — but with
+  // SHUT_RD only: a thread that has read a frame keeps its write side and
+  // sends the answer. (A full SHUT_RDWR here used to cut responses off
+  // mid-send when Stop raced an in-flight reply.)
+  for (const auto& connection : connections_) {
+    net::ShutdownReadFd(connection->fd);
+  }
+  // Grace period for the in-flight answers, bounded by drain_timeout_ms;
+  // then cut the peers that stopped reading (a stalled peer can block a
+  // send forever). A thread inside a handler still finishes it, so the
+  // second wait is unbounded but short.
+  const auto all_done = [this] { return LiveConnections() == 0; };
+  if (!connection_done_.wait_until(
+          lock,
+          drain_start + std::chrono::milliseconds(options_.drain_timeout_ms),
+          all_done)) {
     for (const auto& connection : connections_) {
-      net::ShutdownReadFd(connection->fd);
+      net::ShutdownFd(connection->fd);
     }
+    connection_done_.wait(lock, all_done);
   }
-  // Grace period: wait for the in-flight responses to finish, bounded by
-  // drain_timeout_ms, then cut whatever is still stuck (a peer that has
-  // stopped reading can stall a send indefinitely).
-  const auto deadline =
-      std::chrono::steady_clock::now() +
-      std::chrono::milliseconds(options_.drain_timeout_ms);
-  while (std::chrono::steady_clock::now() < deadline) {
-    bool all_done = true;
-    {
-      std::lock_guard<std::mutex> lock(connections_mu_);
-      for (const auto& connection : connections_) {
-        if (!connection->done.load(std::memory_order_acquire)) {
-          all_done = false;
-          break;
-        }
-      }
-    }
-    if (all_done) break;
-    std::this_thread::sleep_for(std::chrono::milliseconds(2));
-  }
-  {
-    std::lock_guard<std::mutex> lock(connections_mu_);
-    for (const auto& connection : connections_) {
-      if (!connection->done.load(std::memory_order_acquire)) {
-        net::ShutdownFd(connection->fd);
-      }
-    }
-  }
-  ReapConnections(/*all=*/true);
+  ReapFinishedConnections();
+  lock.unlock();
+  drains_->Increment();
+  last_drain_us_->Set(std::chrono::duration_cast<std::chrono::microseconds>(
+                          std::chrono::steady_clock::now() - drain_start)
+                          .count());
 }
 
 ShbfServer::Counters ShbfServer::counters() const {
-  // Both modes feed the same four atomics (the event loop through its
-  // owner-counter hooks), so there is nothing mode-specific to fold in.
   Counters counters;
   counters.connections = connections_accepted_.load();
   counters.frames = frames_served_.load();
@@ -305,13 +262,28 @@ obs::MetricsSnapshot ShbfServer::CollectMetrics() const {
 }
 
 uint64_t ShbfServer::active_connections() const {
-  if (loop_ != nullptr) return loop_->active_connections();
-  uint64_t live = 0;
   std::lock_guard<std::mutex> lock(connections_mu_);
-  for (const auto& connection : connections_) {
-    if (!connection->done.load(std::memory_order_acquire)) ++live;
+  return LiveConnections();
+}
+
+size_t ShbfServer::LiveConnections() const {
+  return static_cast<size_t>(
+      std::count_if(connections_.begin(), connections_.end(),
+                    [](const auto& connection) { return !connection->done; }));
+}
+
+void ShbfServer::ReapFinishedConnections() {
+  // A finished thread has released connections_mu_ for good, so joining
+  // it under the lock cannot deadlock.
+  auto it = connections_.begin();
+  while (it != connections_.end()) {
+    if (!(*it)->done) {
+      ++it;
+      continue;
+    }
+    (*it)->thread.join();
+    it = connections_.erase(it);
   }
-  return live;
 }
 
 void ShbfServer::AcceptLoop() {
@@ -329,40 +301,42 @@ void ShbfServer::AcceptLoop() {
       net::CloseFd(fd);
       break;
     }
-    int one = 1;
-    ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
-    connections_accepted_.fetch_add(1, std::memory_order_relaxed);
-    auto connection = std::make_unique<LegacyConnection>();
-    connection->fd = fd;
-    LegacyConnection* raw = connection.get();
-    {
-      std::lock_guard<std::mutex> lock(connections_mu_);
-      connections_.push_back(std::move(connection));
-    }
-    raw->thread = std::thread(&ShbfServer::ServeConnection, this, raw);
-    ReapConnections(/*all=*/false);
-  }
-}
-
-void ShbfServer::ReapConnections(bool all) {
-  std::lock_guard<std::mutex> lock(connections_mu_);
-  auto it = connections_.begin();
-  while (it != connections_.end()) {
-    LegacyConnection& connection = **it;
-    if (!all && !connection.done.load(std::memory_order_acquire)) {
-      ++it;
+    std::lock_guard<std::mutex> lock(connections_mu_);
+    ReapFinishedConnections();
+    if (options_.max_connections != 0 &&
+        connections_.size() >= options_.max_connections) {
+      // Accept-and-close rather than leave the socket in the backlog, so
+      // the peer learns at once and the backlog cannot silently fill.
+      connections_rejected_->Increment();
+      net::CloseFd(fd);
       continue;
     }
-    if (connection.thread.joinable()) connection.thread.join();
-    net::CloseFd(connection.fd);
-    it = connections_.erase(it);
+    int one = 1;
+    ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
+    auto connection = std::make_unique<Connection>();
+    connection->fd = fd;
+    connection->id =
+        connections_accepted_.fetch_add(1, std::memory_order_relaxed) + 1;
+    try {
+      connection->thread =
+          std::thread(&ShbfServer::ServeConnection, this, connection.get());
+    } catch (const std::system_error&) {
+      // Out of threads: nothing can serve this peer, so close it at once.
+      net::CloseFd(fd);
+      connections_closed_->Increment();
+      continue;
+    }
+    connections_.push_back(std::move(connection));
   }
 }
 
-void ShbfServer::ServeConnection(LegacyConnection* connection) {
+void ShbfServer::ServeConnection(Connection* connection) {
   const int fd = connection->fd;
   bool hello_done = false;
   std::string body;
+  // Stop() clears running_ before it shuts the read sides down: a thread
+  // waiting for its next frame sees end-of-stream, and a frame it has
+  // already read is still answered.
   while (running()) {
     const net::FrameRead read =
         net::ReadFrame(fd, options_.max_frame_bytes, &body);
@@ -383,24 +357,27 @@ void ShbfServer::ServeConnection(LegacyConnection* connection) {
                              .frame);
       break;
     }
-    // Legacy mode handles each frame inline with the read, so there is no
-    // queue and queue_wait_us is genuinely 0; the fd doubles as the id.
-    server::EventLoop::FrameContext context;
-    context.connection_id = static_cast<uint64_t>(fd);
-    Response response = HandleFrame(body, &hello_done, context);
+    Response response = HandleFrame(body, &hello_done, connection->id);
     if (!net::SendFrame(fd, response.frame)) break;
     if (response.close_connection) break;
   }
-  // FIN the peer now; the fd itself is closed once (in ReapConnections)
-  // after this thread is joined, so the number can't be recycled under a
-  // concurrent Stop().
-  net::ShutdownFd(fd);
-  connection->done.store(true, std::memory_order_release);
+  // Close under connections_mu_, the lock Stop() holds while it shuts fds
+  // down, so Stop never touches this number once the kernel may recycle
+  // it; and close before `done` flips, so a connection that no longer
+  // counts as active holds no fd.
+  {
+    std::lock_guard<std::mutex> lock(connections_mu_);
+    net::CloseFd(fd);
+    connection->fd = -1;
+    connection->done = true;
+    connections_closed_->Increment();
+  }
+  connection_done_.notify_all();
 }
 
-ShbfServer::Response ShbfServer::HandleFrame(
-    std::string_view body, bool* hello_done,
-    const server::EventLoop::FrameContext& context) {
+ShbfServer::Response ShbfServer::HandleFrame(std::string_view body,
+                                             bool* hello_done,
+                                             uint64_t connection_id) {
   // Before the handler, not after: a METRICS frame must see itself in
   // frames_total, so its snapshot is bit-identical to a counters() read
   // taken once the response has arrived (the parity contract).
@@ -421,16 +398,14 @@ ShbfServer::Response ShbfServer::HandleFrame(
           std::chrono::steady_clock::now() - start)
           .count());
   if (known_opcode) op_metrics_[opcode_byte].handle_us->Record(handle_us);
-  queue_wait_us_->Record(context.queue_wait_us);
   obs::RequestTrace trace;
-  trace.connection_id = context.connection_id;
+  trace.connection_id = connection_id;
   trace.opcode = opcode_byte;
   trace.opcode_name =
       wire::OpcodeName(static_cast<wire::Opcode>(opcode_byte));
   trace.key_count = response.keys_touched;
   trace.bytes_in = body.size();
   trace.bytes_out = response.frame.size();
-  trace.queue_wait_us = context.queue_wait_us;
   trace.handle_us = handle_us;
   trace_ring_.Record(trace);
   return response;

@@ -2,27 +2,24 @@
 // registry can build or deserialize becomes a remotely addressable backend
 // under a string name (cf. Bloofi's "many filters, one service" framing).
 //
-// Model (default): one epoll event-loop thread multiplexing every
-// connection plus a fixed worker pool (server::EventLoop) — thread count
-// is O(workers), not O(connections), so C10K+ concurrent connections and
-// pipelined request frames are first-class. Each request frame carries a
-// *batch* of keys, which the handler resolves in one BatchQueryEngine call
-// under the filter's reader lock — so concurrent connections querying the
-// same filter stay on the shared-lock path, and a sharded/dynamic wrapper
-// underneath additionally spreads them across its per-shard locks.
+// Model: one acceptor thread plus one blocking thread per connection. A
+// connection thread reads a frame, handles it, writes the response and
+// reads the next, so pipelined frames are answered in request order and a
+// frame's server time is just its handle time. Each request frame carries
+// a *batch* of keys, which the handler resolves in one BatchQueryEngine
+// call under the filter's reader lock — so concurrent connections querying
+// the same filter stay on the shared-lock path, and a sharded/dynamic
+// wrapper underneath additionally spreads them across its per-shard locks.
 // Mutating opcodes (ADD / REMOVE / RELOAD) take the writer lock and finish
 // with PrepareForConstReads(), so lazily-rebuilt bases (shbf_x, shbf_a)
 // never mutate inside a shared-lock read.
 //
-// Fallback (options.legacy_threads): the original acceptor thread plus one
-// blocking thread per connection — the reference implementation the event
-// loop is differential-tested against; both speak byte-identical wire.
-//
 // Lifecycle: RegisterFilter/LoadFilter before Start(); the served-name map
 // is immutable while serving (RELOAD swaps a filter's *contents* under its
-// writer lock, never the map shape). Stop() is idempotent, drains
-// in-flight responses (bounded by drain_timeout_ms) and joins every
-// thread — safe from signal-driven shutdown paths and from tests.
+// writer lock, never the map shape). Stop() is idempotent: it reads no new
+// frame, answers every frame a connection thread has already read
+// (bounded by drain_timeout_ms for peers that stop reading) and joins
+// every thread — safe from signal-driven shutdown paths and from tests.
 //
 // The wire protocol is protocol.h / docs/serving.md; the matching client
 // is client.h.
@@ -32,6 +29,7 @@
 
 #include <atomic>
 #include <chrono>
+#include <condition_variable>
 #include <cstdint>
 #include <map>
 #include <memory>
@@ -49,7 +47,6 @@
 #include "multiset/multi_set_index.h"
 #include "obs/metrics.h"
 #include "obs/trace_ring.h"
-#include "server/event_loop.h"
 #include "server/protocol.h"
 
 namespace shbf {
@@ -71,21 +68,12 @@ struct ServerOptions {
   /// Keys-per-frame ceiling (see wire::kMaxKeysPerFrame).
   size_t max_keys_per_frame = wire::kMaxKeysPerFrame;
 
-  /// Serve with the original thread-per-connection model instead of the
-  /// epoll event loop. Kept as the differential-testing reference and as
-  /// an operational escape hatch; both modes speak identical bytes.
-  bool legacy_threads = false;
-
-  /// Event-loop worker threads. 0 = one per hardware thread, clamped to
-  /// [1, 8]. Ignored under legacy_threads.
-  size_t num_workers = 0;
-
   /// Concurrent-connection ceiling; past it new sockets are accepted and
-  /// immediately closed. 0 = unlimited. Ignored under legacy_threads.
+  /// immediately closed. 0 = unlimited.
   size_t max_connections = 0;
 
-  /// Stop(): how long to keep flushing in-flight responses before
-  /// aborting connections whose peers have stalled (both modes).
+  /// Stop(): how long to keep sending in-flight responses before aborting
+  /// connections whose peers have stalled.
   int drain_timeout_ms = 5000;
 
   /// Frames whose handle time crosses this threshold emit one stderr line
@@ -131,8 +119,9 @@ class ShbfServer {
   /// registered or the address is unusable.
   Status Start();
 
-  /// Stops accepting, unblocks and joins every connection thread, closes
-  /// all sockets. Idempotent; called by the destructor.
+  /// Stops accepting and reading, lets every connection thread answer the
+  /// frame it has already read, then joins them all and closes every
+  /// socket. Idempotent; called by the destructor.
   void Stop();
 
   bool running() const { return running_.load(std::memory_order_acquire); }
@@ -142,13 +131,9 @@ class ShbfServer {
 
   /// Monotonic liveness counters (the STATS of the server itself).
   ///
-  /// Both serving modes feed the SAME four atomics: accepts are counted by
-  /// the acceptor (legacy) or by the event loop through its
-  /// connections_counter hook; framing violations, which never reach
-  /// HandleRequest in loop mode, flow through the loop's
-  /// framing_errors_counter hook into protocol_errors; frames and keys are
-  /// counted in the shared HandleFrame path. A METRICS frame therefore
-  /// reports values bit-identical to counters() in either mode.
+  /// Accepts are counted by the acceptor, frames and keys in HandleFrame,
+  /// and every non-OK response (framing violations included) in Error(). A
+  /// METRICS frame therefore reports values bit-identical to counters().
   struct Counters {
     uint64_t connections = 0;      ///< accepted since Start
     uint64_t frames = 0;           ///< request frames answered
@@ -167,8 +152,8 @@ class ShbfServer {
   /// source of --metrics-dump files.
   obs::MetricsSnapshot CollectMetrics() const;
 
-  /// The per-frame trace ring (opcode, key count, queue wait, handle
-  /// time, bytes for the last ~1024 frames). Configure the slow threshold
+  /// The per-frame trace ring (opcode, key count, handle time, bytes for
+  /// the last ~1024 frames). Configure the slow threshold
   /// via ServerOptions::slow_request_ms.
   obs::RequestTraceRing& trace_ring() { return trace_ring_; }
   const obs::RequestTraceRing& trace_ring() const { return trace_ring_; }
@@ -199,12 +184,14 @@ class ShbfServer {
     mutable std::shared_mutex mu;
   };
 
-  /// (legacy mode) A connection thread and its socket, so Stop() can
-  /// unblock + join.
-  struct LegacyConnection {
+  /// A connection thread and its socket, so Stop() can unblock + join.
+  /// `fd` and `done` change only under connections_mu_: the thread closes
+  /// its own fd there, so Stop() never shuts down a recycled fd number.
+  struct Connection {
     int fd = -1;
+    uint64_t id = 0;  ///< accept sequence number, 1-based
     std::thread thread;
-    std::atomic<bool> done{false};
+    bool done = false;  ///< fd closed, thread about to exit
   };
 
   /// One response frame plus the close-after-send decision. Handlers run
@@ -219,16 +206,15 @@ class ShbfServer {
   };
 
   void AcceptLoop();
-  void ServeConnection(LegacyConnection* connection);
+  void ServeConnection(Connection* connection);
 
-  /// The shared per-frame entry point of BOTH serving modes: counts the
-  /// frame, dispatches via HandleRequest, and (when obs::Enabled) records
-  /// per-opcode latency, the queue-wait histogram and a trace-ring entry.
-  /// The frame counter is bumped BEFORE handling so a METRICS response
-  /// includes its own frame — the bit-for-bit parity contract with
-  /// counters().
+  /// The per-frame entry point: counts the frame, dispatches via
+  /// HandleRequest, and (when obs::Enabled) records per-opcode latency and
+  /// a trace-ring entry. The frame counter is bumped BEFORE handling so a
+  /// METRICS response includes its own frame — the bit-for-bit parity
+  /// contract with counters().
   Response HandleFrame(std::string_view body, bool* hello_done,
-                       const server::EventLoop::FrameContext& context);
+                       uint64_t connection_id);
 
   /// Dispatches one request body. `*hello_done` tracks the connection's
   /// handshake state.
@@ -255,9 +241,13 @@ class ShbfServer {
   /// Error response; fatal statuses (wire::IsFatal) also close.
   Response Error(wire::WireStatus status, std::string_view message);
 
-  /// Joins and drops finished connection threads (called from the
-  /// acceptor between accepts, and from Stop for the stragglers).
-  void ReapConnections(bool all);
+  /// Joins and drops finished connection threads. Caller holds
+  /// connections_mu_.
+  void ReapFinishedConnections();
+
+  /// Connections whose thread has not finished. Caller holds
+  /// connections_mu_.
+  size_t LiveConnections() const;
 
   ServerOptions options_;
   BatchQueryEngine engine_;
@@ -277,14 +267,11 @@ class ShbfServer {
   uint16_t port_ = 0;
   std::atomic<bool> running_{false};
 
-  /// The default serving core (null under legacy_threads or before Start).
-  /// Kept alive after Stop() so its counters remain readable.
-  std::unique_ptr<server::EventLoop> loop_;
-
-  // ---- legacy thread-per-connection state ----
   std::thread acceptor_;
   mutable std::mutex connections_mu_;
-  std::vector<std::unique_ptr<LegacyConnection>> connections_;
+  /// Signalled when a connection thread finishes (Stop waits on it).
+  std::condition_variable connection_done_;
+  std::vector<std::unique_ptr<Connection>> connections_;
 
   std::atomic<uint64_t> connections_accepted_{0};
   std::atomic<uint64_t> frames_served_{0};
@@ -303,7 +290,10 @@ class ShbfServer {
     obs::Histogram* handle_us = nullptr;
   };
   OpcodeMetrics op_metrics_[kOpcodeSlots] = {};
-  obs::Histogram* queue_wait_us_ = nullptr;
+  obs::Counter* connections_closed_ = nullptr;
+  obs::Counter* connections_rejected_ = nullptr;
+  obs::Counter* drains_ = nullptr;
+  obs::Gauge* last_drain_us_ = nullptr;
 };
 
 }  // namespace shbf

@@ -246,7 +246,6 @@ RequestTrace MakeTrace(uint64_t handle_us) {
   trace.key_count = 16;
   trace.bytes_in = 100;
   trace.bytes_out = 50;
-  trace.queue_wait_us = 2;
   trace.handle_us = handle_us;
   return trace;
 }

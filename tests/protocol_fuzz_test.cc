@@ -4,8 +4,8 @@
 // under arbitrary garbage is narrow: every connection must end with a
 // parseable response stream followed by EOF, or a plain close — never a
 // crash, a hang (2 s receive timeout = failure) or a leaked connection
-// slot. Runs against both serving modes; the ASan+UBSan CI job runs this
-// suite too, so "no crash" includes "no silent memory error".
+// slot. The ASan+UBSan and TSan CI jobs run this suite too, so "no crash"
+// includes "no silent memory error" and "no data race".
 
 #include <gtest/gtest.h>
 #include <sys/socket.h>
@@ -68,13 +68,10 @@ std::vector<std::string> BuildCorpus() {
   return corpus;
 }
 
-class ProtocolFuzzTest : public ::testing::TestWithParam<bool> {
+class ProtocolFuzzTest : public ::testing::Test {
  protected:
   void SetUp() override {
-    ServerOptions options;
-    options.legacy_threads = GetParam();
-    options.num_workers = 4;
-    server_ = std::make_unique<ShbfServer>(options);
+    server_ = std::make_unique<ShbfServer>();
     CheckOk(server_->RegisterFilter("members", BuildFilter("shbf_m", 500)));
     CheckOk(
         server_->RegisterFilter("counting", BuildFilter("shbf_x", 500)));
@@ -158,7 +155,7 @@ class ProtocolFuzzTest : public ::testing::TestWithParam<bool> {
   std::unique_ptr<ShbfServer> server_;
 };
 
-TEST_P(ProtocolFuzzTest, MutatedFramesNeverCrashHangOrLeak) {
+TEST_F(ProtocolFuzzTest, MutatedFramesNeverCrashHangOrLeak) {
   const std::vector<std::string> corpus = BuildCorpus();
   std::mt19937 rng(0x5eedu);  // fixed seed: failures replay exactly
   constexpr int kMutationsPerKind = 24;
@@ -211,11 +208,6 @@ TEST_P(ProtocolFuzzTest, MutatedFramesNeverCrashHangOrLeak) {
   ASSERT_TRUE(client.Query("members", {"key-1"}, &results).ok());
   EXPECT_EQ(results[0], 1);
 }
-
-INSTANTIATE_TEST_SUITE_P(Modes, ProtocolFuzzTest, ::testing::Bool(),
-                         [](const ::testing::TestParamInfo<bool>& info) {
-                           return info.param ? "LegacyThreads" : "EventLoop";
-                         });
 
 }  // namespace
 }  // namespace shbf

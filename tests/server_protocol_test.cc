@@ -634,16 +634,14 @@ TEST(MultisetServerTest, ConcurrentWhichSetsReadersAndOneMaintainer) {
 
 // ---- METRICS opcode parity (protocol v3) ----------------------------------
 // The acceptance contract: the wire snapshot's four core "server.*_total"
-// counters must be bit-identical to the in-process counters() accessor, in
-// BOTH serving modes. The snapshot includes its own METRICS frame (frames
-// are counted before handling), so a quiesced counters() read taken right
-// after the response must agree exactly.
-class ServerMetricsParityTest : public ::testing::TestWithParam<bool> {
+// counters must be bit-identical to the in-process counters() accessor.
+// The snapshot includes its own METRICS frame (frames are counted before
+// handling), so a quiesced counters() read taken right after the response
+// must agree exactly.
+class ServerMetricsParityTest : public ::testing::Test {
  protected:
   void SetUp() override {
-    ServerOptions options;
-    options.legacy_threads = GetParam();
-    server_ = std::make_unique<ShbfServer>(options);
+    server_ = std::make_unique<ShbfServer>();
     CheckOk(server_->RegisterFilter("members", BuildFilter("shbf_m", 2000)));
     CheckOk(server_->Start());
   }
@@ -653,7 +651,7 @@ class ServerMetricsParityTest : public ::testing::TestWithParam<bool> {
   std::unique_ptr<ShbfServer> server_;
 };
 
-TEST_P(ServerMetricsParityTest, SnapshotMatchesCountersBitForBit) {
+TEST_F(ServerMetricsParityTest, SnapshotMatchesCountersBitForBit) {
   ShbfClient client;
   ASSERT_TRUE(client.Connect("127.0.0.1", server_->port()).ok());
   std::vector<std::string> keys;
@@ -689,14 +687,14 @@ TEST_P(ServerMetricsParityTest, SnapshotMatchesCountersBitForBit) {
               1u);
     EXPECT_GE(
         metrics.snapshot.CounterValue("server.op.metrics.frames_total"), 1u);
-    const obs::HistogramSnapshot* queue_wait =
-        metrics.snapshot.FindHistogram("server.queue_wait_us");
-    ASSERT_NE(queue_wait, nullptr);
-    EXPECT_GE(queue_wait->count, 1u);
+    const obs::HistogramSnapshot* handle_query =
+        metrics.snapshot.FindHistogram("server.handle_us.query");
+    ASSERT_NE(handle_query, nullptr);
+    EXPECT_GE(handle_query->count, 1u);
   }
 }
 
-TEST_P(ServerMetricsParityTest, SecondSnapshotCountsTheFirst) {
+TEST_F(ServerMetricsParityTest, SecondSnapshotCountsTheFirst) {
   ShbfClient client;
   ASSERT_TRUE(client.Connect("127.0.0.1", server_->port()).ok());
   ShbfClient::ServerMetrics first;
@@ -706,11 +704,6 @@ TEST_P(ServerMetricsParityTest, SecondSnapshotCountsTheFirst) {
   EXPECT_EQ(second.snapshot.CounterValue("server.frames_total"),
             first.snapshot.CounterValue("server.frames_total") + 1);
 }
-
-INSTANTIATE_TEST_SUITE_P(Modes, ServerMetricsParityTest, ::testing::Bool(),
-                         [](const ::testing::TestParamInfo<bool>& info) {
-                           return info.param ? "legacy" : "epoll";
-                         });
 
 }  // namespace
 }  // namespace shbf

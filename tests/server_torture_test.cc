@@ -1,19 +1,20 @@
-// Torture tests for the serving stack's connection handling, run against
-// BOTH serving modes (the epoll event loop and the legacy
-// thread-per-connection fallback), which must behave identically on the
-// wire: dribbled byte-at-a-time frames, several frames per send(),
-// pipelined requests answered strictly in order, mid-frame disconnects,
-// slow-loris stalls that must not block other connections, mutation under
-// a crowd of live readers, and the Stop()-vs-in-flight-write race (a
-// large response must arrive complete even when Stop lands mid-send).
+// Torture tests for the serving stack's connection handling: dribbled
+// byte-at-a-time frames, several frames per send(), pipelined requests
+// answered strictly in order, mid-frame disconnects, slow-loris stalls that
+// must not block other connections, mutation under a crowd of live
+// readers, fd release on close, the connection limit, and the
+// Stop()-vs-in-flight-write race (a large response must arrive complete
+// even when Stop lands mid-send).
 
 #include "server/server.h"
 
 #include <gtest/gtest.h>
+#include <sys/socket.h>
 
 #include <atomic>
 #include <chrono>
 #include <cstdint>
+#include <filesystem>
 #include <memory>
 #include <string>
 #include <thread>
@@ -21,6 +22,7 @@
 
 #include "api/filter_registry.h"
 #include "core/file_io.h"
+#include "obs/metrics.h"
 #include "server/client.h"
 #include "server/net.h"
 #include "server/protocol.h"
@@ -38,17 +40,31 @@ std::unique_ptr<MembershipFilter> BuildFilter(const std::string& name,
   return filter;
 }
 
-/// Param: true = legacy thread-per-connection, false = epoll event loop.
-class ServerTortureTest : public ::testing::TestWithParam<bool> {
+/// File descriptors this process holds open right now.
+size_t OpenFdCount() {
+  size_t count = 0;
+  for ([[maybe_unused]] const auto& entry :
+       std::filesystem::directory_iterator("/proc/self/fd")) {
+    ++count;
+  }
+  return count;
+}
+
+/// A counter's value in the server's METRICS snapshot.
+uint64_t CounterValue(const ShbfServer& server, std::string_view name) {
+  return server.CollectMetrics().CounterValue(name);
+}
+
+bool MetricsRecorded() { return obs::kCompiledIn && obs::Enabled(); }
+
+class ServerTortureTest : public ::testing::Test {
  protected:
   void StartServer(ServerOptions options = {}) {
-    options.legacy_threads = GetParam();
-    // Deterministic parallelism regardless of the host's core count.
-    options.num_workers = 4;
     server_ = std::make_unique<ShbfServer>(options);
     CheckOk(server_->RegisterFilter("members", BuildFilter("shbf_m", 2000)));
     CheckOk(server_->RegisterFilter("counting",
                                     BuildFilter("counting_bloom", 2000)));
+    CheckOk(server_->RegisterFilter("tallies", BuildFilter("shbf_x", 2000)));
     CheckOk(server_->Start());
   }
 
@@ -114,7 +130,7 @@ class ServerTortureTest : public ::testing::TestWithParam<bool> {
 
 // A peer that trickles one byte per send() must be served exactly like one
 // that sends whole frames: framing is a stream property, not a recv one.
-TEST_P(ServerTortureTest, DribbledBytesOneAtATime) {
+TEST_F(ServerTortureTest, DribbledBytesOneAtATime) {
   StartServer();
   int fd = RawConnect();
   std::string stream = wire::BuildHello();
@@ -133,7 +149,7 @@ TEST_P(ServerTortureTest, DribbledBytesOneAtATime) {
 }
 
 // Two frames in one send(): both must be answered from a single read burst.
-TEST_P(ServerTortureTest, TwoFramesInOneSend) {
+TEST_F(ServerTortureTest, TwoFramesInOneSend) {
   StartServer();
   int fd = RawConnect();
   std::string stream = wire::BuildHello();
@@ -149,7 +165,7 @@ TEST_P(ServerTortureTest, TwoFramesInOneSend) {
 
 // 64 pipelined QUERYs in one write; query i carries i+1 keys, so each
 // response's length proves the answers come back in request order.
-TEST_P(ServerTortureTest, PipelinedQueriesAnsweredInOrder) {
+TEST_F(ServerTortureTest, PipelinedQueriesAnsweredInOrder) {
   StartServer();
   int fd = RawConnect();
   Handshake(fd);
@@ -177,7 +193,7 @@ TEST_P(ServerTortureTest, PipelinedQueriesAnsweredInOrder) {
 // A framing violation pipelined behind a valid request: the valid request
 // is answered first, then the error, then the connection closes — wire
 // order survives the violation.
-TEST_P(ServerTortureTest, ViolationKeepsPipelineOrder) {
+TEST_F(ServerTortureTest, ViolationKeepsPipelineOrder) {
   StartServer();
   int fd = RawConnect();
   Handshake(fd);
@@ -203,7 +219,7 @@ TEST_P(ServerTortureTest, ViolationKeepsPipelineOrder) {
 
 // Disconnecting mid-frame (prefix promised more than was sent) must not
 // wedge the server or leak the connection slot.
-TEST_P(ServerTortureTest, MidFrameDisconnect) {
+TEST_F(ServerTortureTest, MidFrameDisconnect) {
   StartServer();
   int fd = RawConnect();
   Handshake(fd);
@@ -216,14 +232,14 @@ TEST_P(ServerTortureTest, MidFrameDisconnect) {
 
 // A slow loris sends a length prefix and stalls. Other connections must
 // keep being served at full function while it sits there.
-TEST_P(ServerTortureTest, SlowLorisDoesNotBlockOthers) {
+TEST_F(ServerTortureTest, SlowLorisDoesNotBlockOthers) {
   StartServer();
   int loris = RawConnect();
   Handshake(loris);
   const uint8_t prefix[] = {50, 0, 0, 0};  // 50-byte frame, body withheld
   ASSERT_TRUE(net::SendAll(loris, prefix, sizeof(prefix)));
-  // The stalled connection must not absorb a worker or the loop: a crowd
-  // of round-trips on other connections completes promptly.
+  // The stalled connection holds only its own thread: a crowd of
+  // round-trips on other connections completes promptly.
   for (int i = 0; i < 20; ++i) ExpectServerAlive();
   // And the loris is still welcome to finish its frame afterwards.
   std::string body(50, '\0');
@@ -243,10 +259,10 @@ TEST_P(ServerTortureTest, SlowLorisDoesNotBlockOthers) {
 // ADD and RELOAD racing a crowd of live readers: every query must return a
 // structured answer (the per-filter lock discipline), and the server must
 // come out healthy.
-TEST_P(ServerTortureTest, ConcurrentMutationUnderManyReaders) {
+TEST_F(ServerTortureTest, ConcurrentMutationUnderManyReaders) {
   StartServer();
   const std::string snapshot_path =
-      ::testing::TempDir() + "/event_loop_reload.shbf";
+      ::testing::TempDir() + "/torture_reload.shbf";
   {
     ShbfClient client;
     ASSERT_TRUE(client.Connect("127.0.0.1", server_->port()).ok());
@@ -302,14 +318,20 @@ TEST_P(ServerTortureTest, ConcurrentMutationUnderManyReaders) {
 }
 
 // The Stop()-vs-in-flight-write race: a client reading a large response
-// must receive it COMPLETE even when Stop lands mid-send. (The legacy mode
-// used to SHUT_RDWR live fds in Stop, cutting responses off mid-frame.)
-TEST_P(ServerTortureTest, StopDrainsInFlightWrites) {
-  StartServer();
+// must receive it COMPLETE even when Stop lands mid-send. (Stop used to
+// SHUT_RDWR live fds, cutting responses off mid-frame.)
+TEST_F(ServerTortureTest, StopDrainsInFlightWrites) {
+  // The contract holds however slow the host is: the deadline is for
+  // stalled peers (StopAbortsStalledPeer), so this case sets it far above
+  // its own runtime under a sanitizer.
+  ServerOptions options;
+  options.drain_timeout_ms = 120000;
+  StartServer(options);
+  const uint64_t drains_before = CounterValue(*server_, "server.drains_total");
   int fd = RawConnect();
   Handshake(fd);
-  // ~1 MiB of response: far beyond the socket buffers, so the server is
-  // still mid-send when Stop arrives.
+  // Stop lands once the QUERY is read, so the handler and the whole ~1 MiB
+  // response run after it.
   constexpr size_t kKeys = 1u << 20;
   std::vector<std::string> keys;
   keys.reserve(kKeys);
@@ -319,10 +341,13 @@ TEST_P(ServerTortureTest, StopDrainsInFlightWrites) {
   const std::string query =
       wire::BuildQuery("members", wire::QueryMode::kMembership, keys);
   ASSERT_TRUE(net::SendAll(fd, query.data(), query.size()));
-  // Give the handler time to start writing, then Stop concurrently while
-  // this thread is the only reader draining the response.
+  // Stop once the server has read the whole QUERY (frames are counted
+  // only after a full read: HELLO + QUERY = 2), concurrently with this
+  // thread draining the response.
   std::thread stopper([&] {
-    std::this_thread::sleep_for(std::chrono::milliseconds(50));
+    while (server_->counters().frames < 2) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
     server_->Stop();
   });
   const std::string payload = ReadOkPayload(fd);
@@ -332,16 +357,26 @@ TEST_P(ServerTortureTest, StopDrainsInFlightWrites) {
     ASSERT_EQ(payload[9 + i], 1) << "result " << i;
   }
   net::CloseFd(fd);
+  if (MetricsRecorded()) {
+    EXPECT_EQ(CounterValue(*server_, "server.drains_total"),
+              drains_before + 1);
+  }
 }
 
 // A stalled peer must not hold Stop() hostage: past drain_timeout_ms the
 // connection is aborted and Stop returns.
-TEST_P(ServerTortureTest, StopAbortsStalledPeer) {
+TEST_F(ServerTortureTest, StopAbortsStalledPeer) {
   ServerOptions options;
   options.drain_timeout_ms = 200;
   StartServer(options);
   int fd = RawConnect();
+  // A small, fixed receive buffer: the peer can absorb almost nothing.
+  const int rcvbuf = 64 * 1024;
+  ASSERT_EQ(::setsockopt(fd, SOL_SOCKET, SO_RCVBUF, &rcvbuf, sizeof(rcvbuf)),
+            0);
   Handshake(fd);
+  // A COUNT answer is 8 bytes per key: ~8 MiB, more than the server's
+  // send buffer can hold, so the connection thread blocks in send().
   constexpr size_t kKeys = 1u << 20;
   std::vector<std::string> keys;
   keys.reserve(kKeys);
@@ -349,9 +384,14 @@ TEST_P(ServerTortureTest, StopAbortsStalledPeer) {
     keys.push_back("key-" + std::to_string(i & 1023));
   }
   const std::string query =
-      wire::BuildQuery("members", wire::QueryMode::kMembership, keys);
+      wire::BuildQuery("tallies", wire::QueryMode::kCount, keys);
   ASSERT_TRUE(net::SendAll(fd, query.data(), query.size()));
-  std::this_thread::sleep_for(std::chrono::milliseconds(100));
+  // Wait until the handler has finished (it counts the keys just before
+  // building the answer), so what Stop waits on is the stalled send, not
+  // the handler — however slow the host.
+  while (server_->counters().keys_queried < kKeys) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
   // Never read the response; Stop must still return promptly.
   const auto start = std::chrono::steady_clock::now();
   server_->Stop();
@@ -364,7 +404,7 @@ TEST_P(ServerTortureTest, StopAbortsStalledPeer) {
 }
 
 // A few hundred concurrent live connections, all answering correctly.
-TEST_P(ServerTortureTest, ManyConcurrentConnections) {
+TEST_F(ServerTortureTest, ManyConcurrentConnections) {
   StartServer();
   constexpr int kConns = 200;
   std::vector<std::unique_ptr<ShbfClient>> clients;
@@ -390,13 +430,44 @@ TEST_P(ServerTortureTest, ManyConcurrentConnections) {
   WaitForActiveConnections(0);
 }
 
+// A peer's close releases its connection at once: by the time it stops
+// counting as active, its fd is closed — without waiting for the next
+// accept or for Stop().
+TEST_F(ServerTortureTest, ClosedConnectionsReleaseTheirFds) {
+  StartServer();
+  // One round trip first, so any fd the process opens once on its first
+  // connect is already in the baseline.
+  ExpectServerAlive();
+  WaitForActiveConnections(0);
+  const size_t fds_before = OpenFdCount();
+  const uint64_t closed_before =
+      CounterValue(*server_, "server.connections_closed_total");
+  constexpr int kConns = 50;
+  {
+    std::vector<std::unique_ptr<ShbfClient>> clients;
+    for (int i = 0; i < kConns; ++i) {
+      auto client = std::make_unique<ShbfClient>();
+      ASSERT_TRUE(client->Connect("127.0.0.1", server_->port()).ok());
+      clients.push_back(std::move(client));
+    }
+    EXPECT_EQ(server_->active_connections(), static_cast<uint64_t>(kConns));
+  }
+  WaitForActiveConnections(0);
+  EXPECT_EQ(OpenFdCount(), fds_before);
+  if (MetricsRecorded()) {
+    EXPECT_EQ(CounterValue(*server_, "server.connections_closed_total"),
+              closed_before + kConns);
+  }
+}
+
 // The over-limit policy: connections past max_connections are accepted and
 // immediately closed; the ones inside the limit keep working.
-TEST_P(ServerTortureTest, ConnectionLimitRejectsOverflow) {
-  if (GetParam()) GTEST_SKIP() << "max_connections is event-loop-only";
+TEST_F(ServerTortureTest, ConnectionLimitRejectsOverflow) {
   ServerOptions options;
   options.max_connections = 4;
   StartServer(options);
+  const uint64_t rejected_before =
+      CounterValue(*server_, "server.connections_rejected_total");
   std::vector<std::unique_ptr<ShbfClient>> clients;
   for (int i = 0; i < 4; ++i) {
     auto client = std::make_unique<ShbfClient>();
@@ -406,6 +477,10 @@ TEST_P(ServerTortureTest, ConnectionLimitRejectsOverflow) {
   // The fifth is cut before (or instead of) a HELLO response.
   ShbfClient overflow;
   EXPECT_FALSE(overflow.Connect("127.0.0.1", server_->port()).ok());
+  if (MetricsRecorded()) {
+    EXPECT_EQ(CounterValue(*server_, "server.connections_rejected_total"),
+              rejected_before + 1);
+  }
   // Limit slots free up when connections close.
   clients.pop_back();
   WaitForActiveConnections(3);
@@ -414,11 +489,6 @@ TEST_P(ServerTortureTest, ConnectionLimitRejectsOverflow) {
   std::vector<uint8_t> results;
   EXPECT_TRUE(replacement.Query("members", {"key-1"}, &results).ok());
 }
-
-INSTANTIATE_TEST_SUITE_P(Modes, ServerTortureTest, ::testing::Bool(),
-                         [](const ::testing::TestParamInfo<bool>& info) {
-                           return info.param ? "LegacyThreads" : "EventLoop";
-                         });
 
 }  // namespace
 }  // namespace shbf

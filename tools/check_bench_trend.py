@@ -44,9 +44,6 @@ METRIC_FIELDS = {
     "p50_us",
     "p99_us",
     "p999_us",
-    "server_queue_p50_us",
-    "server_queue_p99_us",
-    "server_queue_p999_us",
     "seconds",
     "fpr",
 }

@@ -4,14 +4,12 @@
 // remotely via ADD frames.
 //
 //   shbf_server [--port=7457] [--bind=127.0.0.1] [--batch=32]
-//               [--threads=N] [--max-conns=N] [--legacy-threads]
+//               [--max-conns=N]
 //               --load=<name>=<path>        (repeatable)
 //               --build=<name>=<filter>[,keys=N][,bpk=B][,k=K][,shards=S]
 //                                          [,delta=N][,scale]  (repeatable)
 //
-// Serving model: an epoll event loop plus --threads workers by default
-// (C10K-ready, pipelined frames); --legacy-threads selects the original
-// thread-per-connection model (byte-identical protocol).
+// Serving model: one blocking thread per connection (src/server/server.h).
 //
 // Prints one "serving N filter(s) on <addr>:<port>" line once the socket
 // is bound (with --port=0 this is where the ephemeral port appears), then
@@ -67,13 +65,9 @@ void PrintUsage(std::FILE* out) {
       "                      printed on the 'serving' line)\n"
       "  --bind=ADDR         IPv4 bind address (default 127.0.0.1)\n"
       "  --batch=N           engine group size per QUERY frame (default 32)\n"
-      "  --threads=N         event-loop worker threads (default 0 = one\n"
-      "                      per hardware thread, clamped to [1,8])\n"
       "  --max-conns=N       concurrent-connection ceiling; new sockets\n"
       "                      past it are accepted and closed (default 0 =\n"
       "                      unlimited)\n"
-      "  --legacy-threads    serve with the original thread-per-connection\n"
-      "                      model instead of the epoll event loop\n"
       "  --load=NAME=PATH    serve the envelope blob at PATH as NAME\n"
       "                      (repeatable; PATH becomes the default\n"
       "                      SNAPSHOT/RELOAD target). PATH=mmap:FILE maps\n"
@@ -277,12 +271,8 @@ int Main(int argc, char** argv) {
       options.bind_address = value;
     } else if (ParseFlag(argv[i], "batch", &value)) {
       options.batch_size = std::strtoull(value.c_str(), nullptr, 0);
-    } else if (ParseFlag(argv[i], "threads", &value)) {
-      options.num_workers = std::strtoull(value.c_str(), nullptr, 0);
     } else if (ParseFlag(argv[i], "max-conns", &value)) {
       options.max_connections = std::strtoull(value.c_str(), nullptr, 0);
-    } else if (std::strcmp(argv[i], "--legacy-threads") == 0) {
-      options.legacy_threads = true;
     } else if (ParseFlag(argv[i], "load", &value)) {
       const size_t eq = value.find('=');
       if (eq == std::string::npos || eq == 0 || eq + 1 == value.size()) {
@@ -388,11 +378,11 @@ int Main(int argc, char** argv) {
                 metrics_dump_path.c_str(), metrics_dump_interval);
   }
   std::printf(
-      "serving %zu filter(s)%s on %s:%u (protocol v%u, %s, pid %d)\n",
+      "serving %zu filter(s)%s on %s:%u (protocol v%u, pid %d)\n",
       loads.size() + builds.size(),
       catalog_path.empty() ? "" : " + 1 multiset catalog",
       options.bind_address.c_str(), server.port(), wire::kProtocolVersion,
-      options.legacy_threads ? "legacy threads" : "epoll", getpid());
+      getpid());
   std::fflush(stdout);
 
   char byte;
