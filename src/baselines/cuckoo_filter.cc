@@ -38,30 +38,11 @@ void CuckooFilter::PrepareProbe(std::string_view key, Probe* probe) const {
   *probe = {i1, AltIndex(i1, fingerprint), fingerprint};
 }
 
-void CuckooFilter::PrefetchProbe(const Probe& probe) const {
-  const size_t bucket_bits = size_t{bucket_size_} * fingerprint_bits_;
-  __builtin_prefetch(slots_.words() + probe.i1 * bucket_bits / 64, 0, 1);
-  __builtin_prefetch(slots_.words() + probe.i2 * bucket_bits / 64, 0, 1);
-}
-
-bool CuckooFilter::ResolveProbe(const Probe& probe) const {
-  return InVictimStash(probe) || BucketContains(probe.i1, probe.fingerprint) ||
-         BucketContains(probe.i2, probe.fingerprint);
-}
-
 size_t CuckooFilter::AltIndex(size_t index, uint64_t fingerprint) const {
   // Standard partial-key trick: XOR with a hash of the fingerprint keeps the
   // pair relation symmetric (AltIndex(AltIndex(i)) == i).
   uint64_t h = family_.Hash(2, &fingerprint, sizeof(fingerprint));
   return (index ^ h) & (num_buckets_ - 1);
-}
-
-bool CuckooFilter::BucketContains(size_t bucket, uint64_t fingerprint) const {
-  size_t base = bucket * bucket_size_;
-  for (uint32_t s = 0; s < bucket_size_; ++s) {
-    if (slots_.Get(base + s) == fingerprint) return true;
-  }
-  return false;
 }
 
 bool CuckooFilter::TryInsertIntoBucket(size_t bucket, uint64_t fingerprint) {

@@ -67,11 +67,19 @@ class CuckooFilter {
   void PrepareProbe(std::string_view key, Probe* probe) const;
 
   /// Hints the cache to fetch both buckets `probe` reads.
-  void PrefetchProbe(const Probe& probe) const;
+  void PrefetchProbe(const Probe& probe) const {
+    const size_t bucket_bits = size_t{bucket_size_} * fingerprint_bits_;
+    __builtin_prefetch(slots_.words() + probe.i1 * bucket_bits / 64, 0, 1);
+    __builtin_prefetch(slots_.words() + probe.i2 * bucket_bits / 64, 0, 1);
+  }
 
   /// Resolves a prepared probe (victim stash included); identical answer
   /// to Contains(key).
-  bool ResolveProbe(const Probe& probe) const;
+  bool ResolveProbe(const Probe& probe) const {
+    return InVictimStash(probe) ||
+           BucketContains(probe.i1, probe.fingerprint) ||
+           BucketContains(probe.i2, probe.fingerprint);
+  }
 
   /// Deletes one copy of `key`'s fingerprint; returns false if absent.
   bool Delete(std::string_view key);
@@ -116,7 +124,11 @@ class CuckooFilter {
            (victim_.index == probe.i1 || victim_.index == probe.i2);
   }
   size_t AltIndex(size_t index, uint64_t fingerprint) const;
-  bool BucketContains(size_t bucket, uint64_t fingerprint) const;
+  /// True iff one of `bucket`'s slots holds `fingerprint` (never 0, so a
+  /// free slot never matches): every slot compared in one SWAR test.
+  bool BucketContains(size_t bucket, uint64_t fingerprint) const {
+    return slots_.AnyEqual(bucket * bucket_size_, bucket_size_, fingerprint);
+  }
   bool TryInsertIntoBucket(size_t bucket, uint64_t fingerprint);
   bool RemoveFromBucket(size_t bucket, uint64_t fingerprint);
 

@@ -5,18 +5,11 @@
 namespace shbf {
 
 PackedCounterArray::PackedCounterArray(size_t num_counters,
-                                       uint32_t bits_per_counter)
-    : num_counters_(num_counters), bits_per_counter_(bits_per_counter) {
+                                       uint32_t bits_per_counter) {
   SHBF_CHECK(num_counters > 0) << "need at least one counter";
   SHBF_CHECK(bits_per_counter >= 1 && bits_per_counter <= 32)
       << "bits_per_counter must be in [1, 32], got " << bits_per_counter;
-  max_value_ = (bits_per_counter == 64)
-                   ? ~0ull
-                   : ((1ull << bits_per_counter) - 1);
-  size_t total_bits = num_counters * static_cast<size_t>(bits_per_counter);
-  // One extra word so counters straddling the final word boundary can be
-  // read/written with the two-word fast path.
-  num_words_ = CeilDiv(total_bits, 64) + 1;
+  SetGeometry(num_counters, bits_per_counter);
   storage_.assign(num_words_, 0);
   words_data_ = storage_.data();
 }
@@ -28,25 +21,36 @@ PackedCounterArray PackedCounterArray::View(const uint64_t* words,
   SHBF_CHECK(words != nullptr && num_counters > 0);
   SHBF_CHECK(bits_per_counter >= 1 && bits_per_counter <= 32);
   PackedCounterArray view;
-  view.num_counters_ = num_counters;
-  view.bits_per_counter_ = bits_per_counter;
-  view.max_value_ = (1ull << bits_per_counter) - 1;
+  view.SetGeometry(num_counters, bits_per_counter);
   view.saturation_events_ = saturation_events;
-  view.num_words_ =
-      CeilDiv(num_counters * static_cast<size_t>(bits_per_counter), 64) + 1;
   view.words_data_ = words;
   view.is_view_ = true;
   return view;
 }
 
-PackedCounterArray::PackedCounterArray(const PackedCounterArray& other)
-    : num_counters_(other.num_counters_),
-      bits_per_counter_(other.bits_per_counter_),
-      max_value_(other.max_value_),
-      saturation_events_(other.saturation_events_),
-      storage_(other.words_data_, other.words_data_ + other.num_words_),
-      num_words_(other.num_words_) {
-  words_data_ = storage_.data();
+void PackedCounterArray::SetGeometry(size_t num_counters,
+                                     uint32_t bits_per_counter) {
+  num_counters_ = num_counters;
+  bits_per_counter_ = bits_per_counter;
+  max_value_ = (1ull << bits_per_counter) - 1;
+  // One extra word so counters straddling the final word boundary can be
+  // read/written with the two-word fast path.
+  num_words_ =
+      CeilDiv(num_counters * static_cast<size_t>(bits_per_counter), 64) + 1;
+  lanes_per_chunk_ = 64 / bits_per_counter;
+  lane_ones_ = 0;
+  for (uint32_t lane = 0; lane < lanes_per_chunk_; ++lane) {
+    lane_ones_ |= 1ull << (lane * bits_per_counter);
+  }
+}
+
+// Both constructors go through the assignments, which re-anchor words_data_.
+PackedCounterArray::PackedCounterArray(const PackedCounterArray& other) {
+  *this = other;
+}
+
+PackedCounterArray::PackedCounterArray(PackedCounterArray&& other) noexcept {
+  *this = std::move(other);
 }
 
 PackedCounterArray& PackedCounterArray::operator=(
@@ -55,6 +59,8 @@ PackedCounterArray& PackedCounterArray::operator=(
   num_counters_ = other.num_counters_;
   bits_per_counter_ = other.bits_per_counter_;
   max_value_ = other.max_value_;
+  lanes_per_chunk_ = other.lanes_per_chunk_;
+  lane_ones_ = other.lane_ones_;
   saturation_events_ = other.saturation_events_;
   storage_.assign(other.words_data_, other.words_data_ + other.num_words_);
   num_words_ = other.num_words_;
@@ -63,28 +69,17 @@ PackedCounterArray& PackedCounterArray::operator=(
   return *this;
 }
 
-PackedCounterArray::PackedCounterArray(PackedCounterArray&& other) noexcept
-    : num_counters_(other.num_counters_),
-      bits_per_counter_(other.bits_per_counter_),
-      max_value_(other.max_value_),
-      saturation_events_(other.saturation_events_),
-      storage_(std::move(other.storage_)),
-      words_data_(other.words_data_),
-      num_words_(other.num_words_),
-      is_view_(other.is_view_) {
-  // The vector's heap buffer is stable across moves (and a view's borrowed
-  // pointer moves along unchanged).
-  other.words_data_ = nullptr;
-  other.is_view_ = false;
-}
-
 PackedCounterArray& PackedCounterArray::operator=(
     PackedCounterArray&& other) noexcept {
   if (this == &other) return *this;
   num_counters_ = other.num_counters_;
   bits_per_counter_ = other.bits_per_counter_;
   max_value_ = other.max_value_;
+  lanes_per_chunk_ = other.lanes_per_chunk_;
+  lane_ones_ = other.lane_ones_;
   saturation_events_ = other.saturation_events_;
+  // The vector's heap buffer is stable across moves (and a view's borrowed
+  // pointer moves along unchanged).
   storage_ = std::move(other.storage_);
   words_data_ = other.words_data_;
   num_words_ = other.num_words_;

@@ -55,6 +55,40 @@ class PackedCounterArray {
   /// Reads counter `i`.
   uint64_t Get(size_t i) const;
 
+  /// True iff any of the `count` counters starting at `first` equals
+  /// `value` (value <= max_value()): the cuckoo filter's bucket test. Reads
+  /// the range in chunks of ⌊64/z⌋ counters, each one funnel-shifted load
+  /// of at most two words, and compares a whole chunk at once.
+  bool AnyEqual(size_t first, size_t count, uint64_t value) const {
+    SHBF_DCHECK(first + count <= num_counters_);
+    SHBF_DCHECK(value <= max_value_);
+    // SWAR "some lane is zero" on x = chunk ^ (value in every lane): a
+    // lane borrows out of x − ones only if it is zero, and borrows only
+    // move up, so the lowest zero lane is the lowest lane whose high bit
+    // survives (x − ones) & ~x. Lanes past the range sit above the tested
+    // ones, so dropping their high bits from the test is enough.
+    const uint64_t pattern = value * lane_ones_;
+    const uint64_t highs = lane_ones_ << (bits_per_counter_ - 1);
+    while (count > 0) {
+      const uint32_t lanes =
+          count < lanes_per_chunk_ ? static_cast<uint32_t>(count)
+                                   : lanes_per_chunk_;
+      const size_t bit = first * bits_per_counter_;
+      const uint32_t shift = bit & 63;
+      const uint64_t* w = words_data_ + (bit >> 6);
+      // w[1] is in bounds for every counter (the straddle word), and the
+      // split left shift stays defined at shift == 0.
+      const uint64_t x =
+          ((w[0] >> shift) | ((w[1] << 1) << (63 - shift))) ^ pattern;
+      const uint64_t tested =
+          highs >> ((lanes_per_chunk_ - lanes) * bits_per_counter_);
+      if (((x - lane_ones_) & ~x & tested) != 0) return true;
+      first += lanes;
+      count -= lanes;
+    }
+    return false;
+  }
+
   /// Overwrites counter `i` with `value` (value <= max_value()).
   void Set(size_t i, uint64_t value);
 
@@ -99,6 +133,10 @@ class PackedCounterArray {
   /// View() uses this to adopt foreign words.
   PackedCounterArray() = default;
 
+  /// Sets every geometry-derived field: width limits, word count and the
+  /// AnyEqual lane constants.
+  void SetGeometry(size_t num_counters, uint32_t bits_per_counter);
+
   uint64_t* mutable_words() {
     SHBF_CHECK(!is_view_) << "mutable access to a mapped counter view";
     return storage_.data();
@@ -107,6 +145,8 @@ class PackedCounterArray {
   size_t num_counters_ = 0;
   uint32_t bits_per_counter_ = 0;
   uint64_t max_value_ = 0;
+  uint32_t lanes_per_chunk_ = 0;  ///< ⌊64/z⌋ counters per AnyEqual chunk
+  uint64_t lane_ones_ = 0;        ///< a 1 in the low bit of each such lane
   uint64_t saturation_events_ = 0;
   std::vector<uint64_t> storage_;      ///< owning words; empty for views
   const uint64_t* words_data_ = nullptr;  ///< storage_.data() or the viewed span

@@ -40,12 +40,16 @@ void WriteKeyList(ByteWriter* writer, const std::vector<std::string>& keys) {
   }
 }
 
-bool ReadKeyList(ByteReader* reader, std::vector<std::string>* keys) {
-  uint64_t count = 0;
-  if (!reader->GetU64(&count)) return false;
+bool ReadKeyCount(ByteReader* reader, uint64_t* count) {
+  if (!reader->GetU64(count)) return false;
   // Each key costs at least its 4-byte length prefix, so a count beyond
   // remaining/4 is unsatisfiable.
-  if (count > reader->remaining() / 4) return false;
+  return *count <= reader->remaining() / 4;
+}
+
+bool ReadKeyList(ByteReader* reader, std::vector<std::string>* keys) {
+  uint64_t count = 0;
+  if (!ReadKeyCount(reader, &count)) return false;
   keys->clear();
   keys->reserve(count);
   for (uint64_t i = 0; i < count; ++i) {

@@ -145,6 +145,11 @@ void WriteKeyList(ByteWriter* writer, const std::vector<std::string>& keys);
 /// allocation. Returns false on any framing error.
 bool ReadKeyList(ByteReader* reader, std::vector<std::string>* keys);
 
+/// Reads just the key count that opens a WriteKeyList() record, with
+/// ReadKeyList's bound: false when the remaining input cannot hold that
+/// many keys. Lets a caller refuse a count before any key is allocated.
+bool ReadKeyCount(ByteReader* reader, uint64_t* count);
+
 /// Length-prefixed (key, u64 count) table — the multiplicity sibling of
 /// WriteKeyList/ReadKeyList.
 void WriteKeyCountList(

@@ -498,6 +498,28 @@ ShbfServer::Served* ShbfServer::ResolveFilter(ByteReader* reader,
   return it->second.get();
 }
 
+bool ShbfServer::ReadFrameKeys(ByteReader* reader, std::string_view op,
+                               std::vector<std::string>* keys,
+                               Response* error) {
+  // Judge the count before ReadKeyList reserves room for it. A count the
+  // frame cannot hold falls through to ReadKeyList's BAD_FRAME.
+  ByteReader peek = *reader;
+  uint64_t count = 0;
+  if (serde::ReadKeyCount(&peek, &count) &&
+      count > options_.max_keys_per_frame) {
+    *error = Error(wire::WireStatus::kTooLarge,
+                   std::string(op) + ": " + std::to_string(count) +
+                       " keys exceed the per-frame limit");
+    return false;
+  }
+  if (!serde::ReadKeyList(reader, keys) || !reader->AtEnd()) {
+    *error = Error(wire::WireStatus::kBadFrame,
+                   std::string(op) + ": malformed key list");
+    return false;
+  }
+  return true;
+}
+
 ShbfServer::Response ShbfServer::HandleQuery(ByteReader* reader) {
   Response error;
   Served* served = ResolveFilter(reader, &error);
@@ -508,14 +530,7 @@ ShbfServer::Response ShbfServer::HandleQuery(ByteReader* reader) {
     return Error(wire::WireStatus::kBadFrame, "QUERY: bad mode");
   }
   std::vector<std::string> keys;
-  if (!serde::ReadKeyList(reader, &keys) || !reader->AtEnd()) {
-    return Error(wire::WireStatus::kBadFrame, "QUERY: malformed key list");
-  }
-  if (keys.size() > options_.max_keys_per_frame) {
-    return Error(wire::WireStatus::kTooLarge,
-                 "QUERY: " + std::to_string(keys.size()) +
-                     " keys exceed the per-frame limit");
-  }
+  if (!ReadFrameKeys(reader, "QUERY", &keys, &error)) return error;
   const auto mode = static_cast<wire::QueryMode>(mode_byte);
   ByteWriter writer;
   writer.PutU8(mode_byte);
@@ -552,14 +567,7 @@ ShbfServer::Response ShbfServer::HandleAdd(ByteReader* reader) {
   Served* served = ResolveFilter(reader, &error);
   if (served == nullptr) return error;
   std::vector<std::string> keys;
-  if (!serde::ReadKeyList(reader, &keys) || !reader->AtEnd()) {
-    return Error(wire::WireStatus::kBadFrame, "ADD: malformed key list");
-  }
-  if (keys.size() > options_.max_keys_per_frame) {
-    return Error(wire::WireStatus::kTooLarge,
-                 "ADD: " + std::to_string(keys.size()) +
-                     " keys exceed the per-frame limit");
-  }
+  if (!ReadFrameKeys(reader, "ADD", &keys, &error)) return error;
   {
     std::unique_lock<std::shared_mutex> lock(served->mu);
     if (served->read_only) {
@@ -583,14 +591,7 @@ ShbfServer::Response ShbfServer::HandleRemove(ByteReader* reader) {
   Served* served = ResolveFilter(reader, &error);
   if (served == nullptr) return error;
   std::vector<std::string> keys;
-  if (!serde::ReadKeyList(reader, &keys) || !reader->AtEnd()) {
-    return Error(wire::WireStatus::kBadFrame, "REMOVE: malformed key list");
-  }
-  if (keys.size() > options_.max_keys_per_frame) {
-    return Error(wire::WireStatus::kTooLarge,
-                 "REMOVE: " + std::to_string(keys.size()) +
-                     " keys exceed the per-frame limit");
-  }
+  if (!ReadFrameKeys(reader, "REMOVE", &keys, &error)) return error;
   std::vector<uint8_t> removed(keys.size(), 0);
   {
     std::unique_lock<std::shared_mutex> lock(served->mu);
@@ -764,16 +765,9 @@ ShbfServer::Response ShbfServer::HandleReload(ByteReader* reader) {
 }
 
 ShbfServer::Response ShbfServer::HandleWhichSets(ByteReader* reader) {
+  Response error;
   std::vector<std::string> keys;
-  if (!serde::ReadKeyList(reader, &keys) || !reader->AtEnd()) {
-    return Error(wire::WireStatus::kBadFrame,
-                 "WHICH_SETS: malformed key list");
-  }
-  if (keys.size() > options_.max_keys_per_frame) {
-    return Error(wire::WireStatus::kTooLarge,
-                 "WHICH_SETS: " + std::to_string(keys.size()) +
-                     " keys exceed the per-frame limit");
-  }
+  if (!ReadFrameKeys(reader, "WHICH_SETS", &keys, &error)) return error;
   std::vector<SetIdBitmap> answers;
   {
     std::shared_lock<std::shared_mutex> lock(multiset_mu_);
@@ -823,16 +817,9 @@ ShbfServer::Response ShbfServer::HandleIndexAdd(ByteReader* reader) {
   if (!wire::ReadString(reader, wire::kMaxNameBytes, &name)) {
     return Error(wire::WireStatus::kBadFrame, "INDEX_ADD: malformed name");
   }
+  Response error;
   std::vector<std::string> keys;
-  if (!serde::ReadKeyList(reader, &keys) || !reader->AtEnd()) {
-    return Error(wire::WireStatus::kBadFrame,
-                 "INDEX_ADD: malformed key list");
-  }
-  if (keys.size() > options_.max_keys_per_frame) {
-    return Error(wire::WireStatus::kTooLarge,
-                 "INDEX_ADD: " + std::to_string(keys.size()) +
-                     " keys exceed the per-frame limit");
-  }
+  if (!ReadFrameKeys(reader, "INDEX_ADD", &keys, &error)) return error;
   {
     std::unique_lock<std::shared_mutex> lock(multiset_mu_);
     if (multiset_ == nullptr) {

@@ -238,6 +238,14 @@ class ShbfServer {
   /// returns nullptr with `*error` set to the ready-to-send response.
   Served* ResolveFilter(ByteReader* reader, Response* error);
 
+  /// Decodes the key list that ends a QUERY, ADD, REMOVE, WHICH_SETS or
+  /// INDEX_ADD frame (`op` names it in errors). A count the frame cannot
+  /// hold is BAD_FRAME; one above max_keys_per_frame is TOO_LARGE, refused
+  /// before any key is allocated. On failure returns false with `*error`
+  /// set to the ready-to-send response.
+  bool ReadFrameKeys(ByteReader* reader, std::string_view op,
+                     std::vector<std::string>* keys, Response* error);
+
   /// Error response; fatal statuses (wire::IsFatal) also close.
   Response Error(wire::WireStatus status, std::string_view message);
 

@@ -129,21 +129,6 @@ void ShbfM::PrepareProbe(std::string_view key, Probe* probe) const {
   }
 }
 
-void ShbfM::PrefetchProbe(const Probe& probe) const {
-  const uint32_t pairs = num_hashes_ / 2;
-  for (uint32_t i = 0; i < pairs; ++i) bits_.Prefetch(probe.bases[i]);
-}
-
-bool ShbfM::ResolveProbe(const Probe& probe) const {
-  const uint32_t pairs = num_hashes_ / 2;
-  for (uint32_t i = 0; i < pairs; ++i) {
-    if ((bits_.LoadWindow(probe.bases[i]) & probe.need) != probe.need) {
-      return false;
-    }
-  }
-  return true;
-}
-
 void ShbfM::ContainsBatch(const std::vector<std::string>& keys,
                           std::vector<uint8_t>* results) const {
   results->resize(keys.size());

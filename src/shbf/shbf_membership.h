@@ -91,10 +91,21 @@ class ShbfM {
   void PrepareProbe(std::string_view key, Probe* probe) const;
 
   /// Hints the cache to fetch every window `probe` will load.
-  void PrefetchProbe(const Probe& probe) const;
+  void PrefetchProbe(const Probe& probe) const {
+    const uint32_t pairs = num_hashes_ / 2;
+    for (uint32_t i = 0; i < pairs; ++i) bits_.Prefetch(probe.bases[i]);
+  }
 
   /// Resolves a prepared probe; identical answer to Contains(key).
-  bool ResolveProbe(const Probe& probe) const;
+  bool ResolveProbe(const Probe& probe) const {
+    const uint32_t pairs = num_hashes_ / 2;
+    for (uint32_t i = 0; i < pairs; ++i) {
+      if ((bits_.LoadWindow(probe.bases[i]) & probe.need) != probe.need) {
+        return false;
+      }
+    }
+    return true;
+  }
 
   /// The offset o(key) ∈ [1, max_offset_span − 1]; exposed for tests.
   uint64_t OffsetOf(std::string_view key) const;

@@ -2,6 +2,13 @@
 
 #include <gtest/gtest.h>
 
+#include <memory>
+#include <string>
+#include <tuple>
+#include <vector>
+
+#include "api/filter_registry.h"
+#include "engine/batch_query_engine.h"
 #include "trace/workload.h"
 
 namespace shbf {
@@ -189,6 +196,76 @@ TEST(CuckooFilterTest, FromBytesRejectsOutOfRangeVictim) {
   EXPECT_FALSE(CuckooFilter::FromBytes(blob, &restored).ok())
       << "accepted a victim index far past the bucket array";
 }
+
+// Every legal-ish corner of the bucket geometry: one to eight slots, and
+// fingerprints that pack evenly into words (4, 8, 16, 32 bits), leave slack
+// in a word (12) or straddle word boundaries (17). Each filter is filled to
+// its first insertion failure, so its victim stash is occupied.
+class CuckooGeometryTest
+    : public ::testing::TestWithParam<std::tuple<uint32_t, uint32_t>> {};
+
+TEST_P(CuckooGeometryTest, FilledToFailureAnswersMembersAndBoundsFpr) {
+  const auto [bucket_size, fingerprint_bits] = GetParam();
+  constexpr size_t kBuckets = 256;
+  FilterSpec spec;
+  spec.num_cells = kBuckets * bucket_size * fingerprint_bits;
+  spec.bucket_size = bucket_size;
+  spec.fingerprint_bits = fingerprint_bits;
+  std::unique_ptr<MembershipFilter> served;
+  ASSERT_TRUE(FilterRegistry::Global().Create("cuckoo", spec, &served).ok());
+  // The same filter natively, fed in lockstep (inserts are deterministic
+  // given the seed), so the test can see where the stash filled.
+  CuckooFilter cf({.num_buckets = kBuckets,
+                   .bucket_size = bucket_size,
+                   .fingerprint_bits = fingerprint_bits,
+                   .hash_algorithm = spec.hash_algorithm,
+                   .seed = spec.seed});
+  const size_t slots = kBuckets * bucket_size;
+  auto w = MakeMembershipWorkload(4 * slots, 20000, 131);
+  std::vector<std::string> inserted;
+  for (const auto& key : w.members) {
+    // The failing key counts as inserted: its fingerprint, or the one it
+    // displaced, now lives in the stash.
+    inserted.push_back(key);
+    served->Add(key);
+    if (!cf.Insert(key)) break;
+  }
+  ASSERT_TRUE(cf.HasVictim()) << "never filled " << slots << " slots";
+  ASSERT_EQ(served->batch_fast_path().kind, BatchFastPath::Kind::kCuckoo)
+      << "the engine would bypass the probe protocol";
+
+  BatchQueryEngine engine;
+  std::vector<uint8_t> batched;
+  engine.ContainsBatch(*served, inserted, &batched);
+  for (size_t i = 0; i < inserted.size(); ++i) {
+    ASSERT_TRUE(cf.Contains(inserted[i])) << "false negative " << i;
+    ASSERT_EQ(batched[i], 1) << "engine false negative " << i;
+  }
+
+  engine.ContainsBatch(*served, w.non_members, &batched);
+  size_t false_positives = 0;
+  for (size_t i = 0; i < w.non_members.size(); ++i) {
+    const bool hit = cf.Contains(w.non_members[i]);
+    ASSERT_EQ(batched[i], hit ? 1 : 0) << w.non_members[i];
+    false_positives += hit;
+  }
+  // Fan et al.: ε ≤ 2b/2^f at full load. Allow 2x that, plus a floor of
+  // 40 hits in 20000 queries for the widths where ε rounds to zero.
+  const double fpr =
+      static_cast<double>(false_positives) / w.non_members.size();
+  const double bound =
+      2.0 * 2.0 * bucket_size / static_cast<double>(1ull << fingerprint_bits);
+  EXPECT_LE(fpr, bound + 0.002) << "load " << cf.LoadFactor();
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    BucketsByFingerprints, CuckooGeometryTest,
+    ::testing::Combine(::testing::Values(1u, 2u, 4u, 8u),
+                       ::testing::Values(4u, 8u, 12u, 16u, 17u, 32u)),
+    [](const auto& info) {
+      return "b" + std::to_string(std::get<0>(info.param)) + "_f" +
+             std::to_string(std::get<1>(info.param));
+    });
 
 }  // namespace
 }  // namespace shbf

@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <string>
+#include <utility>
+
 #include "core/rng.h"
 
 namespace shbf {
@@ -122,6 +126,90 @@ TEST_P(PackedCounterWidthTest, IncrementMatchesShadow) {
 INSTANTIATE_TEST_SUITE_P(Widths, PackedCounterWidthTest,
                          ::testing::Values(1, 2, 3, 4, 5, 6, 7, 8, 12, 16, 17,
                                            24, 31, 32));
+
+// The per-slot loop AnyEqual replaces.
+bool AnyEqualBySlot(const PackedCounterArray& counters, size_t first,
+                    size_t count, uint64_t value) {
+  for (size_t i = first; i < first + count; ++i) {
+    if (counters.Get(i) == value) return true;
+  }
+  return false;
+}
+
+// Every width the class accepts, against the per-slot reference and on a
+// View() over the same words. Counts run past three ⌊64/z⌋-counter chunks,
+// starts cover every bit offset within a word, and the last ranges end on
+// the final counter (whose chunk reads the straddle word).
+TEST(PackedCounterArrayTest, AnyEqualMatchesPerSlotLoopAtEveryWidth) {
+  for (uint32_t bits = 1; bits <= 32; ++bits) {
+    SCOPED_TRACE("bits_per_counter " + std::to_string(bits));
+    const size_t n = 389;
+    const size_t lanes = 64 / bits;
+    PackedCounterArray counters(n, bits);
+    Rng rng(bits * 6007);
+    for (size_t i = 0; i < n; ++i) {
+      // A quarter zeros (the cuckoo empty slot), the rest anything, so
+      // ranges mix hits, misses and lanes that differ from `value` by one
+      // bit (the borrow-sensitive case).
+      if (rng.NextBelow(4) != 0) {
+        counters.Set(i, rng.NextBelow(counters.max_value() + 1));
+      }
+    }
+    const PackedCounterArray view = PackedCounterArray::View(
+        counters.words(), n, bits, counters.saturation_events());
+    size_t hits = 0;
+    size_t misses = 0;
+    for (int trial = 0; trial < 3000; ++trial) {
+      const size_t count = 1 + rng.NextBelow(std::min(n, 3 * lanes + 2));
+      const size_t first = trial % 8 == 0 ? n - count
+                                           : rng.NextBelow(n - count + 1);
+      uint64_t value;
+      switch (trial % 4) {
+        case 0:  // present in the range
+          value = counters.Get(first + rng.NextBelow(count));
+          break;
+        case 1:  // a present counter with one bit flipped
+          value = counters.Get(first + rng.NextBelow(count)) ^
+                  (1ull << rng.NextBelow(bits));
+          break;
+        case 2:
+          value = 0;
+          break;
+        default:
+          value = rng.NextBelow(counters.max_value() + 1);
+      }
+      const bool expected = AnyEqualBySlot(counters, first, count, value);
+      ASSERT_EQ(counters.AnyEqual(first, count, value), expected)
+          << "first " << first << " count " << count << " value " << value;
+      ASSERT_EQ(view.AnyEqual(first, count, value), expected)
+          << "view, first " << first << " count " << count;
+      (expected ? hits : misses) += 1;
+    }
+    EXPECT_GT(hits, 0u);
+    EXPECT_GT(misses, 0u);
+  }
+}
+
+// The lane constants travel with the array: copies and moves of owning
+// arrays and views answer like the source.
+TEST(PackedCounterArrayTest, AnyEqualSurvivesCopyAndMove) {
+  PackedCounterArray counters(40, 12);
+  counters.Set(37, 0xabc);
+  PackedCounterArray copy = counters;
+  PackedCounterArray moved = std::move(copy);
+  const PackedCounterArray view =
+      PackedCounterArray::View(counters.words(), 40, 12, 0);
+  PackedCounterArray view_copy = view;
+  PackedCounterArray assigned(1, 1);
+  assigned = view;
+  const PackedCounterArray* arrays[] = {&counters, &moved, &view, &view_copy,
+                                        &assigned};
+  for (const PackedCounterArray* array : arrays) {
+    EXPECT_TRUE(array->AnyEqual(36, 4, 0xabc));
+    EXPECT_FALSE(array->AnyEqual(36, 4, 0xabd));
+    EXPECT_FALSE(array->AnyEqual(0, 37, 0xabc));
+  }
+}
 
 }  // namespace
 }  // namespace shbf

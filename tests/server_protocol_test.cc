@@ -518,6 +518,76 @@ TEST(MultisetServerTest, WhichSetsRespectsTheKeysPerFrameLimit) {
             Status::Code::kOutOfRange);
 }
 
+// A key count over max_keys_per_frame draws TOO_LARGE, which is fatal, on
+// every opcode that carries keys. The count alone decides it: a frame that
+// could hold that many keys but whose first key is malformed still gets
+// TOO_LARGE, not the BAD_FRAME decoding the keys would find.
+TEST(MultisetServerTest, OverLimitKeyCountIsRefusedBeforeDecoding) {
+  constexpr uint64_t kLimit = 16;
+  ServerOptions options;
+  options.max_keys_per_frame = kLimit;
+  ShbfServer server(options);
+  ASSERT_TRUE(
+      server.RegisterFilter("members", BuildFilter("counting_bloom", 100))
+          .ok());
+  ASSERT_TRUE(server.ServeCatalog(BuildTestCatalog(4, 20)).ok());
+  ASSERT_TRUE(server.Start().ok());
+
+  auto head = [](wire::Opcode opcode, std::string_view name, bool mode) {
+    ByteWriter writer;
+    writer.PutU8(static_cast<uint8_t>(opcode));
+    if (!name.empty()) wire::WriteString(&writer, name);
+    if (mode) writer.PutU8(static_cast<uint8_t>(wire::QueryMode::kMembership));
+    return writer.Take();
+  };
+  const std::string heads[] = {
+      head(wire::Opcode::kQuery, "members", true),
+      head(wire::Opcode::kAdd, "members", false),
+      head(wire::Opcode::kRemove, "members", false),
+      head(wire::Opcode::kWhichSets, "", false),
+      head(wire::Opcode::kIndexAdd, "s1", false),
+  };
+  for (const std::string& prefix : heads) {
+    for (bool malformed_key : {false, true}) {
+      SCOPED_TRACE("opcode " + std::to_string(prefix[0]) +
+                   (malformed_key ? ", malformed first key" : ""));
+      ByteWriter body;
+      body.PutBytes(prefix.data(), prefix.size());
+      body.PutU64(kLimit + 1);
+      // kLimit + 1 empty keys, or the same bytes with the first length
+      // claiming more than the frame holds.
+      body.PutU32(malformed_key ? 1000 : 0);
+      for (uint64_t k = 0; k < kLimit; ++k) body.PutU32(0);
+
+      Status status;
+      const int fd = net::ConnectTcp("127.0.0.1", server.port(), &status);
+      ASSERT_GE(fd, 0) << status.ToString();
+      const std::string hello = wire::BuildHello();
+      const std::string frame = wire::Frame(body.Take());
+      std::string response;
+      ASSERT_TRUE(net::SendAll(fd, hello.data(), hello.size()));
+      ASSERT_EQ(net::ReadFrame(fd, wire::kMaxFrameBytes, &response),
+                net::FrameRead::kOk);
+      ASSERT_TRUE(net::SendAll(fd, frame.data(), frame.size()));
+      ASSERT_EQ(net::ReadFrame(fd, wire::kMaxFrameBytes, &response),
+                net::FrameRead::kOk);
+      wire::WireStatus wire_status;
+      std::string_view payload;
+      std::string message;
+      ASSERT_TRUE(
+          wire::ParseResponse(response, &wire_status, &payload, &message));
+      EXPECT_EQ(wire_status, wire::WireStatus::kTooLarge)
+          << wire::WireStatusName(wire_status) << ": " << message;
+      // Fatal: the server closed the connection after answering.
+      const std::string list = wire::BuildList();
+      net::SendAll(fd, list.data(), list.size());
+      EXPECT_NE(net::ReadFrame(fd, wire::kMaxFrameBytes, &response),
+                net::FrameRead::kOk);
+      net::CloseFd(fd);
+    }
+  }
+}
+
 TEST(MultisetServerTest, OversizedWhichSetsResponseIsRefusedNotCorrupted) {
   // The WHICH_SETS response scales with keys × MATCHING ids — heavily
   // overlapping sets make the answer far larger than the request. A frame
