@@ -1,35 +1,33 @@
 // multiset_throughput — "which of my N sets contain key k" three ways: the
-// Bloofi-style tree index vs the engine-batched linear scan vs the naive
-// per-filter virtual loop; the acceptance bench for the multiset subsystem
+// sliced index vs the engine-batched linear scan vs the naive per-filter
+// virtual loop; the acceptance bench for the multiset subsystem
 // (src/multiset/, docs/multiset.md).
 //
-// Modes over one catalog:
+// Modes, each over its own copy of one catalog (a sliced copy's sets are
+// views over its slices, which the other two modes must not time):
 //   per_filter  for every key, Contains() on every catalog filter — what a
 //               caller without the subsystem writes
 //   linear      MultiSetIndex with force_scan: every set probed, through
-//               the same shared-probe batch resolves as the tree
-//   tree        the real MultiSetIndex: summary-tree descent, scan
-//               fallback for the non-mergeable sets
+//               the same shared-probe batch resolves as the index's scan
+//   index       the real MultiSetIndex: the shbf_m sets answered from one
+//               slice, the cuckoo sets scanned
 //
-// The default catalog mixes backends (every `mixed-every`-th set is a
-// cuckoo filter — non-mergeable, scan fallback) and sizes the mergeable
-// sets sparse (64 bits/key), because a summary is the bitwise union of its
-// children: without that headroom the tree adaptively degrades to the scan
-// (the tradeoff docs/multiset.md quantifies).
+// The default catalog mixes backends: every `mixed-every`-th set is a
+// cuckoo filter, which cannot slice and stays on the scan.
 //
 // usage: bench_multiset_throughput [--sets=N] [--keys-per-set=N]
 //          [--queries=N] [--member-frac=F] [--bits-per-key=B] [--k=K]
-//          [--branching=B] [--batch=N] [--mixed-every=M] [--chunk=N]
-//          [--json=<path>] [--smoke]
+//          [--batch=N] [--mixed-every=M] [--chunk=N] [--json=<path>]
+//          [--smoke]
 //
 // --smoke shrinks the workload for CI and turns the run into a gate:
-//   * >= 64 sets over mixed mergeable/non-mergeable backends,
-//   * tree WhichSets answers bit-identical to the linear scan AND to the
+//   * >= 64 sets over mixed sliceable/scanned backends,
+//   * index WhichSets answers bit-identical to the linear scan AND to the
 //     per-filter brute-force loop for every key,
 //   * the same keys through an in-process ShbfServer's WHICH_SETS opcode
 //     (catalog shipped through its serde envelope) answer bit-identical to
-//     the local tree,
-//   * the tree beats the linear scan on the (absent-heavy) workload.
+//     the local index,
+//   * the index beats the linear scan on the (absent-heavy) workload.
 //
 // CSV on stdout: mode,sets,queries,seconds,kqps,probes,speedup_vs_linear.
 // --json=<path> additionally writes rows of
@@ -63,9 +61,8 @@ struct Config {
   double member_frac = 0.1;
   double bits_per_key = 64.0;
   uint32_t num_hashes = 4;
-  size_t branching = 8;
   size_t batch_size = 32;
-  /// Every M-th set is a cuckoo filter (non-mergeable, scan fallback);
+  /// Every M-th set is a cuckoo filter (scanned, never sliced);
   /// 0 = homogeneous.
   size_t mixed_every = 8;
   /// Keys per timed WhichSetsBatch call (the latency-sample unit).
@@ -201,7 +198,7 @@ void EmitRow(const Config& config, const char* mode, const RunResult& result,
 
 /// Ships the catalog through its serde envelope into an in-process server
 /// and replays `queries` through the WHICH_SETS opcode; every id list must
-/// match the local tree's bitmap exactly.
+/// match the local index's bitmap exactly.
 bool VerifyServerWhichSets(const std::string& catalog_blob,
                            const Config& config,
                            const std::vector<std::string>& queries,
@@ -216,7 +213,6 @@ bool VerifyServerWhichSets(const std::string& catalog_blob,
   }
   ShbfServer server;
   MultiSetIndexOptions options;
-  options.branching = config.branching;
   options.batch_size = config.batch_size;
   s = server.ServeCatalog(std::move(catalog), options);
   if (s.ok()) s = server.Start();
@@ -248,7 +244,7 @@ bool VerifyServerWhichSets(const std::string& catalog_blob,
       if (which[i] != expected[begin + i].ToIds()) {
         std::fprintf(stderr,
                      "SMOKE FAILED: server WHICH_SETS diverges from the "
-                     "local tree at key %zu\n",
+                     "local index at key %zu\n",
                      begin + i);
         return false;
       }
@@ -279,8 +275,6 @@ int Main(int argc, char** argv) {
       config.bits_per_key = std::atof(value.c_str());
     } else if (ParseFlag(argv[i], "k", &value)) {
       config.num_hashes = static_cast<uint32_t>(std::atoi(value.c_str()));
-    } else if (ParseFlag(argv[i], "branching", &value)) {
-      config.branching = std::strtoull(value.c_str(), nullptr, 0);
     } else if (ParseFlag(argv[i], "batch", &value)) {
       config.batch_size = std::strtoull(value.c_str(), nullptr, 0);
     } else if (ParseFlag(argv[i], "mixed-every", &value)) {
@@ -294,14 +288,14 @@ int Main(int argc, char** argv) {
           stderr,
           "usage: bench_multiset_throughput [--sets=N] [--keys-per-set=N] "
           "[--queries=N] [--member-frac=F] [--bits-per-key=B] [--k=K] "
-          "[--branching=B] [--batch=N] [--mixed-every=M] [--chunk=N] "
-          "[--json=<path>] [--smoke]\n");
+          "[--batch=N] [--mixed-every=M] [--chunk=N] [--json=<path>] "
+          "[--smoke]\n");
       return 2;
     }
   }
   if (config.smoke) {
     // Small enough for sanitizer CI, large enough for the acceptance
-    // floor: >= 64 mixed sets, tree wins on the absent-heavy stream.
+    // floor: >= 64 mixed sets, the index wins on the absent-heavy stream.
     config.sets = 64;
     config.keys_per_set = 250;
     config.queries = 8000;
@@ -324,31 +318,42 @@ int Main(int argc, char** argv) {
     std::fprintf(stderr, "error: %s\n", s.ToString().c_str());
     return 1;
   }
+  const std::string blob = catalog.Serialize();
+  SetCatalog linear_catalog;
+  SetCatalog per_filter_catalog;
+  s = SetCatalog::Deserialize(blob, FilterRegistry::Global(), &linear_catalog);
+  if (s.ok()) {
+    s = SetCatalog::Deserialize(blob, FilterRegistry::Global(),
+                                &per_filter_catalog);
+  }
+  if (!s.ok()) {
+    std::fprintf(stderr, "error: catalog copy: %s\n", s.ToString().c_str());
+    return 1;
+  }
   const std::vector<std::string> queries = MakeQueries(config);
 
-  MultiSetIndexOptions tree_options;
-  tree_options.branching = config.branching;
-  tree_options.batch_size = config.batch_size;
-  std::unique_ptr<MultiSetIndex> tree;
-  s = MultiSetIndex::Build(&catalog, tree_options, &tree);
+  MultiSetIndexOptions index_options;
+  index_options.batch_size = config.batch_size;
+  std::unique_ptr<MultiSetIndex> index;
+  s = MultiSetIndex::Build(&catalog, index_options, &index);
   if (!s.ok()) {
     std::fprintf(stderr, "error: %s\n", s.ToString().c_str());
     return 1;
   }
-  MultiSetIndexOptions scan_options = tree_options;
+  MultiSetIndexOptions scan_options = index_options;
   scan_options.force_scan = true;
   std::unique_ptr<MultiSetIndex> linear;
-  s = MultiSetIndex::Build(&catalog, scan_options, &linear);
+  s = MultiSetIndex::Build(&linear_catalog, scan_options, &linear);
   if (!s.ok()) {
     std::fprintf(stderr, "error: %s\n", s.ToString().c_str());
     return 1;
   }
-  const MultiSetIndex::Stats shape = tree->stats();
+  const MultiSetIndex::Stats shape = index->stats();
   std::fprintf(stderr,
-               "# %zu sets (%zu tree leaves, %zu scan leaves), %zu summary "
-               "node(s), %zu tree root(s), %zu level(s)\n",
-               shape.sets, shape.tree_leaves, shape.scan_leaves,
-               shape.summary_nodes, shape.trees, shape.levels);
+               "# %zu sets: %zu slice(s) of %zu sliced set(s), %zu scan "
+               "set(s), %zu index bytes\n",
+               shape.sets, shape.slices, shape.sliced_sets, shape.scan_sets,
+               shape.memory_bytes);
 
   std::printf("mode,sets,queries,seconds,kqps,probes,speedup_vs_linear\n");
   JsonReport report("multiset_throughput");
@@ -357,15 +362,16 @@ int Main(int argc, char** argv) {
   {
     std::vector<SetIdBitmap> warm;
     std::vector<std::string> warm_keys = {queries.front()};
-    tree->WhichSetsBatch(warm_keys, &warm);
+    index->WhichSetsBatch(warm_keys, &warm);
     linear->WhichSetsBatch(warm_keys, &warm);
   }
-  RunResult per_filter = RunPerFilter(catalog, queries, config.chunk);
+  RunResult per_filter =
+      RunPerFilter(per_filter_catalog, queries, config.chunk);
   RunResult linear_result = RunIndex(*linear, queries, config.chunk);
-  RunResult tree_result = RunIndex(*tree, queries, config.chunk);
+  RunResult index_result = RunIndex(*index, queries, config.chunk);
   EmitRow(config, "per_filter", per_filter, linear_result.seconds, &report);
   EmitRow(config, "linear", linear_result, linear_result.seconds, &report);
-  EmitRow(config, "tree", tree_result, linear_result.seconds, &report);
+  EmitRow(config, "index", index_result, linear_result.seconds, &report);
 
   s = report.WriteToFile(config.json_path);
   if (!s.ok()) {
@@ -378,31 +384,30 @@ int Main(int argc, char** argv) {
   // ---- smoke gates -------------------------------------------------------
   bool ok = true;
   for (size_t q = 0; q < queries.size(); ++q) {
-    if (tree_result.answers[q] != linear_result.answers[q] ||
-        tree_result.answers[q] != per_filter.answers[q]) {
+    if (index_result.answers[q] != linear_result.answers[q] ||
+        index_result.answers[q] != per_filter.answers[q]) {
       std::fprintf(stderr,
-                   "SMOKE FAILED: tree/linear/per_filter answers diverge "
+                   "SMOKE FAILED: index/linear/per_filter answers diverge "
                    "at key %zu\n",
                    q);
       ok = false;
       break;
     }
   }
-  if (ok && shape.scan_leaves == 0) {
+  if (ok && (shape.scan_sets == 0 || shape.slices == 0)) {
     std::fprintf(stderr, "SMOKE FAILED: the mixed workload must exercise "
-                         "the scan fallback\n");
+                         "both a slice and the scan\n");
     ok = false;
   }
-  if (ok &&
-      !VerifyServerWhichSets(catalog.Serialize(), config, queries,
-                             tree_result.answers)) {
+  if (ok && !VerifyServerWhichSets(blob, config, queries,
+                                   index_result.answers)) {
     ok = false;
   }
-  if (ok && tree_result.seconds >= linear_result.seconds) {
+  if (ok && index_result.seconds >= linear_result.seconds) {
     std::fprintf(stderr,
-                 "SMOKE FAILED: tree (%.4fs) must beat the linear scan "
+                 "SMOKE FAILED: the index (%.4fs) must beat the linear scan "
                  "(%.4fs) on the default workload\n",
-                 tree_result.seconds, linear_result.seconds);
+                 index_result.seconds, linear_result.seconds);
     ok = false;
   }
   if (ok) std::printf("# smoke OK\n");

@@ -98,6 +98,21 @@ MembershipFilter* SetCatalog::MutableFilter(uint32_t id) {
   return it == by_id_.end() ? nullptr : it->second.filter.get();
 }
 
+Status SetCatalog::ReplaceFilter(uint32_t id,
+                                 std::unique_ptr<MembershipFilter> filter) {
+  auto it = by_id_.find(id);
+  if (it == by_id_.end()) {
+    return Status::NotFound("SetCatalog: no set with id " +
+                            std::to_string(id));
+  }
+  if (filter == nullptr) {
+    return Status::InvalidArgument("SetCatalog: null filter for set '" +
+                                   it->second.name + "'");
+  }
+  it->second.filter = std::move(filter);
+  return Status::Ok();
+}
+
 std::vector<const SetCatalog::SetEntry*> SetCatalog::Entries() const {
   std::vector<const SetEntry*> entries;
   entries.reserve(by_id_.size());

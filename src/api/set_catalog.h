@@ -69,6 +69,11 @@ class SetCatalog {
   /// dead id.
   MembershipFilter* MutableFilter(uint32_t id);
 
+  /// Swaps set `id`'s filter for `filter` (same id, same name) and frees the
+  /// old one. MultiSetIndex::Build uses it to hand a sliced set's bits to
+  /// its slice. Fails on a dead id or a null filter.
+  Status ReplaceFilter(uint32_t id, std::unique_ptr<MembershipFilter> filter);
+
   size_t size() const { return by_id_.size(); }
   bool empty() const { return by_id_.empty(); }
 

@@ -294,8 +294,8 @@ Status ShbfClient::MultisetList(MultisetInfo* info) {
   ByteReader reader(payload);
   uint32_t count = 0;
   MultisetInfo parsed;
-  if (!reader.GetU32(&count) || !reader.GetU32(&parsed.trees) ||
-      !reader.GetU32(&parsed.scan_leaves) || !reader.GetU32(&parsed.levels) ||
+  if (!reader.GetU32(&count) || !reader.GetU32(&parsed.slices) ||
+      !reader.GetU32(&parsed.scan_sets) || !reader.GetU32(&parsed.levels) ||
       !reader.GetU64(&parsed.summary_memory_bytes)) {
     return Status::Internal("malformed MULTISET_LIST response");
   }

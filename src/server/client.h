@@ -80,7 +80,7 @@ class ShbfClient {
                    std::vector<std::vector<uint32_t>>* results);
 
   /// Adds keys to catalog set `set`; the server maintains the index
-  /// incrementally (leaf + every summary on its root path).
+  /// incrementally (a sliced set's bits are set in its slice).
   Status IndexAdd(std::string_view set, const std::vector<std::string>& keys,
                   uint64_t* added = nullptr);
 
@@ -97,10 +97,10 @@ class ShbfClient {
       uint64_t elements = 0;
     };
     std::vector<Set> sets;
-    uint32_t trees = 0;        ///< summary-tree roots probed per query
-    uint32_t scan_leaves = 0;  ///< sets probed brute-force
-    uint32_t levels = 0;       ///< deepest tree
-    uint64_t summary_memory_bytes = 0;
+    uint32_t slices = 0;     ///< slices probed per query (wire: `trees`)
+    uint32_t scan_sets = 0;  ///< sets probed one by one
+    uint32_t levels = 0;     ///< always 1: the index is flat
+    uint64_t summary_memory_bytes = 0;  ///< the index's slices and templates
   };
 
   Status MultisetList(MultisetInfo* info);

@@ -887,11 +887,13 @@ ShbfServer::Response ShbfServer::HandleMultisetList() {
                    "MULTISET_LIST: no multiset catalog is served");
     }
     const MultiSetIndex::Stats stats = multiset_->stats();
+    // The v3 layout, whose tree fields now carry the flat index: `trees`
+    // the slice count, `levels` always 1.
     writer.PutU32(static_cast<uint32_t>(catalog_.size()));
-    writer.PutU32(static_cast<uint32_t>(stats.trees));
-    writer.PutU32(static_cast<uint32_t>(stats.scan_leaves));
-    writer.PutU32(static_cast<uint32_t>(stats.levels));
-    writer.PutU64(stats.summary_memory_bytes);
+    writer.PutU32(static_cast<uint32_t>(stats.slices));
+    writer.PutU32(static_cast<uint32_t>(stats.scan_sets));
+    writer.PutU32(1);
+    writer.PutU64(stats.memory_bytes);
     for (const SetCatalog::SetEntry* entry : catalog_.Entries()) {
       writer.PutU32(entry->id);
       wire::WriteString(&writer, entry->name);

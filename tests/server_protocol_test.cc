@@ -414,10 +414,10 @@ TEST_F(ServerProtocolTest, MultisetOpcodesWithoutCatalogAreUnsupported) {
   ExpectServerAlive();
 }
 
-/// Builds the deterministic multiset catalog the wire tests serve: sparse
-/// shbf_m sets (tree-indexable) with every 8th set a cuckoo (scan
-/// fallback). Construction is seed-stable, so building it twice yields
-/// bit-identical filters — the local copy is the brute-force reference.
+/// Builds the deterministic multiset catalog the wire tests serve: shbf_m
+/// sets of one geometry (one slice) with every 8th set a cuckoo (scanned).
+/// Construction is seed-stable, so building it twice yields bit-identical
+/// filters — the local copy is the brute-force reference.
 SetCatalog BuildTestCatalog(size_t num_sets, size_t keys_per_set) {
   SetCatalog catalog;
   for (size_t i = 0; i < num_sets; ++i) {
@@ -463,8 +463,9 @@ TEST(MultisetServerTest, WhichSetsBitIdenticalToLocalBruteForce) {
   ShbfClient::MultisetInfo info;
   ASSERT_TRUE(client.MultisetList(&info).ok());
   EXPECT_EQ(info.sets.size(), 24u);
-  EXPECT_EQ(info.scan_leaves, 3u);  // the cuckoo sets
-  EXPECT_GT(info.trees, 0u);
+  EXPECT_EQ(info.slices, 1u);     // the 21 shbf_m sets
+  EXPECT_EQ(info.scan_sets, 3u);  // the cuckoo sets
+  EXPECT_EQ(info.levels, 1u);
   EXPECT_GT(info.summary_memory_bytes, 0u);
   EXPECT_EQ(info.sets[0].name, "s0");
   EXPECT_EQ(info.sets[0].elements, 60u);
@@ -478,7 +479,7 @@ TEST(MultisetServerTest, IndexAddAndDropMaintainTheIndexIncrementally) {
   ASSERT_TRUE(client.Connect("127.0.0.1", server.port()).ok());
 
   // Incremental adds are visible to the very next WHICH_SETS, through the
-  // summaries (s2 is a tree leaf) and on the scan path (s7 is a cuckoo).
+  // slice (s2 is sliced) and on the scan path (s7 is a cuckoo).
   uint64_t added = 0;
   ASSERT_TRUE(client.IndexAdd("s2", {"fresh-a", "fresh-b"}, &added).ok());
   EXPECT_EQ(added, 2u);
@@ -503,6 +504,8 @@ TEST(MultisetServerTest, IndexAddAndDropMaintainTheIndexIncrementally) {
   ShbfClient::MultisetInfo info;
   ASSERT_TRUE(client.MultisetList(&info).ok());
   EXPECT_EQ(info.sets.size(), 15u);
+  EXPECT_EQ(info.slices, 1u);
+  EXPECT_EQ(info.scan_sets, 2u);
 }
 
 TEST(MultisetServerTest, WhichSetsRespectsTheKeysPerFrameLimit) {

@@ -26,8 +26,8 @@
 //   shbf_cli multiset stats <catalog.shbc>
 //       the multi-set subsystem (docs/multiset.md): build a SetCatalog of
 //       named sets, answer "which sets contain key k" through the
-//       Bloofi-style MultiSetIndex (or the brute-force scan with --scan),
-//       and inspect a catalog's index shape.
+//       MultiSetIndex (or the brute-force scan with --scan), and inspect a
+//       catalog's index shape.
 //   shbf_cli remote <host:port> <op> ...
 //       drives a running shbf_server over the wire protocol
 //       (docs/serving.md): list, stats, query (--count), add, remove,
@@ -90,9 +90,8 @@ void PrintUsage(std::FILE* out) {
       "  shbf_cli multiset build <catalog.shbc> <set>=<keys.txt> ...\n"
       "                 [--filter=shbf_m] [--bits-per-key=64] [--k=4] "
       "[--seed=N]\n"
-      "  shbf_cli multiset query <catalog.shbc> <keys.txt> [--scan] "
-      "[--branching=8]\n"
-      "  shbf_cli multiset stats <catalog.shbc> [--branching=8]\n"
+      "  shbf_cli multiset query <catalog.shbc> <keys.txt> [--scan]\n"
+      "  shbf_cli multiset stats <catalog.shbc>\n"
       "  shbf_cli remote <host:port> list\n"
       "  shbf_cli remote <host:port> stats <name>\n"
       "  shbf_cli remote <host:port> query <name> <keys.txt> [--count]\n"
@@ -449,13 +448,11 @@ int Bench(const BenchOptions& options) {
 
 struct MultisetOptions {
   std::string filter_name = "shbf_m";
-  // Indexable catalogs are built SPARSE by default: summary nodes are
-  // bitwise unions of their children, so leaves need headroom before the
-  // tree can prune (docs/multiset.md, "tree vs scan").
+  // Bits per key trade each set's FPR against memory (docs/multiset.md,
+  // "Sizing"); each set is sized from its own key count.
   double bits_per_key = 64.0;
   uint32_t num_hashes = 4;
   uint64_t seed = kDefaultSeed;
-  size_t branching = 8;
   bool scan = false;
 };
 
@@ -521,7 +518,6 @@ Status LoadCatalogAndIndex(const std::string& catalog_path,
   s = SetCatalog::Deserialize(blob, FilterRegistry::Global(), catalog);
   if (!s.ok()) return s;
   MultiSetIndexOptions index_options;
-  index_options.branching = options.branching;
   index_options.force_scan = options.scan;
   return MultiSetIndex::Build(catalog, index_options, index);
 }
@@ -557,11 +553,13 @@ int MultisetQuery(const std::string& catalog_path,
   }
   const MultiSetIndex::Stats stats = index->stats();
   std::fprintf(stderr,
-               "%zu/%zu keys in >= 1 set; %llu filter probes over %zu sets "
-               "(%s mode)\n",
+               "%zu/%zu keys in >= 1 set; %llu probes over %zu sets: "
+               "%zu slice(s) of %zu sliced set(s), %zu scan set(s), "
+               "%zu index bytes\n",
                hits, keys.size(),
                static_cast<unsigned long long>(stats.probes), stats.sets,
-               options.scan ? "scan" : "tree");
+               stats.slices, stats.sliced_sets, stats.scan_sets,
+               stats.memory_bytes);
   return 0;
 }
 
@@ -578,13 +576,12 @@ int MultisetStats(const std::string& catalog_path,
   std::printf("catalog:          %s\n", catalog_path.c_str());
   std::printf("sets:             %zu (id bound %u)\n", catalog.size(),
               catalog.id_bound());
-  std::printf("member memory:    %zu bytes\n", catalog.memory_bytes());
-  std::printf("tree leaves:      %zu\n", stats.tree_leaves);
-  std::printf("scan leaves:      %zu\n", stats.scan_leaves);
-  std::printf("summary nodes:    %zu (%zu bytes)\n", stats.summary_nodes,
-              stats.summary_memory_bytes);
-  std::printf("trees (roots):    %zu, deepest %zu level(s)\n", stats.trees,
-              stats.levels);
+  std::printf("slices:           %zu\n", stats.slices);
+  std::printf("sliced sets:      %zu\n", stats.sliced_sets);
+  std::printf("scan sets:        %zu\n", stats.scan_sets);
+  std::printf("index memory:     %zu bytes (slices + probe templates)\n",
+              stats.memory_bytes);
+  std::printf("scan set memory:  %zu bytes\n", catalog.memory_bytes());
   std::printf("%-4s %-24s %-18s %-17s %s\n", "id", "set", "filter",
               "capabilities", "elements");
   for (const SetCatalog::SetEntry* entry : catalog.Entries()) {
@@ -619,8 +616,6 @@ int Multiset(int argc, char** argv) {
       options.num_hashes = static_cast<uint32_t>(std::atoi(value.c_str()));
     } else if (ParseFlag(argv[i], "seed", &value)) {
       options.seed = std::strtoull(value.c_str(), nullptr, 0);
-    } else if (ParseFlag(argv[i], "branching", &value)) {
-      options.branching = std::strtoull(value.c_str(), nullptr, 0);
     } else if (argv[i][0] == '-') {
       std::fprintf(stderr, "error: unknown flag %s\n", argv[i]);
       return Usage();
@@ -887,10 +882,11 @@ int Remote(int argc, char** argv) {
       std::fprintf(stderr, "error: %s\n", s.ToString().c_str());
       return 1;
     }
-    std::printf("%s: %zu set(s), %u tree root(s), %u scan leaf(s), "
-                "%u level(s), %llu summary bytes\n",
-                client.server_version().c_str(), info.sets.size(), info.trees,
-                info.scan_leaves, info.levels,
+    std::printf("%s: %zu set(s): %u slice(s) of %zu sliced set(s), "
+                "%u scan set(s), %llu index bytes\n",
+                client.server_version().c_str(), info.sets.size(),
+                info.slices, info.sets.size() - info.scan_sets,
+                info.scan_sets,
                 static_cast<unsigned long long>(info.summary_memory_bytes));
     for (const auto& set : info.sets) {
       std::printf("%-4u %-24s %-18s %12llu elements\n", set.id,

@@ -86,8 +86,6 @@ void PrintUsage(std::FILE* out) {
       "                      these sets contain key k\", INDEX_ADD /\n"
       "                      INDEX_DROP maintain it (docs/multiset.md;\n"
       "                      build the blob with shbf_cli multiset build)\n"
-      "  --branching=N       children per multiset summary node "
-      "(default 8)\n"
       "  --metrics-dump=PATH[,SECONDS]\n"
       "                      write the metrics snapshot (the METRICS opcode\n"
       "                      payload, docs/observability.md) as JSON to PATH\n"
@@ -246,7 +244,6 @@ int Main(int argc, char** argv) {
   std::vector<std::pair<std::string, std::string>> loads;   // name, path
   std::vector<std::string> builds;                          // raw --build args
   std::string catalog_path;
-  MultiSetIndexOptions index_options;
   for (int i = 1; i < argc; ++i) {
     std::string value;
     if (std::strcmp(argv[i], "--help") == 0 ||
@@ -288,8 +285,6 @@ int Main(int argc, char** argv) {
         return 2;
       }
       catalog_path = value;
-    } else if (ParseFlag(argv[i], "branching", &value)) {
-      index_options.branching = std::strtoull(value.c_str(), nullptr, 0);
     } else if (ParseFlag(argv[i], "metrics-dump", &value)) {
       const size_t comma = value.find(',');
       metrics_dump_path = value.substr(0, comma);
@@ -349,7 +344,7 @@ int Main(int argc, char** argv) {
   }
 
   if (!catalog_path.empty()) {
-    Status s = server.LoadCatalog(catalog_path, index_options);
+    Status s = server.LoadCatalog(catalog_path);
     if (!s.ok()) {
       std::fprintf(stderr, "error: --catalog=%s: %s\n", catalog_path.c_str(),
                    s.ToString().c_str());
