@@ -2,16 +2,13 @@
 // membership throughput (Mops/s), the acceptance bench for the batched
 // query engine (docs/benchmarks.md describes the output).
 //
-// Four modes per filter:
-//   per_key        one virtual Contains call per key — what registry-driven
-//                  code did before the engine existed
-//   batched        BatchQueryEngine::ContainsBatch — hash pre-compute +
-//                  software prefetch + two-pass resolve, SIMD kernels at
-//                  whatever level the hardware offers
-//   batched_scalar the same engine path with simd::ForceScalar(true) — the
-//                  SIMD contribution isolated from the batching one
-//   sharded_mt     a shards-way ShardedMembershipFilter queried from
-//                  `threads` threads, each batching its slice
+// Three modes per filter:
+//   per_key     one virtual Contains call per key — what registry-driven
+//               code did before the engine existed
+//   batched     BatchQueryEngine::ContainsBatch — hash pre-compute +
+//               software prefetch + two-pass resolve
+//   sharded_mt  a shards-way ShardedMembershipFilter queried from
+//               `threads` threads, each batching its slice
 //
 // After the throughput modes, each split-block variant's FPR is measured
 // against its unblocked base at equal bits/key (fpr rows), and two
@@ -32,7 +29,7 @@
 // past L2 so the memory-level parallelism the engine extracts is visible;
 // --smoke shrinks everything for CI, widens the sweep to EVERY registered
 // filter, and verifies the batched answers against the per-key path
-// (under both SIMD and forced-scalar dispatch) instead of chasing Mops.
+// instead of chasing Mops.
 //
 // CSV on stdout: filter,mode,threads,batch_size,keys,seconds,mops,speedup.
 // --json=<path> writes machine-readable rows (workload, keys/s, p50/p99
@@ -52,7 +49,6 @@
 #include "api/filter_registry.h"
 #include "bench_util/json_report.h"
 #include "bench_util/timer.h"
-#include "core/cpu_features.h"
 #include "engine/batch_query_engine.h"
 #include "engine/sharded_filter.h"
 
@@ -216,43 +212,6 @@ bool RunFilter(const std::string& name, const Config& config,
         return false;
       }
     }
-  }
-
-  // -- batched_scalar: the same engine path with the SIMD kernels demoted,
-  // so the batched/batched_scalar gap isolates the vector contribution ----
-  simd::ForceScalar(true);
-  double scalar_seconds = 0;
-  LatencyRecorder scalar_latencies;
-  std::vector<uint8_t> scalar_results;
-  scalar_results.reserve(query_keys.size());
-  for (int rep = 0; rep < reps; ++rep) {
-    WallTimer rep_timer;
-    LatencyRecorder rep_latencies;
-    scalar_results.clear();
-    for (const auto& slice : slices_by_chunk) {
-      WallTimer chunk_timer;
-      engine.ContainsBatch(*filter, slice, &slice_results);
-      rep_latencies.Record(chunk_timer.ElapsedSeconds());
-      scalar_results.insert(scalar_results.end(), slice_results.begin(),
-                            slice_results.end());
-    }
-    const double rep_seconds = rep_timer.ElapsedSeconds();
-    if (rep == 0 || rep_seconds < scalar_seconds) {
-      scalar_seconds = rep_seconds;
-      scalar_latencies = rep_latencies;
-    }
-  }
-  simd::ForceScalar(false);
-  EmitRow(name, "batched_scalar", 1, config.batch_size, query_keys.size(),
-          scalar_seconds, per_key_mops, config, scalar_latencies, report);
-  // SIMD is an execution strategy, never a semantic change: the scalar
-  // demotion must reproduce the batched answers bit for bit, every run.
-  if (scalar_results != results) {
-    std::fprintf(stderr,
-                 "GATE FAILED (%s): scalar and SIMD batched answers "
-                 "diverge\n",
-                 name.c_str());
-    return false;
   }
 
   // -- sharded_mt: concurrent batched queries on the sharded wrapper ------
@@ -484,8 +443,8 @@ int Main(int argc, char** argv) {
   // Speed gates: at gate scale (>= 1M queries against >= 8 MB of filter,
   // where memory stalls dominate), the split-block layout must pay for
   // itself against the plain shbf_m fast path, both batched (1.35x: one
-  // line fetch and one vector compare per key against k/2 windows spread
-  // over the array) and per key (strictly faster — baking the mask at
+  // line fetch and one block subset test per key against k/2 windows
+  // spread over the array) and per key (strictly faster — baking the mask at
   // probe time is what makes even the unbatched query cheap).
   if (!config.no_speed_gate && has("shbf_m") && has("split_block_shbf_m")) {
     const FilterRun& plain = runs["shbf_m"];

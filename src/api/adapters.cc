@@ -1178,13 +1178,13 @@ Status RegisterAll(FilterRegistry* r) {
 
   // split_block_bloom: each of the k probes owns one sub_block_bits-wide
   // sub-word; block_bits is sized to k * sub_block_bits (clamped to one
-  // cache line, rounded to whole words) so no sub-word goes unused and the
-  // probe mask builds in one variable-shift vector op.
+  // cache line, rounded to whole words) so no sub-word goes unused and a
+  // query reads one block.
   s = r->Register(
       {.name = "split_block_bloom",
        .family = FilterFamily::kMembership,
        .description =
-           "split-block Bloom filter (Boost.Bloom multiblock; one vector op "
+           "split-block Bloom filter (Boost.Bloom multiblock; one block read "
            "per key)",
        .capabilities = kIncrementalAdd | kMergeable,
        .factory =
@@ -1264,7 +1264,7 @@ Status RegisterAll(FilterRegistry* r) {
        .family = FilterFamily::kMembership,
        .description =
            "split-block shifting Bloom filter, membership (paper §3 + "
-           "multiblock layout; one vector op per key)",
+           "multiblock layout; one block read per key)",
        .capabilities = kIncrementalAdd | kMergeable,
        .factory =
            [](const FilterSpec& spec, std::unique_ptr<MembershipFilter>* out) {

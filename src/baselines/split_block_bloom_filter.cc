@@ -5,7 +5,6 @@
 
 #include "core/bits.h"
 #include "core/rng.h"
-#include "core/simd.h"
 
 namespace shbf {
 
@@ -27,7 +26,7 @@ Status SplitBlockBloomFilter::Params::Validate() const {
   if (sub_block_bits < 8 || sub_block_bits > 64 ||
       !IsPowerOfTwo(sub_block_bits)) {
     // Powers of two <= 64 divide 64, so a sub-word never straddles a word —
-    // the invariant MaskFromShifts relies on.
+    // the invariant the one-shift-per-probe mask build relies on.
     return Status::InvalidArgument(
         "SplitBlockBloomFilter: sub_block_bits must be a power of two in "
         "[8, 64]");
@@ -83,14 +82,13 @@ void SplitBlockBloomFilter::BuildLayout() {
 // positions from disjoint 6-bit fields of h2 (low 60 bits), with extra
 // position words derived by PARALLEL Mix64 calls when k > 10. Nothing here
 // chains — an earlier derivation built the positions from a serial
-// SplitMix64 stream plus a per-key MaskFromShifts kernel call, and that
-// latency chain (plus per-key vector dispatch) made the split per-key
-// query measurably SLOWER than the blocked layout it replaced. The
-// block prefetch is issued as soon as the block index exists, so the
-// position math runs inside the line fetch.
-void SplitBlockBloomFilter::DeriveLanes(const void* data, size_t len,
+// SplitMix64 stream, and that latency chain made the split per-key query
+// measurably SLOWER than the blocked layout it replaced. The block
+// prefetch is issued as soon as the block index exists, so the position
+// math and the k independent shift/ORs run inside the line fetch.
+void SplitBlockBloomFilter::DeriveProbe(const void* data, size_t len,
                                         size_t* block_word,
-                                        uint64_t* shifts) const {
+                                        uint64_t* mask) const {
   const auto [h1, h2] = family_.HashPair(0, data, len);
   *block_word = FastRange64(h1, num_blocks_) * (block_bits_ / 64);
   bits_.Prefetch(*block_word * 64);
@@ -99,44 +97,12 @@ void SplitBlockBloomFilter::DeriveLanes(const void* data, size_t len,
   for (uint32_t j = 1; j < num_rot_words_; ++j) {
     pool[j] = Mix64(h1 + 0x9e3779b97f4a7c15ull * j);
   }
+  std::fill(mask, mask + block_bits_ / 64, 0);
   const uint64_t sub_mask = sub_block_bits_ - 1;
   for (uint32_t i = 0; i < num_hashes_; ++i) {
     const uint64_t pos = (pool[rot_word_[i]] >> rot_shift_[i]) & sub_mask;
-    shifts[i] = base_shift_[i] + pos;
+    mask[word_of_[i]] |= uint64_t{1} << (base_shift_[i] + pos);
   }
-}
-
-void SplitBlockBloomFilter::DeriveProbe(const void* data, size_t len,
-                                        size_t* block_word,
-                                        uint64_t* mask) const {
-  uint64_t shifts[kMaxBatchHashes];
-  DeriveLanes(data, len, block_word, shifts);
-  const uint32_t words = block_bits_ / 64;
-  std::fill(mask, mask + words, 0);
-  // Scalar on purpose: k independent shift/ORs pipeline fully, and a
-  // per-key kernel call would pay more in dispatch than the vector shift
-  // saves at this width. The engine's group path (PrepareShiftLanes) is
-  // where MaskFromShifts earns its keep, on whole-group lane arrays.
-  for (uint32_t i = 0; i < num_hashes_; ++i) {
-    mask[word_of_[i]] |= uint64_t{1} << shifts[i];
-  }
-}
-
-void SplitBlockBloomFilter::PrepareShiftLanes(std::string_view key,
-                                              size_t* block_word,
-                                              uint64_t* shifts) const {
-  DeriveLanes(key.data(), key.size(), block_word, shifts);
-}
-
-bool SplitBlockBloomFilter::ResolveLanes(size_t block_word,
-                                         const uint64_t* bit_words) const {
-  uint64_t mask[kMaxBlockWords];
-  const uint32_t words = block_bits_ / 64;
-  std::fill(mask, mask + words, 0);
-  for (uint32_t i = 0; i < num_hashes_; ++i) {
-    mask[word_of_[i]] |= bit_words[i];
-  }
-  return simd::BlockSubsetTest(bits_.data() + block_word * 8, mask, words);
 }
 
 void SplitBlockBloomFilter::Add(const void* data, size_t len) {
@@ -158,8 +124,8 @@ bool SplitBlockBloomFilter::Contains(const void* data, size_t len) const {
   uint64_t mask[kMaxBlockWords];
   size_t block_word;
   DeriveProbe(data, len, &block_word, mask);
-  return simd::BlockSubsetTest(bits_.data() + block_word * 8, mask,
-                               block_bits_ / 64);
+  return BlockSubsetTest(bits_.data() + block_word * 8, mask,
+                         block_bits_ / 64);
 }
 
 bool SplitBlockBloomFilter::ContainsWithStats(std::string_view key,
@@ -178,13 +144,9 @@ void SplitBlockBloomFilter::PrepareProbe(std::string_view key,
   DeriveProbe(key.data(), key.size(), &probe->block_word, probe->mask);
 }
 
-void SplitBlockBloomFilter::PrefetchProbe(const Probe& probe) const {
-  bits_.Prefetch(probe.block_word * 64);
-}
-
 bool SplitBlockBloomFilter::ResolveProbe(const Probe& probe) const {
-  return simd::BlockSubsetTest(bits_.data() + probe.block_word * 8,
-                               probe.mask, block_bits_ / 64);
+  return BlockSubsetTest(bits_.data() + probe.block_word * 8, probe.mask,
+                         block_bits_ / 64);
 }
 
 void SplitBlockBloomFilter::ContainsBatch(
@@ -198,7 +160,6 @@ void SplitBlockBloomFilter::ContainsBatch(
     const size_t group = std::min(kGroup, keys.size() - start);
     for (size_t g = 0; g < group; ++g) {
       PrepareProbe(keys[start + g], &probes[g]);
-      PrefetchProbe(probes[g]);
     }
     for (size_t g = 0; g < group; ++g) {
       (*results)[start + g] = ResolveProbe(probes[g]) ? 1 : 0;

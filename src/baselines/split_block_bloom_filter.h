@@ -1,5 +1,5 @@
 // Split-block Bloom filter (cf. Boost.Bloom's multiblock<> subfilters) —
-// the one-vector-op-per-key membership baseline.
+// the one-block-read-per-key membership baseline.
 //
 // A blocked Bloom filter (Putze/Sanders/Singler) confines a key's k probes
 // to one cache-line block, but derives each probe position with a serial
@@ -16,14 +16,11 @@
 //   * the k in-sub-word positions are disjoint 6-bit FIELDS of h2 (plus
 //     parallel Mix64 words when k > 10) — no serial SplitMix64 chain, every
 //     position extracts independently;
-//   * per key the mask is k independent shift/ORs (the compiler's ILP
-//     covers them inside the block fetch latency); across a batch the
-//     engine concatenates every key's shift lanes and builds ALL masks of a
-//     group with ONE simd::MaskFromShifts call (AVX2 `vpsllvq` / NEON
-//     `vshlq` / AVX-512 zmm) — see PrepareShiftLanes/ResolveLanes.
+//   * the mask is k independent shift/ORs (the compiler's ILP covers them
+//     inside the block fetch latency).
 //
-// The resolve is one whole-block subset test (simd::BlockSubsetTest; one
-// 512-bit op on AVX-512F).
+// The resolve is one whole-block subset test (BlockSubsetTest,
+// core/bits.h).
 //
 // Geometry: sub_block_bits ∈ {8, 16, 32, 64} (powers of two dividing 64,
 // so a sub-word never straddles a 64-bit word), block_bits a multiple of
@@ -93,7 +90,7 @@ class SplitBlockBloomFilter {
   bool Contains(const void* data, size_t len) const;
 
   /// Query under the paper's cost model: the whole block is one memory
-  /// access; two hash computations.
+  /// access; one hash computation (the single HashPair pass).
   bool ContainsWithStats(std::string_view key, QueryStats* stats) const;
 
   /// Batched membership query (two-pass prepare/prefetch/resolve groups).
@@ -111,26 +108,8 @@ class SplitBlockBloomFilter {
   /// also issues the block prefetch, so the mask math overlaps the fetch.
   void PrepareProbe(std::string_view key, Probe* probe) const;
 
-  /// Hints the cache to fetch the (single) block `probe` reads.
-  void PrefetchProbe(const Probe& probe) const;
-
   /// Resolves a prepared probe; identical answer to Contains(key).
   bool ResolveProbe(const Probe& probe) const;
-
-  /// Lanes per key in the group-batched protocol (= num_hashes()).
-  uint32_t probe_lanes() const { return num_hashes_; }
-
-  /// Writes `key`'s probe_lanes() shift values (base_shift + in-sub-word
-  /// position, each < 64) and its block word, and prefetches the block.
-  /// The engine concatenates the lanes of a whole group and turns them
-  /// into mask bits with ONE simd::MaskFromShifts call.
-  void PrepareShiftLanes(std::string_view key, size_t* block_word,
-                         uint64_t* shifts) const;
-
-  /// Folds the group kernel's per-lane bit words (bit_words[i] ==
-  /// 1 << shifts[i]) back into the block mask and resolves; identical
-  /// answer to Contains(key).
-  bool ResolveLanes(size_t block_word, const uint64_t* bit_words) const;
 
   size_t num_bits() const { return bits_.num_bits(); }
   uint32_t num_hashes() const { return num_hashes_; }
@@ -165,11 +144,7 @@ class SplitBlockBloomFilter {
       (kMaxBatchHashes + kFieldsPerWord - 1) / kFieldsPerWord;
 
   /// One hash pass; hands back the block's first word (prefetched) and the
-  /// k shift lanes (base_shift + in-sub-word position).
-  void DeriveLanes(const void* data, size_t len, size_t* block_word,
-                   uint64_t* shifts) const;
-
-  /// DeriveLanes + the scalar mask build (mask[word_of_[i]] |= 1 << shift).
+  /// probe mask (mask[word_of_[i]] |= 1 << (base_shift + position)).
   void DeriveProbe(const void* data, size_t len, size_t* block_word,
                    uint64_t* mask) const;
 

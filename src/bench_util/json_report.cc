@@ -5,8 +5,8 @@
 #include <cstdio>
 #include <thread>
 
-#include "core/cpu_features.h"
 #include "core/file_io.h"
+#include "core/version.h"
 
 namespace shbf {
 namespace {
@@ -70,16 +70,12 @@ std::string JsonRow::Render() const {
 }
 
 std::string JsonReport::Render() const {
-  // The host stamp: numbers from different machines (or the same machine
-  // at a different SIMD dispatch tier) are not comparable, so every report
-  // carries where it was measured and check_bench_trend.py refuses to diff
-  // reports whose stamps disagree.
+  // The host stamp: numbers from different machines are not comparable,
+  // so every report carries where it was measured and check_bench_trend.py
+  // refuses to diff reports whose stamps disagree.
   std::string out = "{\n  \"bench\": \"" + EscapeJson(bench_name_) +
                     "\",\n  \"host\": {\"cpu\": \"" +
-                    EscapeJson(simd::CpuFeatureString()) +
-                    "\", \"dispatch\": \"" +
-                    EscapeJson(simd::LevelName(simd::ActiveLevel())) +
-                    "\", \"hw_concurrency\": " +
+                    EscapeJson(HostCpu()) + "\", \"hw_concurrency\": " +
                     std::to_string(std::thread::hardware_concurrency()) +
                     "},\n  \"rows\": [\n";
   for (size_t i = 0; i < rows_.size(); ++i) {

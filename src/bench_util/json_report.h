@@ -4,12 +4,12 @@
 // BENCH_multiset.json) instead of scraping CSV from logs.
 //
 // Deliberately tiny: flat rows of string/number fields, rendered as
-//   {"bench": "<name>", "host": {"cpu": ..., "dispatch": ...,
-//    "hw_concurrency": N}, "rows": [{...}, ...]}
+//   {"bench": "<name>", "host": {"cpu": ..., "hw_concurrency": N},
+//    "rows": [{...}, ...]}
 // with no external dependency. Field order is insertion order, so diffs of
 // committed reports stay readable. The host object stamps where the numbers
 // were measured; tools/check_bench_trend.py refuses to compare reports from
-// differing hosts or dispatch tiers.
+// differing hosts.
 
 #ifndef SHBF_BENCH_UTIL_JSON_REPORT_H_
 #define SHBF_BENCH_UTIL_JSON_REPORT_H_

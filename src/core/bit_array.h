@@ -108,7 +108,7 @@ class BitArray {
   }
 
   /// 64-byte-aligned raw storage (guard bytes included) — the split-block
-  /// variants hand whole blocks of it to the SIMD subset-test kernel.
+  /// variants hand whole blocks of it to BlockSubsetTest (core/bits.h).
   const uint8_t* data() const { return data_; }
   uint8_t* mutable_data() {
     SHBF_CHECK(!is_view_) << "mutable access to a mapped BitArray view";

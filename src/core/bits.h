@@ -43,6 +43,19 @@ constexpr uint64_t FastRange64(uint64_t x, uint64_t n) {
       (static_cast<unsigned __int128>(x) * n) >> 64);
 }
 
+/// True iff every bit of `mask` is set in `block`, over `num_words` words
+/// starting at byte `block` (little-endian word slicing, as BitArray lays
+/// bits out): the split-block filters' whole-block resolve.
+inline bool BlockSubsetTest(const uint8_t* block, const uint64_t* mask,
+                            size_t num_words) {
+  for (size_t w = 0; w < num_words; ++w) {
+    uint64_t word;
+    __builtin_memcpy(&word, block + w * 8, sizeof(word));
+    if ((word & mask[w]) != mask[w]) return false;
+  }
+  return true;
+}
+
 }  // namespace shbf
 
 #endif  // SHBF_CORE_BITS_H_

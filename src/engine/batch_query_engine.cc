@@ -7,7 +7,6 @@
 #include "baselines/bloom_filter.h"
 #include "baselines/cuckoo_filter.h"
 #include "baselines/split_block_bloom_filter.h"
-#include "core/simd.h"
 #include "obs/metrics.h"
 #include "shbf/shbf_association.h"
 #include "shbf/shbf_membership.h"
@@ -59,16 +58,22 @@ void TwoPassLoop(const Impl& impl, const Keys& keys, size_t group_size,
   }
 }
 
-// The split-block probe loop: like TwoPassLoop, but without the explicit
-// PrefetchProbe pass — the split filters' PrepareProbe issues the block
-// prefetch the moment the block index exists (before the mask build), so a
-// second prefetch per key is pure instruction overhead. Pass 2 is one
-// BlockSubsetTest per key; no gather/staging of windows at all. With
-// group_size 1 this degrades to the straight hash → mask → test loop the
-// cache-resident path wants.
+// Both split-block kinds, at every k: like TwoPassLoop, but without a
+// prefetch pass — the split filters' PrepareProbe issues the block prefetch
+// the moment the block index exists (before the mask build), so a second
+// prefetch per key would be pure instruction overhead. A key's whole answer
+// is one block mask + one BlockSubsetTest (the shbf_m pair bits are baked
+// into the mask too); no gather/staging of windows at all. Memory-resident
+// filters run groups of at most kSplitBlockGroupCap keys; cache-resident
+// ones run group size 1, the straight hash → mask → test loop (staging
+// overhead loses).
 template <typename Impl, typename Keys>
-void SplitBlockProbeLoop(const Impl& impl, const Keys& keys,
-                         size_t group_size, std::vector<uint8_t>* results) {
+void SplitBlockContains(const Impl& impl, const Keys& keys, size_t batch_size,
+                        std::vector<uint8_t>* results) {
+  const size_t group_size =
+      impl.bits().allocated_bytes() <= kCacheResidentBytes
+          ? 1
+          : std::min(batch_size, kSplitBlockGroupCap);
   std::vector<typename Impl::Probe> probes(
       std::min(group_size, keys.size()));
   for (size_t start = 0; start < keys.size(); start += group_size) {
@@ -79,64 +84,6 @@ void SplitBlockProbeLoop(const Impl& impl, const Keys& keys,
     for (size_t g = 0; g < group; ++g) {
       (*results)[start + g] = impl.ResolveProbe(probes[g]) ? 1 : 0;
     }
-  }
-}
-
-// The fused-kernel variant: pass 1 hashes every key of the group into its
-// shift-lane array (PrepareShiftLanes also issues the block prefetch), ONE
-// simd::MaskFromShifts call turns the whole group's lanes into bit words
-// (AVX2 `vpsllvq`: 4 lanes per op, AVX-512: 8), and pass 2 folds each
-// key's words back into its block mask and resolves.
-//
-// This only beats the probe loop's per-key scalar build when there are
-// enough lanes per key to amortize the round-trip: the lanes detour
-// through a scratch array, and at the default geometry (k = 8 → 8 lanes)
-// the sporadically-issued vector shift pays more in transitions than it
-// saves over 8 independent shift/ORs the OoO core pipelines for free —
-// measured ~8% slower at gate scale (docs/benchmarks.md "Split-block
-// probe loop"). Past kFuseLanes lanes the scalar build is long enough
-// that the 4-8x lane throughput wins.
-constexpr uint32_t kFuseLanes = 16;
-
-template <typename Impl, typename Keys>
-void SplitBlockGroupLoop(const Impl& impl, const Keys& keys,
-                         size_t group_size, std::vector<uint8_t>* results) {
-  const uint32_t lanes = impl.probe_lanes();
-  const size_t cap = std::min(group_size, keys.size());
-  std::vector<size_t> blocks(cap);
-  std::vector<uint64_t> shifts(cap * lanes);
-  std::vector<uint64_t> bit_words(cap * lanes);
-  for (size_t start = 0; start < keys.size(); start += group_size) {
-    const size_t group = std::min(group_size, keys.size() - start);
-    for (size_t g = 0; g < group; ++g) {
-      impl.PrepareShiftLanes(keys[start + g], &blocks[g],
-                             &shifts[g * lanes]);
-    }
-    simd::MaskFromShifts(shifts.data(), 1, group * lanes, bit_words.data());
-    for (size_t g = 0; g < group; ++g) {
-      (*results)[start + g] =
-          impl.ResolveLanes(blocks[g], &bit_words[g * lanes]) ? 1 : 0;
-    }
-  }
-}
-
-// Both split-block kinds: no gather/staging pass at all, a key's whole
-// answer is one block mask + one BlockSubsetTest (the shbf_m pair bits are
-// baked into the mask too). Memory-resident filters run groups of at most
-// kSplitBlockGroupCap keys, cache-resident ones group size 1 (staging
-// overhead loses). Narrow-k filters stage probes (scalar mask build inside
-// PrepareProbe); wide-k ones fuse the group's mask construction into one
-// MaskFromShifts kernel call.
-template <typename Impl, typename Keys>
-void SplitBlockContains(const Impl& impl, const Keys& keys, size_t batch_size,
-                        std::vector<uint8_t>* results) {
-  const size_t group = impl.bits().allocated_bytes() <= kCacheResidentBytes
-                           ? 1
-                           : std::min(batch_size, kSplitBlockGroupCap);
-  if (group > 1 && impl.probe_lanes() >= kFuseLanes) {
-    SplitBlockGroupLoop(impl, keys, group, results);
-  } else {
-    SplitBlockProbeLoop(impl, keys, group, results);
   }
 }
 
@@ -173,7 +120,7 @@ bool FastPathSupported(BatchFastPath::Kind kind, const void* impl) {
 
 // Handles into the process-global registry, resolved once. The fastpath /
 // virtual split is the number ops people tune first: a filter that silently
-// fell off its SIMD fast path (unsupported k, wrong impl) shows up here as
+// fell off its fast path (unsupported k, wrong impl) shows up here as
 // virtual_batches_total climbing instead of fastpath_batches_total.
 struct EngineMetrics {
   obs::Counter* batches = nullptr;

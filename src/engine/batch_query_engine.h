@@ -19,10 +19,8 @@
 // schemes and is bit-identical to the per-key path in every case
 // (tests/batch_engine_test.cc enforces this).
 //
-// The split-block paths resolve a key with one whole-block SIMD subset test
-// and, at wide k, build a group's masks with one SIMD shift kernel
-// (core/simd.h). SHBF_FORCE_SCALAR demotes both kernels to their scalar
-// references without changing any answer.
+// The split-block paths resolve a key with one whole-block subset test
+// (BlockSubsetTest, core/bits.h) over a mask built inside PrepareProbe.
 
 #ifndef SHBF_ENGINE_BATCH_QUERY_ENGINE_H_
 #define SHBF_ENGINE_BATCH_QUERY_ENGINE_H_

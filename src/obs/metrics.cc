@@ -150,7 +150,7 @@ std::string MetricsSnapshot::ToJson() const {
   std::string out = "{\n";
   AppendF(&out, "  \"uptime_seconds\": %" PRIu64 ",\n", uptime_seconds);
   out += "  \"version\": \"" + JsonEscape(version) + "\",\n";
-  out += "  \"dispatch\": \"" + JsonEscape(dispatch) + "\",\n";
+  out += "  \"cpu\": \"" + JsonEscape(cpu) + "\",\n";
   out += "  \"counters\": {\n";
   for (size_t i = 0; i < counters.size(); ++i) {
     AppendF(&out, "    \"%s\": %" PRIu64 "%s\n",
@@ -193,7 +193,7 @@ std::string MetricsSnapshot::ToPrometheus() const {
                 "\n",
           uptime_seconds);
   out += "# TYPE shbf_build_info gauge\nshbf_build_info{version=\"" + version +
-         "\",dispatch=\"" + dispatch + "\"} 1\n";
+         "\",cpu=\"" + cpu + "\"} 1\n";
   for (const auto& [name, value] : counters) {
     const std::string p = PrometheusName(name);
     AppendF(&out, "# TYPE %s counter\n%s %" PRIu64 "\n", p.c_str(), p.c_str(),

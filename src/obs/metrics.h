@@ -201,8 +201,8 @@ class Histogram {
 /// and `shbf_cli remote metrics` all carry. Entries are sorted by name.
 struct MetricsSnapshot {
   uint64_t uptime_seconds = 0;
-  std::string version;   ///< kShbfVersion of the producing binary
-  std::string dispatch;  ///< active SIMD level (simd::LevelName)
+  std::string version;  ///< kShbfVersion of the producing binary
+  std::string cpu;      ///< HostCpu() of the producing host
   std::vector<std::pair<std::string, uint64_t>> counters;
   std::vector<std::pair<std::string, int64_t>> gauges;
   std::vector<HistogramSnapshot> histograms;
@@ -241,7 +241,7 @@ class MetricsRegistry {
   Gauge* GetGauge(std::string_view name);
   Histogram* GetHistogram(std::string_view name);
 
-  /// Merged view of everything registered (uptime/version/dispatch left
+  /// Merged view of everything registered (uptime/version/cpu left
   /// for the caller — the server stamps them).
   MetricsSnapshot Snapshot() const;
 

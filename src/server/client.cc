@@ -326,13 +326,13 @@ Status ShbfClient::Metrics(ServerMetrics* metrics) {
   uint32_t counters = 0;
   if (!reader.GetU64(&parsed.uptime_seconds) ||
       !wire::ReadString(&reader, wire::kMaxNameBytes, &parsed.version) ||
-      !wire::ReadString(&reader, wire::kMaxNameBytes, &parsed.dispatch) ||
+      !wire::ReadString(&reader, wire::kMaxNameBytes, &parsed.cpu) ||
       !reader.GetU32(&counters)) {
     return Status::Internal("malformed METRICS response");
   }
   parsed.snapshot.uptime_seconds = parsed.uptime_seconds;
   parsed.snapshot.version = parsed.version;
-  parsed.snapshot.dispatch = parsed.dispatch;
+  parsed.snapshot.cpu = parsed.cpu;
   for (uint32_t i = 0; i < counters; ++i) {
     std::string name;
     uint64_t value = 0;

@@ -105,15 +105,15 @@ class ShbfClient {
 
   Status MultisetList(MultisetInfo* info);
 
-  /// The METRICS response (protocol v3): uptime, build version, SIMD
-  /// dispatch level, and the full registry snapshot — including the four
+  /// The METRICS response (protocol v3): uptime, build version, host CPU
+  /// stamp, and the full registry snapshot — including the four
   /// core counters as "server.*_total" entries, bit-identical to the
   /// server's in-process counters() at response time. Fails with
   /// kInvalidArgument against a pre-v3 server (UNKNOWN_OPCODE).
   struct ServerMetrics {
     uint64_t uptime_seconds = 0;
     std::string version;
-    std::string dispatch;
+    std::string cpu;  ///< the server host's HostCpu() stamp
     obs::MetricsSnapshot snapshot;  ///< counters / gauges / histograms
   };
 

@@ -50,7 +50,7 @@ inline constexpr uint32_t kMagic = 0x51424853;
 ///
 /// v3: the METRICS opcode (src/obs/, docs/observability.md) — an empty
 /// request answered with the server's full metrics snapshot (uptime,
-/// build version, dispatch level, counters, gauges, histograms). Purely
+/// build version, host CPU, counters, gauges, histograms). Purely
 /// additive: v1/v2 frames are byte-identical, so v1/v2 HELLOs are still
 /// accepted.
 inline constexpr uint8_t kProtocolVersion = 3;
@@ -89,7 +89,7 @@ enum class Opcode : uint8_t {
   kMultisetList = 12,  ///< (empty) → index stats + per-set records
 
   // ---- v3: observability (src/obs/, docs/observability.md) ----
-  kMetrics = 13,  ///< (empty) → uptime + version + dispatch + registry
+  kMetrics = 13,  ///< (empty) → uptime + version + cpu + registry
 };
 
 /// "HELLO" / "QUERY" / ... — static strings for metric names, the trace

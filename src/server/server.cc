@@ -13,7 +13,6 @@
 #include <utility>
 
 #include "api/filter_registry.h"
-#include "core/cpu_features.h"
 #include "core/file_io.h"
 #include "core/version.h"
 #include "server/net.h"
@@ -245,7 +244,7 @@ obs::MetricsSnapshot ShbfServer::CollectMetrics() const {
   const Counters core = counters();
   snapshot.uptime_seconds = core.uptime_seconds;
   snapshot.version = core.version;
-  snapshot.dispatch = simd::LevelName(simd::ActiveLevel());
+  snapshot.cpu = HostCpu();
   snapshot.counters.emplace_back("server.connections_total",
                                  core.connections);
   snapshot.counters.emplace_back("server.frames_total", core.frames);
@@ -912,7 +911,7 @@ ShbfServer::Response ShbfServer::HandleMetrics(ByteReader* reader) {
   ByteWriter writer;
   writer.PutU64(snapshot.uptime_seconds);
   wire::WriteString(&writer, snapshot.version);
-  wire::WriteString(&writer, snapshot.dispatch);
+  wire::WriteString(&writer, snapshot.cpu);
   writer.PutU32(static_cast<uint32_t>(snapshot.counters.size()));
   for (const auto& [name, value] : snapshot.counters) {
     wire::WriteString(&writer, name);

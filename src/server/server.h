@@ -148,7 +148,7 @@ class ShbfServer {
   /// process-global obs registry plus the four core counters above (as
   /// "server.connections_total" / "server.frames_total" /
   /// "server.keys_queried_total" / "server.protocol_errors_total"), slow
-  /// log totals, uptime, build version and SIMD dispatch level. Also the
+  /// log totals, uptime, build version and host CPU stamp. Also the
   /// source of --metrics-dump files.
   obs::MetricsSnapshot CollectMetrics() const;
 

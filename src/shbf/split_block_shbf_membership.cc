@@ -4,7 +4,6 @@
 #include <cstring>
 
 #include "core/rng.h"
-#include "core/simd.h"
 
 namespace shbf {
 
@@ -92,9 +91,8 @@ void SplitBlockShbfM::BuildLayout() {
 // h1's high bits (multiply-shift range reduction), the shared offset from
 // a golden-multiplied fold of h1, the per-pair rotations from disjoint
 // 6-bit fields of h2 (parallel Mix64 words past 10 pairs). Nothing here
-// chains — an earlier derivation walked a serial SplitMix64 stream and
-// called MaskFromShifts per key, and that latency chain (plus per-key
-// vector dispatch) made the split per-key query measurably SLOWER than
+// chains — an earlier derivation walked a serial SplitMix64 stream, and
+// that latency chain made the split per-key query measurably SLOWER than
 // the blocked layout it replaced.
 //
 // Each pair lives on the sub-word's CIRCLE: its first bit sits at rotation
@@ -103,10 +101,10 @@ void SplitBlockShbfM::BuildLayout() {
 // — the windowed layout — would pile every first bit into the low third of
 // the sub-word, and the resulting skewed fill measurably breaks the 2x FPR
 // budget. The block prefetch is issued as soon as the block index exists,
-// so the rotation math runs inside the line fetch.
-void SplitBlockShbfM::DeriveLanes(const void* data, size_t len,
-                                  size_t* block_word,
-                                  uint64_t* shifts) const {
+// so the rotation math and the independent shift/ORs run inside the line
+// fetch.
+void SplitBlockShbfM::DeriveProbe(const void* data, size_t len,
+                                  size_t* block_word, uint64_t* mask) const {
   const auto [h1, h2] = family_.HashPair(0, data, len);
   *block_word = FastRange64(h1, num_blocks_) * (block_bits_ / 64);
   bits_.Prefetch(*block_word * 64);
@@ -119,49 +117,15 @@ void SplitBlockShbfM::DeriveLanes(const void* data, size_t len,
   for (uint32_t j = 1; j < num_rot_words_; ++j) {
     pool[j] = Mix64(h1 + 0x9e3779b97f4a7c15ull * j);
   }
-  const uint32_t pairs = num_hashes_ / 2;
+  std::fill(mask, mask + block_bits_ / 64, 0);
   const uint64_t sub_mask = sub_block_bits_ - 1;
-  for (uint32_t i = 0; i < pairs; ++i) {
+  for (uint32_t i = 0; i < num_hashes_ / 2; ++i) {
     const uint64_t rotation =
         (pool[rot_word_[i]] >> rot_shift_[i]) & sub_mask;
-    shifts[i] = base_shift_[i] + rotation;
-    shifts[pairs + i] = base_shift_[i] + ((rotation + offset) & sub_mask);
+    mask[word_of_[i]] |=
+        (uint64_t{1} << (base_shift_[i] + rotation)) |
+        (uint64_t{1} << (base_shift_[i] + ((rotation + offset) & sub_mask)));
   }
-}
-
-void SplitBlockShbfM::DeriveProbe(const void* data, size_t len,
-                                  size_t* block_word, uint64_t* mask) const {
-  uint64_t shifts[2 * kMaxBatchPairs];
-  DeriveLanes(data, len, block_word, shifts);
-  const uint32_t pairs = num_hashes_ / 2;
-  const uint32_t words = block_bits_ / 64;
-  std::fill(mask, mask + words, 0);
-  // Scalar on purpose: the shift/ORs are independent and pipeline fully; a
-  // per-key kernel call pays more in dispatch than the vector shift saves.
-  // The engine's group path (PrepareShiftLanes) fuses whole-group lane
-  // arrays into one MaskFromShifts call instead.
-  for (uint32_t i = 0; i < pairs; ++i) {
-    mask[word_of_[i]] |= (uint64_t{1} << shifts[i]) |
-                         (uint64_t{1} << shifts[pairs + i]);
-  }
-}
-
-void SplitBlockShbfM::PrepareShiftLanes(std::string_view key,
-                                        size_t* block_word,
-                                        uint64_t* shifts) const {
-  DeriveLanes(key.data(), key.size(), block_word, shifts);
-}
-
-bool SplitBlockShbfM::ResolveLanes(size_t block_word,
-                                   const uint64_t* bit_words) const {
-  uint64_t mask[kMaxBlockWords];
-  const uint32_t pairs = num_hashes_ / 2;
-  const uint32_t words = block_bits_ / 64;
-  std::fill(mask, mask + words, 0);
-  for (uint32_t i = 0; i < pairs; ++i) {
-    mask[word_of_[i]] |= bit_words[i] | bit_words[pairs + i];
-  }
-  return simd::BlockSubsetTest(bits_.data() + block_word * 8, mask, words);
 }
 
 uint64_t SplitBlockShbfM::OffsetOf(std::string_view key) const {
@@ -189,8 +153,8 @@ bool SplitBlockShbfM::Contains(const void* data, size_t len) const {
   uint64_t mask[kMaxBlockWords];
   size_t block_word;
   DeriveProbe(data, len, &block_word, mask);
-  return simd::BlockSubsetTest(bits_.data() + block_word * 8, mask,
-                               block_bits_ / 64);
+  return BlockSubsetTest(bits_.data() + block_word * 8, mask,
+                         block_bits_ / 64);
 }
 
 bool SplitBlockShbfM::ContainsWithStats(std::string_view key,
@@ -209,13 +173,9 @@ void SplitBlockShbfM::PrepareProbe(std::string_view key, Probe* probe) const {
   DeriveProbe(key.data(), key.size(), &probe->block_word, probe->mask);
 }
 
-void SplitBlockShbfM::PrefetchProbe(const Probe& probe) const {
-  bits_.Prefetch(probe.block_word * 64);
-}
-
 bool SplitBlockShbfM::ResolveProbe(const Probe& probe) const {
-  return simd::BlockSubsetTest(bits_.data() + probe.block_word * 8,
-                               probe.mask, block_bits_ / 64);
+  return BlockSubsetTest(bits_.data() + probe.block_word * 8, probe.mask,
+                         block_bits_ / 64);
 }
 
 void SplitBlockShbfM::ContainsBatch(const std::vector<std::string>& keys,
@@ -228,7 +188,6 @@ void SplitBlockShbfM::ContainsBatch(const std::vector<std::string>& keys,
     const size_t group = std::min(kGroup, keys.size() - start);
     for (size_t g = 0; g < group; ++g) {
       PrepareProbe(keys[start + g], &probes[g]);
-      PrefetchProbe(probes[g]);
     }
     for (size_t g = 0; g < group; ++g) {
       (*results)[start + g] = ResolveProbe(probes[g]) ? 1 : 0;

@@ -1,4 +1,4 @@
-// Split-block ShBF_M — shifting pairs with a one-vector-op resolve.
+// Split-block ShBF_M — shifting pairs with a one-block resolve.
 //
 // Confining all k/2 (base, base+offset) pairs to one block still leaves a
 // blocked ShBF_M resolving them as k/2 separate unaligned window loads.
@@ -10,15 +10,12 @@
 //
 //   * the probe becomes the same {block_word, mask[8]} shape as the
 //     split-block Bloom filter: pair patterns OR into a whole-block mask,
-//     and ONE simd::BlockSubsetTest answers all pairs of a key at once —
-//     no per-pair loads, no cross-key gather pass;
+//     and ONE BlockSubsetTest (core/bits.h) answers all pairs of a key at
+//     once — no per-pair loads, no cross-key gather pass;
 //   * the derivation goes wide: one 128-bit hash pass (HashPair), a
 //     multiply-shift block reduction (FastRange64), rotations as disjoint
 //     6-bit fields of h2 (parallel Mix64 words past 10 pairs) — no serial
-//     SplitMix64 chain. Per key the 2·(k/2) mask bits are independent
-//     shift/ORs; across a batch the engine fuses every key's shift lanes
-//     into ONE simd::MaskFromShifts call (AVX2 `vpsllvq` / NEON `vshlq`)
-//     — see PrepareShiftLanes/ResolveLanes;
+//     SplitMix64 chain. The 2·(k/2) mask bits are independent shift/ORs;
 //   * the circular placement keeps per-bit fill uniform — a windowed
 //     layout (bases clamped to [0, s − w̄]) concentrates first bits in the
 //     low end of each sub-word and measurably breaks the 2x FPR budget.
@@ -89,7 +86,7 @@ class SplitBlockShbfM {
   bool Contains(const void* data, size_t len) const;
 
   /// Query under the paper's cost model: the whole block is one memory
-  /// access; two hash computations.
+  /// access; one hash computation (the single HashPair pass).
   bool ContainsWithStats(std::string_view key, QueryStats* stats) const;
 
   /// Batched membership query (two-pass prepare/prefetch/resolve groups).
@@ -109,27 +106,8 @@ class SplitBlockShbfM {
   /// the fetch.
   void PrepareProbe(std::string_view key, Probe* probe) const;
 
-  /// Hints the cache to fetch the (single) block `probe` reads.
-  void PrefetchProbe(const Probe& probe) const;
-
   /// Resolves a prepared probe; identical answer to Contains(key).
   bool ResolveProbe(const Probe& probe) const;
-
-  /// Lanes per key in the group-batched protocol (= num_hashes(): one lane
-  /// per pair bit, first bits in [0, pairs), second bits in [pairs, 2·pairs)).
-  uint32_t probe_lanes() const { return num_hashes_; }
-
-  /// Writes `key`'s probe_lanes() shift values (base_shift + rotation, each
-  /// < 64) and its block word, and prefetches the block. The engine
-  /// concatenates the lanes of a whole group and turns them into mask bits
-  /// with ONE simd::MaskFromShifts call.
-  void PrepareShiftLanes(std::string_view key, size_t* block_word,
-                         uint64_t* shifts) const;
-
-  /// Folds the group kernel's per-lane bit words (bit_words[i] ==
-  /// 1 << shifts[i]) back into the block mask and resolves; identical
-  /// answer to Contains(key).
-  bool ResolveLanes(size_t block_word, const uint64_t* bit_words) const;
 
   /// The offset o(key) ∈ [1, max_offset_span − 1]; exposed for tests.
   uint64_t OffsetOf(std::string_view key) const;
@@ -169,11 +147,7 @@ class SplitBlockShbfM {
       (kMaxBatchPairs + kFieldsPerWord - 1) / kFieldsPerWord;
 
   /// One hash pass; hands back the block's first word (prefetched) and the
-  /// 2·pairs shift lanes (first bits, then second bits).
-  void DeriveLanes(const void* data, size_t len, size_t* block_word,
-                   uint64_t* shifts) const;
-
-  /// DeriveLanes + the scalar mask build (mask[word_of_[i]] |= 1 << shift).
+  /// pair-pattern mask (both bits of pair i OR'd into mask[word_of_[i]]).
   void DeriveProbe(const void* data, size_t len, size_t* block_word,
                    uint64_t* mask) const;
 

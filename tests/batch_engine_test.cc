@@ -1,11 +1,10 @@
 // Engine-vs-per-key differential: BatchQueryEngine must be bit-identical to
-// the scalar interface for every registered filter, under both SIMD
-// dispatch settings — the fast paths and kernels are an execution strategy,
-// never a semantic change. The string_view batch overloads (engine, sharded
-// wrapper, multi-set index) must answer exactly like the string paths they
-// shadow. Also pins down that the probe-protocol structures actually expose
-// their fast path (a silently dropped fast path would keep answers right
-// and throughput wrong).
+// the per-key interface for every registered filter — the fast paths are
+// an execution strategy, never a semantic change. The string_view batch
+// overloads (engine, sharded wrapper, multi-set index) must answer exactly
+// like the string paths they shadow. Also pins down that the probe-protocol
+// structures actually expose their fast path (a silently dropped fast path
+// would keep answers right and throughput wrong).
 
 #include <gtest/gtest.h>
 
@@ -17,7 +16,6 @@
 
 #include "api/filter_registry.h"
 #include "api/set_catalog.h"
-#include "core/cpu_features.h"
 #include "engine/batch_query_engine.h"
 #include "multiset/multi_set_index.h"
 #include "shbf/shbf_multiplicity.h"
@@ -44,8 +42,7 @@ std::vector<std::string> Universe(uint64_t seed) {
 }
 
 // The bit-identity acceptance gate: for every registered filter, the
-// engine's batched answers must equal the per-key loop under BOTH dispatch
-// modes — native SIMD and SHBF_FORCE_SCALAR-equivalent scalar demotion.
+// engine's batched answers must equal the per-key loop.
 TEST(BatchEngineTest, ContainsBatchMatchesPerKeyForEveryRegisteredFilter) {
   const auto universe = Universe(0xba7c4);
   const auto& registry = FilterRegistry::Global();
@@ -59,19 +56,14 @@ TEST(BatchEngineTest, ContainsBatchMatchesPerKeyForEveryRegisteredFilter) {
       expected[i] = filter->Contains(universe[i]) ? 1 : 0;
     }
 
-    for (bool scalar : {false, true}) {
-      SCOPED_TRACE(scalar ? "scalar" : "native");
-      simd::ForceScalar(scalar);
-      // Three group sizes: degenerate, odd, and larger than most groups.
-      for (size_t batch_size : {size_t{1}, size_t{7}, size_t{64}}) {
-        SCOPED_TRACE(batch_size);
-        BatchQueryEngine engine({.batch_size = batch_size});
-        std::vector<uint8_t> batched;
-        engine.ContainsBatch(*filter, universe, &batched);
-        ASSERT_EQ(batched, expected);
-      }
+    // Three group sizes: degenerate, odd, and larger than most groups.
+    for (size_t batch_size : {size_t{1}, size_t{7}, size_t{64}}) {
+      SCOPED_TRACE(batch_size);
+      BatchQueryEngine engine({.batch_size = batch_size});
+      std::vector<uint8_t> batched;
+      engine.ContainsBatch(*filter, universe, &batched);
+      ASSERT_EQ(batched, expected);
     }
-    simd::ForceScalar(false);
   }
 }
 

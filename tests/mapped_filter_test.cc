@@ -1,8 +1,7 @@
 // Mapped-image differential suite: for every filter the registry can lay
 // out flat, a filter opened off its mmap image must answer bit-identically
-// to the heap original — per key, through BatchQueryEngine (both the SIMD
-// and the forced-scalar dispatch), and from concurrently forked reader
-// processes sharing one image.
+// to the heap original — per key, through BatchQueryEngine, and from
+// concurrently forked reader processes sharing one image.
 
 #include <gtest/gtest.h>
 
@@ -18,7 +17,6 @@
 #include <vector>
 
 #include "api/filter_registry.h"
-#include "core/cpu_features.h"
 #include "engine/batch_query_engine.h"
 #include "storage/filter_image.h"
 #include "storage/mapped_filter.h"
@@ -113,20 +111,15 @@ TEST(MappedFilterTest, MappedAnswersMatchHeapPerKeyAndBatched) {
       EXPECT_EQ(mapped->name(), name);
       EXPECT_EQ(mapped->num_elements(), original->num_elements());
 
-      // Both dispatch modes: the mapped view must be bit-identical to the
-      // heap twin under the SIMD kernels AND the scalar fallback.
-      for (bool scalar : {false, true}) {
-        SCOPED_TRACE(scalar ? "scalar" : "native");
-        simd::ForceScalar(scalar);
-        for (const auto& key : w.all) {
-          ASSERT_EQ(mapped->Contains(key), original->Contains(key)) << key;
-        }
-        std::vector<uint8_t> want, got;
-        engine.ContainsBatch(*original, w.all, &want);
-        engine.ContainsBatch(*mapped, w.all, &got);
-        EXPECT_EQ(got, want);
+      // The mapped view must be bit-identical to the heap twin, per key
+      // and batched.
+      for (const auto& key : w.all) {
+        ASSERT_EQ(mapped->Contains(key), original->Contains(key)) << key;
       }
-      simd::ForceScalar(false);
+      std::vector<uint8_t> want, got;
+      engine.ContainsBatch(*original, w.all, &want);
+      engine.ContainsBatch(*mapped, w.all, &got);
+      EXPECT_EQ(got, want);
 
       // No false negatives off the mapping, ever.
       for (const auto& key : w.members) EXPECT_TRUE(mapped->Contains(key));

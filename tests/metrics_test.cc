@@ -206,11 +206,12 @@ TEST(Rendering, JsonCarriesCountersAndQuantiles) {
   registry.GetHistogram("test.latency_us")->Record(100);
   MetricsSnapshot snapshot = registry.Snapshot();
   snapshot.version = "1.2.3";
-  snapshot.dispatch = "avx2";
+  snapshot.cpu = "x86-64 avx2";
   snapshot.uptime_seconds = 5;
   const std::string json = snapshot.ToJson();
   EXPECT_NE(json.find("\"test.frames_total\": 7"), std::string::npos) << json;
   EXPECT_NE(json.find("\"version\": \"1.2.3\""), std::string::npos);
+  EXPECT_NE(json.find("\"cpu\": \"x86-64 avx2\""), std::string::npos);
   EXPECT_NE(json.find("\"p99\""), std::string::npos);
   EXPECT_NE(json.find("\"test.latency_us\""), std::string::npos);
 }

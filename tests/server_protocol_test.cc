@@ -751,7 +751,7 @@ TEST_F(ServerMetricsParityTest, SnapshotMatchesCountersBitForBit) {
 
   EXPECT_EQ(metrics.version, counters.version);
   EXPECT_FALSE(metrics.version.empty());
-  EXPECT_FALSE(metrics.dispatch.empty());
+  EXPECT_FALSE(metrics.cpu.empty());
 
   if (obs::kCompiledIn && obs::Enabled()) {
     // Per-opcode instrumentation saw the QUERY frames and the METRICS

@@ -1,17 +1,16 @@
 // The split-block variants (split_block_bloom, split_block_shbf_m) buy a
-// one-vector-op resolve by pinning every probe/pair to its own sub-word;
+// one-block resolve by pinning every probe/pair to its own sub-word;
 // nothing else about them may drift from the catalog's contracts. Pinned
 // here: sub-word confinement at every legal sub_block_bits x k geometry
-// (including the block-edge shifts), probe masks bit-identical under native
-// and forced-scalar dispatch, no false negatives, FPR within 2x of the
-// unblocked base at a 100k absent-key sample, engine fast path identical to
-// the per-key loop on both sides of the cache-resident batch-size bypass,
-// native + registry serde round trips, merge-as-union, and the v5 envelope
-// still accepting hand-crafted v4 blobs (the sub_block_bits field is a v5
-// spec-record extension).
+// (including the block-edge shifts), the one-hash one-access cost model,
+// no false negatives, FPR within 2x of the unblocked base at a 100k
+// absent-key sample, engine fast path identical to the per-key loop on
+// both sides of the cache-resident batch-size bypass up to the k = 64
+// clamp, native + registry serde round trips, merge-as-union, and the v5
+// envelope still accepting hand-crafted v4 blobs (the sub_block_bits field
+// is a v5 spec-record extension).
 
 #include <bit>
-#include <cstring>
 #include <memory>
 #include <optional>
 #include <string>
@@ -24,7 +23,7 @@
 #include "api/filter_registry.h"
 #include "baselines/split_block_bloom_filter.h"
 #include "core/bits.h"
-#include "core/simd.h"
+#include "core/query_stats.h"
 #include "engine/batch_query_engine.h"
 #include "shbf/split_block_shbf_membership.h"
 #include "trace/trace_generator.h"
@@ -148,53 +147,25 @@ TEST(SplitBlockShbfMTest, PairsStayInsideTheirSubWordsWithTwoBits) {
   }
 }
 
-// The mask-construction kernel feeds Add and Contains alike, so a dispatch
-// divergence would be invisible to a same-mode differential test. Pin the
-// raw probe masks: native and forced-scalar dispatch must produce identical
-// bytes at every sub-word width and k, including shifts that land a probe
-// on bit 63 of a word (the in-word edge).
-TEST(SplitBlockFilterTest, ProbeMasksIdenticalUnderBothDispatchModes) {
-  const auto universe = Universe(0x5b17);
-  for (uint32_t sub_bits : {8u, 16u, 32u, 64u}) {
-    for (uint32_t k : {1u, 7u, 8u, 24u}) {
-      SplitBlockBloomFilter filter({.num_bits = 1 << 18,
-                                    .num_hashes = k,
-                                    .block_bits = 512,
-                                    .sub_block_bits = sub_bits});
-      for (size_t t = 0; t < 300; ++t) {
-        SplitBlockBloomFilter::Probe native, scalar;
-        simd::ForceScalar(false);
-        filter.PrepareProbe(universe[t], &native);
-        simd::ForceScalar(true);
-        filter.PrepareProbe(universe[t], &scalar);
-        simd::ForceScalar(false);
-        ASSERT_EQ(native.block_word, scalar.block_word);
-        ASSERT_EQ(std::memcmp(native.mask, scalar.mask, sizeof(native.mask)),
-                  0)
-            << "s=" << sub_bits << " k=" << k << " key " << t;
-      }
-    }
-  }
-  for (uint32_t sub_bits : {16u, 32u, 64u}) {
-    for (uint32_t k : {2u, 8u, 30u}) {
-      SplitBlockShbfM filter({.num_bits = 1 << 18,
-                              .num_hashes = k,
-                              .block_bits = 512,
-                              .sub_block_bits = sub_bits,
-                              .max_offset_span = sub_bits / 2});
-      for (size_t t = 0; t < 300; ++t) {
-        SplitBlockShbfM::Probe native, scalar;
-        simd::ForceScalar(false);
-        filter.PrepareProbe(universe[t], &native);
-        simd::ForceScalar(true);
-        filter.PrepareProbe(universe[t], &scalar);
-        simd::ForceScalar(false);
-        ASSERT_EQ(native.block_word, scalar.block_word);
-        ASSERT_EQ(std::memcmp(native.mask, scalar.mask, sizeof(native.mask)),
-                  0)
-            << "s=" << sub_bits << " k=" << k << " key " << t;
-      }
-    }
+// Under the paper's cost model a split-block query is one HashPair pass
+// and one block read, whatever k, member or not.
+TEST(SplitBlockFilterTest, StatsChargeOneHashAndOneAccessPerQuery) {
+  SplitBlockBloomFilter bloom({.num_bits = 1 << 16, .num_hashes = 8});
+  SplitBlockShbfM shbf_m({.num_bits = 1 << 16, .num_hashes = 8});
+  bloom.Add("member");
+  shbf_m.Add("member");
+  for (const char* key : {"member", "absent"}) {
+    SCOPED_TRACE(key);
+    QueryStats bloom_stats;
+    bloom.ContainsWithStats(key, &bloom_stats);
+    EXPECT_EQ(bloom_stats.queries, 1u);
+    EXPECT_EQ(bloom_stats.hash_computations, 1u);
+    EXPECT_EQ(bloom_stats.memory_accesses, 1u);
+    QueryStats shbf_m_stats;
+    shbf_m.ContainsWithStats(key, &shbf_m_stats);
+    EXPECT_EQ(shbf_m_stats.queries, 1u);
+    EXPECT_EQ(shbf_m_stats.hash_computations, 1u);
+    EXPECT_EQ(shbf_m_stats.memory_accesses, 1u);
   }
 }
 
@@ -267,17 +238,16 @@ TEST(SplitBlockFilterTest, FprWithinTwiceTheUnblockedBase) {
 }
 
 // The engine's split-block fast path must answer exactly like the per-key
-// loop under both dispatch modes, on BOTH sides of the cache-resident
-// batch-size bypass — a small filter (group degraded to 1, no staging) and
-// one sized past the 4 MiB threshold (staged prefetch groups) — and at
-// both loop shapes: k = 8 stages probes (SplitBlockProbeLoop), k = 16
-// reaches kFuseLanes and takes the fused MaskFromShifts group kernel
-// (SplitBlockGroupLoop), which no other test selects.
+// loop on BOTH sides of the cache-resident batch-size bypass — a small
+// filter (group degraded to 1, no staging) and one sized past the 4 MiB
+// threshold (staged prefetch groups) — from the default k up to k = 64,
+// both factories' clamp (32 pairs for split_block_shbf_m): the widest
+// mask goes through the same probe loop as every other k.
 TEST(SplitBlockFilterTest, EngineFastPathMatchesPerKeyAcrossBatchSizing) {
   const auto universe = Universe(0xe9f1);
   const auto& registry = FilterRegistry::Global();
   for (const char* name : {"split_block_bloom", "split_block_shbf_m"}) {
-    for (uint32_t k : {8u, 16u}) {
+    for (uint32_t k : {8u, 16u, 64u}) {
       for (size_t num_cells : {size_t{12} * kNumKeys, size_t{48} << 20}) {
         SCOPED_TRACE(std::string(name) + " k=" + std::to_string(k) +
                      " cells=" + std::to_string(num_cells));
@@ -292,14 +262,9 @@ TEST(SplitBlockFilterTest, EngineFastPathMatchesPerKeyAcrossBatchSizing) {
           expected[i] = filter->Contains(universe[i]) ? 1 : 0;
         }
         BatchQueryEngine engine({.batch_size = 32});
-        for (bool scalar : {false, true}) {
-          SCOPED_TRACE(scalar ? "scalar" : "native");
-          simd::ForceScalar(scalar);
-          std::vector<uint8_t> batched;
-          engine.ContainsBatch(*filter, universe, &batched);
-          ASSERT_EQ(batched, expected);
-        }
-        simd::ForceScalar(false);
+        std::vector<uint8_t> batched;
+        engine.ContainsBatch(*filter, universe, &batched);
+        ASSERT_EQ(batched, expected);
       }
     }
   }

@@ -12,12 +12,14 @@ the baseline fails the check. Rows that appear or disappear are reported but
 never fail — benches grow new workloads and retire old ones as the catalog
 evolves. Rows without a throughput metric (e.g. fpr rows) are ignored.
 
-Reports carry a "host" stamp ({"cpu": ..., "dispatch": ...,
-"hw_concurrency": N}) since v0.6. When the stamps disagree, or only one file
-has one, the comparison is refused (exit 0 with a note): numbers from a
-different machine or SIMD dispatch tier are weather, not a trend, and an
-unstamped (pre-0.6) baseline cannot show it came from this host. Two
-unstamped files still compare.
+Reports carry a "host" stamp ({"cpu": ..., "hw_concurrency": N}) since
+v0.6. When the stamps disagree, or only one file has one, the comparison is
+refused (exit 0 with a note): numbers from a different machine are weather,
+not a trend, and an unstamped (pre-0.6) baseline cannot show it came from
+this host. Two unstamped files still compare. Older stamps also carry a
+"dispatch" key (the vector tier the probe kernels ran at); it always
+repeated the tier already in "cpu" and the kernels are gone, so it is
+dropped from both stamps before they are compared.
 
 Rows with threads > 1 use the wider --max-mt-regression bound: oversubscribed
 wall clock on a shared runner is scheduler luck as much as code (the same
@@ -78,7 +80,11 @@ def load_report(path):
         if key not in keyed or throughput > keyed[key]:
             keyed[key] = throughput
     host = report.get("host")
-    return keyed, host if isinstance(host, dict) else None
+    if not isinstance(host, dict):
+        return keyed, None
+    # The retired "dispatch" key must not make an old stamp differ from a
+    # new one measured on the same host.
+    return keyed, {k: v for k, v in host.items() if k != "dispatch"}
 
 
 def describe(key):
@@ -127,10 +133,9 @@ def main(argv):
     baseline, base_host = load_report(paths[0])
     current, cur_host = load_report(paths[1])
 
-    # Cross-host guard: a baseline measured on different hardware (or a
-    # different SIMD dispatch tier), or one without a stamp to tell, cannot
-    # gate this run. Refusing is not a failure — the next commit of the
-    # report re-baselines on this host.
+    # Cross-host guard: a baseline measured on different hardware, or one
+    # without a stamp to tell, cannot gate this run. Refusing is not a
+    # failure — the next commit of the report re-baselines on this host.
     if base_host != cur_host:
         print(
             f"note: refusing comparison, host stamps differ\n"
@@ -144,7 +149,7 @@ def main(argv):
                     f"### {os.path.basename(paths[1])}",
                     "",
                     "comparison skipped: baseline was measured on a "
-                    "different host/dispatch tier.",
+                    "different host.",
                     "",
                 ],
             )

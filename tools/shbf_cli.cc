@@ -915,8 +915,8 @@ int Remote(int argc, char** argv) {
       std::fputs(metrics.snapshot.ToPrometheus().c_str(), stdout);
       return 0;
     }
-    std::printf("%s  dispatch=%s  uptime=%llus\n", metrics.version.c_str(),
-                metrics.dispatch.c_str(),
+    std::printf("%s  cpu=%s  uptime=%llus\n", metrics.version.c_str(),
+                metrics.cpu.c_str(),
                 static_cast<unsigned long long>(metrics.uptime_seconds));
     if (!metrics.snapshot.counters.empty()) {
       std::printf("\n%-40s %20s\n", "counter", "value");
