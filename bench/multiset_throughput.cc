@@ -4,16 +4,17 @@
 // (src/multiset/, docs/multiset.md).
 //
 // Modes, each over its own copy of one catalog (a sliced copy's sets are
-// views over its slices, which the other two modes must not time):
+// views over its slices or lanes of one, which the other two modes must
+// not time):
 //   per_filter  for every key, Contains() on every catalog filter — what a
 //               caller without the subsystem writes
-//   linear      MultiSetIndex with force_scan: every set probed, through
-//               the same shared-probe batch resolves as the index's scan
+//   linear      MultiSetIndex with force_scan: every set probed on its own,
+//               one engine batch pass per set, as the index's scan does
 //   index       the real MultiSetIndex: the shbf_m sets answered from one
-//               slice, the cuckoo sets scanned
+//               bit-sliced SetSlice, the cuckoo sets from one CuckooSlice
 //
 // The default catalog mixes backends: every `mixed-every`-th set is a
-// cuckoo filter, which cannot slice and stays on the scan.
+// cuckoo filter, which slices apart from the shbf_m sets.
 //
 // usage: bench_multiset_throughput [--sets=N] [--keys-per-set=N]
 //          [--queries=N] [--member-frac=F] [--bits-per-key=B] [--k=K]
@@ -21,7 +22,8 @@
 //          [--smoke]
 //
 // --smoke shrinks the workload for CI and turns the run into a gate:
-//   * >= 64 sets over mixed sliceable/scanned backends,
+//   * >= 64 sets, the last one shbf_x, which no slice takes, so the index
+//     answers through a SetSlice, a CuckooSlice and the scan,
 //   * index WhichSets answers bit-identical to the linear scan AND to the
 //     per-filter brute-force loop for every key,
 //   * the same keys through an in-process ShbfServer's WHICH_SETS opcode
@@ -62,7 +64,7 @@ struct Config {
   double bits_per_key = 64.0;
   uint32_t num_hashes = 4;
   size_t batch_size = 32;
-  /// Every M-th set is a cuckoo filter (scanned, never sliced);
+  /// Every M-th set is a cuckoo filter (a CuckooSlice lane);
   /// 0 = homogeneous.
   size_t mixed_every = 8;
   /// Keys per timed WhichSetsBatch call (the latency-sample unit).
@@ -82,17 +84,24 @@ std::string SetKey(size_t set, size_t key) {
   return "set-" + std::to_string(set) + "-key-" + std::to_string(key);
 }
 
+/// The backend of set `set`. The smoke catalog's last set is shbf_x,
+/// which no slice takes, so the gates cover the scan too.
+const char* SetBackend(const Config& config, size_t set) {
+  if (config.smoke && set + 1 == config.sets) return "shbf_x";
+  return config.mixed_every != 0 && (set + 1) % config.mixed_every == 0
+             ? "cuckoo"
+             : "shbf_m";
+}
+
 Status BuildCatalog(const Config& config, SetCatalog* catalog) {
   for (size_t i = 0; i < config.sets; ++i) {
-    const bool scan_backend =
-        config.mixed_every != 0 && (i + 1) % config.mixed_every == 0;
     FilterSpec spec = FilterSpec::ForKeys(config.keys_per_set,
                                           config.bits_per_key,
                                           config.num_hashes);
     spec.max_count = 8;
     std::unique_ptr<MembershipFilter> filter;
-    Status s = FilterRegistry::Global().Create(
-        scan_backend ? "cuckoo" : "shbf_m", spec, &filter);
+    Status s =
+        FilterRegistry::Global().Create(SetBackend(config, i), spec, &filter);
     if (!s.ok()) return s;
     for (size_t k = 0; k < config.keys_per_set; ++k) filter->Add(SetKey(i, k));
     s = catalog->AddSet("set-" + std::to_string(i), std::move(filter));
@@ -350,10 +359,10 @@ int Main(int argc, char** argv) {
   }
   const MultiSetIndex::Stats shape = index->stats();
   std::fprintf(stderr,
-               "# %zu sets: %zu slice(s) of %zu sliced set(s), %zu scan "
-               "set(s), %zu index bytes\n",
-               shape.sets, shape.slices, shape.sliced_sets, shape.scan_sets,
-               shape.memory_bytes);
+               "# %zu sets: %zu slice(s) (%zu cuckoo) of %zu sliced set(s), "
+               "%zu scan set(s), %zu index bytes\n",
+               shape.sets, shape.slices, shape.cuckoo_slices,
+               shape.sliced_sets, shape.scan_sets, shape.memory_bytes);
 
   std::printf("mode,sets,queries,seconds,kqps,probes,speedup_vs_linear\n");
   JsonReport report("multiset_throughput");
@@ -394,9 +403,10 @@ int Main(int argc, char** argv) {
       break;
     }
   }
-  if (ok && (shape.scan_sets == 0 || shape.slices == 0)) {
+  if (ok && (shape.slices == shape.cuckoo_slices ||
+             shape.cuckoo_slices == 0 || shape.scan_sets == 0)) {
     std::fprintf(stderr, "SMOKE FAILED: the mixed workload must exercise "
-                         "both a slice and the scan\n");
+                         "a SetSlice, a CuckooSlice and the scan\n");
     ok = false;
   }
   if (ok && !VerifyServerWhichSets(blob, config, queries,

@@ -21,6 +21,7 @@
 #include <utility>
 #include <vector>
 
+#include "api/cuckoo_adapter.h"
 #include "api/filter_registry.h"
 #include "api/filter_spec.h"
 #include "api/set_query_filter.h"
@@ -355,102 +356,6 @@ class CountingBloomAdapter
            impl_.counters().bits_per_counter() / 8;
   }
   std::string ToBytes() const override { return WrapNative(impl_.ToBytes()); }
-};
-
-class CuckooAdapter : public AdapterCore<MembershipFilter, CuckooFilter> {
- public:
-  using AdapterCore::AdapterCore;
-  void Add(std::string_view key) override {
-    // One fingerprint copy per Add (multiset semantics). This is what makes
-    // Remove safe: if key B aliases key A's fingerprint, B's own Add stored
-    // its own copy, so Remove(A) strips one copy and B stays covered.
-    // (A skip-if-Contains "set" shortcut would break exactly there — an
-    // aliased Add would store nothing, and deleting the alias's copy would
-    // turn B into a false negative.) Duplicate copies of one key are
-    // bounded by its two buckets; a failed Insert bumps the key's counter
-    // in the exact overfull side table the queries consult — degraded
-    // capacity, possibly a redundant copy (Insert may have placed the
-    // fingerprint while kicking another to the stash), never a lost key,
-    // and O(1) memory per distinct hot key no matter how often it re-adds.
-    // A "failed" Insert may still have stored the copy: the kick loop
-    // places the new fingerprint and parks the last displaced one in the
-    // victim stash, which num_items() counts. Only a rejected insert —
-    // stash already occupied, nothing stored — goes to the side table.
-    const size_t items_before = impl_.num_items();
-    if (!impl_.Insert(key) && impl_.num_items() == items_before) {
-      auto [it, inserted] = overfull_.emplace(key, 1);
-      if (!inserted) ++it->second;
-      ++overfull_total_;
-    }
-    ++adds_;
-  }
-  bool Contains(std::string_view key) const override {
-    if (impl_.Contains(key)) return true;
-    return overfull_.find(key) != overfull_.end();
-  }
-  bool ContainsWithStats(std::string_view key,
-                         QueryStats* stats) const override {
-    if (impl_.ContainsWithStats(key, stats)) return true;
-    return overfull_.find(key) != overfull_.end();
-  }
-  // The probe protocol answers for the fingerprint table alone, so it is
-  // offered only while the side table holds nothing the engine would miss.
-  BatchFastPath batch_fast_path() const override {
-    if (!overfull_.empty()) return {};
-    return {BatchFastPath::Kind::kCuckoo, &impl_};
-  }
-  Status Remove(std::string_view key) override {
-    // The exact side table first: removing from it can never disturb other
-    // keys, and it frees degraded capacity.
-    auto it = overfull_.find(key);
-    if (it != overfull_.end()) {
-      if (--it->second == 0) overfull_.erase(it);
-      --overfull_total_;
-      if (adds_ > 0) --adds_;
-      return Status::Ok();
-    }
-    if (!impl_.Delete(key)) {
-      return Status::NotFound(name_ + ": Remove of an absent key");
-    }
-    if (adds_ > 0) --adds_;
-    return Status::Ok();
-  }
-  uint32_t capabilities() const override { return kIncrementalAdd | kRemove; }
-  // Stored fingerprints + overfull copies, which survive deserialization
-  // (unlike the adapter add counter).
-  size_t num_elements() const override {
-    return impl_.num_items() + overfull_total_;
-  }
-  void Clear() override {
-    impl_.Clear();
-    overfull_.clear();
-    overfull_total_ = 0;
-    adds_ = 0;
-  }
-  size_t memory_bytes() const override { return impl_.memory_bits() / 8; }
-  std::string ToBytes() const override {
-    ByteWriter writer;
-    std::string native = impl_.ToBytes();
-    writer.PutU64(native.size());
-    writer.PutBytes(native.data(), native.size());
-    std::vector<std::pair<std::string, uint64_t>> entries(overfull_.begin(),
-                                                          overfull_.end());
-    WriteKeyCountList(&writer, entries);
-    return writer.Take();
-  }
-
-  void RestoreOverfull(std::vector<std::pair<std::string, uint64_t>> entries) {
-    overfull_.clear();
-    overfull_total_ = 0;
-    for (auto& [key, count] : entries) {
-      overfull_total_ += count;
-      overfull_.emplace(std::move(key), count);
-    }
-  }
-
- private:
-  std::map<std::string, uint64_t, std::less<>> overfull_;
-  size_t overfull_total_ = 0;
 };
 
 class CountingShbfMAdapter

@@ -1,5 +1,7 @@
 #include "baselines/cuckoo_filter.h"
 
+#include <utility>
+
 #include "core/bits.h"
 
 namespace shbf {
@@ -19,19 +21,48 @@ Status CuckooFilter::Params::Validate() const {
 }
 
 CuckooFilter::CuckooFilter(const Params& params)
+    : CuckooFilter(params,
+                   std::make_shared<PackedCounterArray>(
+                       NextPowerOfTwo(params.num_buckets) * params.bucket_size,
+                       params.fingerprint_bits),
+                   1, 0) {}
+
+CuckooFilter::CuckooFilter(const Params& params,
+                           std::shared_ptr<PackedCounterArray> table,
+                           uint32_t lanes, uint32_t lane)
     : family_(params.hash_algorithm, 3, params.seed),
       num_buckets_(NextPowerOfTwo(params.num_buckets)),
       bucket_size_(params.bucket_size),
       fingerprint_bits_(params.fingerprint_bits),
       max_kicks_(params.max_kicks),
       kick_rng_(params.seed ^ 0xc0c0c0c0c0c0c0c0ull),
-      slots_(NextPowerOfTwo(params.num_buckets) * params.bucket_size,
-             params.fingerprint_bits) {
+      table_(std::move(table)),
+      lanes_(lanes),
+      lane_(lane) {
   CheckOk(params.Validate());
+  CheckFits(table_.get(), lanes_, lane_);
+}
+
+void CuckooFilter::CheckFits(const PackedCounterArray* table, uint32_t lanes,
+                             uint32_t lane) const {
+  SHBF_CHECK(table != nullptr && lane < lanes &&
+             table->num_counters() == num_buckets_ * lanes * bucket_size_ &&
+             table->bits_per_counter() == fingerprint_bits_)
+      << "CuckooFilter: the table does not hold " << lanes
+      << " lanes of this geometry";
+}
+
+CuckooFilter::Params CuckooFilter::params() const {
+  return {.num_buckets = num_buckets_,
+          .bucket_size = bucket_size_,
+          .fingerprint_bits = fingerprint_bits_,
+          .max_kicks = max_kicks_,
+          .hash_algorithm = family_.algorithm(),
+          .seed = family_.master_seed()};
 }
 
 void CuckooFilter::PrepareProbe(std::string_view key, Probe* probe) const {
-  uint64_t fp_mask = slots_.max_value();
+  uint64_t fp_mask = table_->max_value();
   uint64_t fingerprint = family_.Hash(1, key) & fp_mask;
   if (fingerprint == 0) fingerprint = 1;  // 0 is the empty-slot marker
   size_t i1 = family_.Hash(0, key) & (num_buckets_ - 1);
@@ -46,10 +77,10 @@ size_t CuckooFilter::AltIndex(size_t index, uint64_t fingerprint) const {
 }
 
 bool CuckooFilter::TryInsertIntoBucket(size_t bucket, uint64_t fingerprint) {
-  size_t base = bucket * bucket_size_;
+  const size_t base = FirstSlot(bucket);
   for (uint32_t s = 0; s < bucket_size_; ++s) {
-    if (slots_.Get(base + s) == 0) {
-      slots_.Set(base + s, fingerprint);
+    if (table_->Get(base + s) == 0) {
+      table_->Set(base + s, fingerprint);
       return true;
     }
   }
@@ -57,10 +88,10 @@ bool CuckooFilter::TryInsertIntoBucket(size_t bucket, uint64_t fingerprint) {
 }
 
 bool CuckooFilter::RemoveFromBucket(size_t bucket, uint64_t fingerprint) {
-  size_t base = bucket * bucket_size_;
+  const size_t base = FirstSlot(bucket);
   for (uint32_t s = 0; s < bucket_size_; ++s) {
-    if (slots_.Get(base + s) == fingerprint) {
-      slots_.Set(base + s, 0);
+    if (table_->Get(base + s) == fingerprint) {
+      table_->Set(base + s, 0);
       return true;
     }
   }
@@ -80,9 +111,9 @@ bool CuckooFilter::Insert(std::string_view key) {
   size_t bucket = (kick_rng_.Next() & 1) ? loc.i2 : loc.i1;
   uint64_t fingerprint = loc.fingerprint;
   for (uint32_t kick = 0; kick < max_kicks_; ++kick) {
-    size_t slot = bucket * bucket_size_ + kick_rng_.NextBelow(bucket_size_);
-    uint64_t victim = slots_.Get(slot);
-    slots_.Set(slot, fingerprint);
+    size_t slot = FirstSlot(bucket) + kick_rng_.NextBelow(bucket_size_);
+    uint64_t victim = table_->Get(slot);
+    table_->Set(slot, fingerprint);
     fingerprint = victim;
     bucket = AltIndex(bucket, fingerprint);
     if (TryInsertIntoBucket(bucket, fingerprint)) {
@@ -138,9 +169,37 @@ bool CuckooFilter::Delete(std::string_view key) {
 }
 
 void CuckooFilter::Clear() {
-  slots_.Clear();
+  if (lanes_ == 1) {
+    table_->Clear();
+  } else {
+    for (size_t bucket = 0; bucket < num_buckets_; ++bucket) {
+      for (uint32_t s = 0; s < bucket_size_; ++s) {
+        table_->Set(FirstSlot(bucket) + s, 0);
+      }
+    }
+  }
   victim_ = Victim{};
   num_items_ = 0;
+}
+
+void CuckooFilter::CopySlotsTo(PackedCounterArray* table, uint32_t lanes,
+                               uint32_t lane) const {
+  for (size_t bucket = 0; bucket < num_buckets_; ++bucket) {
+    const size_t from = FirstSlot(bucket);
+    const size_t to = FirstSlotIn(lanes, lane, bucket);
+    for (uint32_t s = 0; s < bucket_size_; ++s) {
+      table->Set(to + s, table_->Get(from + s));
+    }
+  }
+}
+
+void CuckooFilter::MoveToLane(std::shared_ptr<PackedCounterArray> table,
+                              uint32_t lanes, uint32_t lane) {
+  CheckFits(table.get(), lanes, lane);
+  CopySlotsTo(table.get(), lanes, lane);
+  table_ = std::move(table);
+  lanes_ = lanes;
+  lane_ = lane;
 }
 
 std::string CuckooFilter::ToBytes() const {
@@ -156,7 +215,13 @@ std::string CuckooFilter::ToBytes() const {
   writer.PutU8(victim_.used ? 1 : 0);
   writer.PutU64(victim_.index);
   writer.PutU64(victim_.fingerprint);
-  slots_.AppendPayload(&writer);
+  if (lanes_ == 1) {
+    table_->AppendPayload(&writer);
+  } else {
+    PackedCounterArray own(num_buckets_ * bucket_size_, fingerprint_bits_);
+    CopySlotsTo(&own, 1, 0);
+    own.AppendPayload(&writer);
+  }
   return writer.Take();
 }
 
@@ -206,7 +271,7 @@ Status CuckooFilter::FromBytes(std::string_view bytes,
   (*out)->num_items_ = num_items;
   (*out)->victim_ = {victim_used != 0, static_cast<size_t>(victim_index),
                      victim_fingerprint};
-  if (!(*out)->slots_.ReadPayload(&reader) || !reader.AtEnd()) {
+  if (!(*out)->table_->ReadPayload(&reader) || !reader.AtEnd()) {
     out->reset();
     return Status::InvalidArgument("CuckooFilter: payload size mismatch");
   }

@@ -1,8 +1,6 @@
 #include "engine/batch_query_engine.h"
 
 #include <algorithm>
-#include <memory>
-#include <variant>
 
 #include "baselines/bloom_filter.h"
 #include "baselines/cuckoo_filter.h"
@@ -153,7 +151,7 @@ inline bool RecordBatchEntry(size_t num_keys) {
   return true;
 }
 
-// shbf_m, bloom and cuckoo: the kinds whose probe SharedProbeBatch can
+// shbf_m, bloom and cuckoo: the kinds whose probe a multiset slice can
 // share, and whose whole answer is the plain two-pass loop. Calls fn(impl)
 // on the concrete filter and returns what fn returns; false for any other
 // kind or an unsupported fast path.
@@ -234,19 +232,14 @@ void ContainsBatchImpl(const MembershipFilter& filter, const Keys& keys,
   filter.ContainsBatch(keys, results);
 }
 
-ProbeGeometry GeometryOf(const ShbfM& f) {
+ProbeGeometry ShareableProbeGeometry(const ShbfM& f) {
   return {BatchFastPath::Kind::kShbfM, f.hash_algorithm(), f.seed(),
           {f.num_bits(), f.num_hashes(), f.max_offset_span()}};
 }
 
-ProbeGeometry GeometryOf(const BloomFilter& f) {
+ProbeGeometry ShareableProbeGeometry(const BloomFilter& f) {
   return {BatchFastPath::Kind::kBloom, f.hash_algorithm(), f.seed(),
           {f.num_bits(), f.num_hashes(), 0}};
-}
-
-ProbeGeometry GeometryOf(const CuckooFilter& f) {
-  return {BatchFastPath::Kind::kCuckoo, f.hash_algorithm(), f.seed(),
-          {f.num_buckets(), f.fingerprint_bits(), 0}};
 }
 
 }  // namespace
@@ -334,95 +327,15 @@ std::optional<ProbeGeometry> ShareableProbeGeometry(
     const MembershipFilter& filter) {
   std::optional<ProbeGeometry> geometry;
   VisitShareable(filter.batch_fast_path(), [&](const auto& impl) {
-    geometry = GeometryOf(impl);
+    geometry = ShareableProbeGeometry(impl);
     return true;
   });
   return geometry;
 }
 
-// Default-initialized probes on purpose: a slot is always prepared before
-// it is read, so zeroing it would be wasted stores.
-struct SharedProbeBatch::Store {
-  std::variant<std::unique_ptr<ShbfM::Probe[]>,
-               std::unique_ptr<BloomFilter::Probe[]>,
-               std::unique_ptr<CuckooFilter::Probe[]>>
-      probes;
-  size_t capacity = 0;
-  std::vector<uint8_t> prepared;  ///< per key of the current batch
-};
-
-SharedProbeBatch::SharedProbeBatch(const BatchQueryEngine& engine)
-    : engine_(engine), stores_(kMaxStores) {}
-
-SharedProbeBatch::~SharedProbeBatch() = default;
-
-template <typename Impl>
-bool SharedProbeBatch::ResolveShared(const Impl& impl, size_t store_index,
-                                     const std::vector<uint32_t>& indices,
-                                     std::vector<uint8_t>* results) {
-  using Probes = std::unique_ptr<typename Impl::Probe[]>;
-  Store& store = stores_[store_index];
-  std::optional<ProbeGeometry>& claimed = claimed_[store_index];
-  if (!claimed.has_value()) {
-    SHBF_CHECK(num_keys() <= kMaxKeys) << "SharedProbeBatch: too many keys";
-    claimed = GeometryOf(impl);
-    store.prepared.assign(num_keys(), 0);
-    if (!std::holds_alternative<Probes>(store.probes) ||
-        store.capacity < num_keys()) {
-      store.probes = Probes(new typename Impl::Probe[num_keys()]);
-      store.capacity = num_keys();
-    }
-  } else if (*claimed != GeometryOf(impl)) {
-    return false;  // claimed by another geometry in this batch
-  }
-  if (RecordBatchEntry(indices.size())) {
-    EngineMetrics::Get().fastpath_batches->Increment();
-  }
-  // The engine's two-pass group loop, with each key's probe taken from the
-  // shared slots (prepared there on first use) instead of a group scratch.
-  typename Impl::Probe* probes = std::get<Probes>(store.probes).get();
-  uint8_t* prepared = store.prepared.data();
-  const size_t group_size = engine_.batch_size();
-  for (size_t start = 0; start < indices.size(); start += group_size) {
-    const size_t end = std::min(indices.size(), start + group_size);
-    for (size_t j = start; j < end; ++j) {
-      const uint32_t i = indices[j];
-      if (prepared[i] == 0) {
-        impl.PrepareProbe(keys_[i], &probes[i]);
-        prepared[i] = 1;
-      }
-      impl.PrefetchProbe(probes[i]);
-    }
-    for (size_t j = start; j < end; ++j) {
-      (*results)[j] = impl.ResolveProbe(probes[indices[j]]) ? 1 : 0;
-    }
-  }
-  return true;
-}
-
-void SharedProbeBatch::ContainsBatch(const MembershipFilter& filter,
-                                     size_t store,
-                                     const std::vector<uint32_t>& indices,
-                                     std::vector<uint8_t>* results) {
-  results->resize(indices.size());
-  if (indices.empty()) return;
-  if (store != kNoStore) {
-    SHBF_CHECK(store < kMaxStores) << "SharedProbeBatch: no store " << store;
-    if (VisitShareable(filter.batch_fast_path(), [&](const auto& impl) {
-          return ResolveShared(impl, store, indices, results);
-        })) {
-      return;
-    }
-  }
-  // The regular engine pass. Ascending indices covering the whole batch
-  // are the identity, so the batch's own views serve without a gather.
-  if (indices.size() == keys_.size()) {
-    engine_.ContainsBatch(filter, keys_, results);
-    return;
-  }
-  gathered_.clear();
-  for (uint32_t i : indices) gathered_.push_back(keys_[i]);
-  engine_.ContainsBatch(filter, gathered_, results);
+ProbeGeometry ShareableProbeGeometry(const CuckooFilter& f) {
+  return {BatchFastPath::Kind::kCuckoo, f.hash_algorithm(), f.seed(),
+          {f.num_buckets(), f.fingerprint_bits(), f.bucket_size()}};
 }
 
 }  // namespace shbf

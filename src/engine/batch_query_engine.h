@@ -29,7 +29,6 @@
 #include <cstddef>
 #include <cstdint>
 #include <optional>
-#include <span>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -40,6 +39,8 @@
 #include "shbf/shbf_multiplicity.h"
 
 namespace shbf {
+
+class CuckooFilter;
 
 /// Tuning knobs for BatchQueryEngine (FilterSpec::batch_size feeds this).
 struct BatchOptions {
@@ -67,7 +68,7 @@ class BatchQueryEngine {
                      std::vector<uint8_t>* results) const;
 
   /// View-indexed overload: identical answers without requiring the caller
-  /// to own the key bytes (SharedProbeBatch and the sharded wrapper pass
+  /// to own the key bytes (the multiset scan and the sharded wrapper pass
   /// views into their caller's keys instead of copying them). Views must
   /// stay valid for the duration of the call.
   void ContainsBatch(const MembershipFilter& filter,
@@ -102,7 +103,9 @@ class BatchQueryEngine {
 };
 
 /// Everything a probe depends on besides the key: two filters with equal
-/// geometries prepare bit-identical probes for every key.
+/// geometries prepare bit-identical probes for every key. A cuckoo
+/// geometry also carries the bucket size, so equal geometries lay their
+/// buckets out alike. The multiset index groups the sets it slices by it.
 struct ProbeGeometry {
   BatchFastPath::Kind kind;
   HashAlgorithm algorithm;
@@ -112,63 +115,13 @@ struct ProbeGeometry {
   auto operator<=>(const ProbeGeometry&) const = default;
 };
 
-/// The geometry of `filter`'s probe if SharedProbeBatch can share it
+/// The geometry of `filter`'s probe if a multiset slice can share it
 /// (shbf_m, bloom and cuckoo on a supported fast path), nullopt otherwise.
 std::optional<ProbeGeometry> ShareableProbeGeometry(
     const MembershipFilter& filter);
 
-/// Membership answers for many filters over one batch of at most kMaxKeys
-/// keys. Filters of one shareable geometry that the caller gives a common
-/// probe store resolve, through the engine's group/prefetch loop, from
-/// probes prepared there once per key and batch, on first use. A store
-/// serves the first geometry that uses it after Reset; every other filter
-/// gets a regular BatchQueryEngine pass, so answers never depend on how
-/// stores were assigned.
-///
-/// Holds per-call scratch, at most kMaxStores x kMaxKeys probes (2 MiB
-/// with bloom's, the largest): create one per call, never share one
-/// between threads.
-class SharedProbeBatch {
- public:
-  static constexpr size_t kMaxKeys = 1024;
-  static constexpr size_t kMaxStores = 4;
-  static constexpr size_t kNoStore = static_cast<size_t>(-1);
-
-  /// `engine` supplies the group size and must outlive the batch.
-  explicit SharedProbeBatch(const BatchQueryEngine& engine);
-  ~SharedProbeBatch();  // out of line: Store is incomplete here
-
-  /// Starts a new batch over `keys` (strings or views, at most kMaxKeys;
-  /// the bytes they view must outlive its use), discarding earlier probes.
-  template <typename Key>
-  void Reset(std::span<const Key> keys) {
-    keys_.assign(keys.begin(), keys.end());
-    for (auto& geometry : claimed_) geometry.reset();
-  }
-
-  size_t num_keys() const { return keys_.size(); }
-
-  /// `results` is resized to `indices.size()`; entry j becomes 1 iff
-  /// `filter.Contains(keys[indices[j]])`. Indices must be ascending and
-  /// < num_keys(); `store` is < kMaxStores or kNoStore.
-  void ContainsBatch(const MembershipFilter& filter, size_t store,
-                     const std::vector<uint32_t>& indices,
-                     std::vector<uint8_t>* results);
-
- private:
-  struct Store;  // one geometry's probes
-
-  template <typename Impl>
-  bool ResolveShared(const Impl& impl, size_t store,
-                     const std::vector<uint32_t>& indices,
-                     std::vector<uint8_t>* results);
-
-  const BatchQueryEngine& engine_;
-  std::vector<std::string_view> keys_;
-  std::vector<Store> stores_;  ///< kMaxStores of them
-  std::optional<ProbeGeometry> claimed_[kMaxStores];  ///< since Reset
-  std::vector<std::string_view> gathered_;  ///< per-filter pass keys
-};
+/// A cuckoo filter's geometry, whatever its adapter's side table holds.
+ProbeGeometry ShareableProbeGeometry(const CuckooFilter& filter);
 
 }  // namespace shbf
 

@@ -1,9 +1,6 @@
 #include "multiset/multi_set_index.h"
 
 #include <algorithm>
-#include <functional>
-#include <numeric>
-#include <span>
 #include <utility>
 
 #include "obs/metrics.h"
@@ -25,7 +22,6 @@ Status MultiSetIndex::Build(SetCatalog* catalog,
   index->id_bound_ = catalog->id_bound();
   Status s = index->SliceCatalog(catalog);
   if (!s.ok()) return s;
-  index->AssignProbeStores();
   *out = std::move(index);
   return Status::Ok();
 }
@@ -39,11 +35,21 @@ Status MultiSetIndex::SliceCatalog(SetCatalog* catalog) {
   // Keyed by registry name and probe geometry. Entries() is id-ordered, so
   // slots follow ids within a slice.
   std::map<std::pair<std::string, ProbeGeometry>, Group> groups;
+  std::map<ProbeGeometry, std::vector<CuckooSlice::Member>> cuckoo_groups;
   const FilterRegistry& registry = FilterRegistry::Global();
   for (const SetCatalog::SetEntry* entry : catalog->Entries()) {
     MembershipFilter* filter = catalog->MutableFilter(entry->id);
     members_[entry->id] = Member{.filter = filter};
     if (options_.force_scan) continue;
+    // The adapter type, not the fast path, admits a cuckoo set: one whose
+    // side table holds keys has no fast path but slices all the same.
+    if (auto* cuckoo = dynamic_cast<CuckooAdapter*>(filter)) {
+      if (CuckooSlice::Sliceable(cuckoo->impl())) {
+        cuckoo_groups[ShareableProbeGeometry(cuckoo->impl())].push_back(
+            {entry->id, cuckoo});
+      }
+      continue;
+    }
     const auto geometry = ShareableProbeGeometry(*filter);
     if (!geometry.has_value() ||
         (geometry->kind != BatchFastPath::Kind::kShbfM &&
@@ -93,31 +99,27 @@ Status MultiSetIndex::SliceCatalog(SetCatalog* catalog) {
     }
     slices_.push_back(std::move(slice));
   }
+  SliceCuckooSets(cuckoo_groups);
   for (const auto& [id, member] : members_) {
-    if (member.slice == kNoSlice) {
+    if (member.slice == kNoSlice && member.cuckoo_slice == kNoSlice) {
       scan_.push_back(ScanSet{.filter = member.filter, .set_id = id});
     }
   }
   return Status::Ok();
 }
 
-void MultiSetIndex::AssignProbeStores() {
-  std::map<ProbeGeometry, std::vector<size_t>> users;
-  for (size_t n = 0; n < scan_.size(); ++n) {
-    if (const auto geometry = ShareableProbeGeometry(*scan_[n].filter)) {
-      users[*geometry].push_back(n);
+void MultiSetIndex::SliceCuckooSets(
+    const std::map<ProbeGeometry, std::vector<CuckooSlice::Member>>& groups) {
+  for (const auto& [geometry, group] : groups) {
+    std::unique_ptr<CuckooSlice> slice;
+    // A one-set group is a scan; Build refuses it.
+    if (!CuckooSlice::Build(group, &slice).ok()) continue;
+    for (size_t lane = 0; lane < group.size(); ++lane) {
+      Member& member = members_[group[lane].set_id];
+      member.cuckoo_slice = cuckoo_slices_.size();
+      member.slot = lane;
     }
-  }
-  std::multimap<size_t, const std::vector<size_t>*, std::greater<>> by_use;
-  for (const auto& [geometry, sets] : users) {
-    by_use.emplace(sets.size(), &sets);
-  }
-  size_t store = 0;
-  for (const auto& [uses, sets] : by_use) {
-    // A shared probe saves work only when a second set reads it.
-    if (uses < 2 || store == SharedProbeBatch::kMaxStores) break;
-    for (size_t n : *sets) scan_[n].probe_store = store;
-    ++store;
+    cuckoo_slices_.push_back(std::move(slice));
   }
 }
 
@@ -127,38 +129,33 @@ void MultiSetIndex::WhichSets(std::string_view key, SetIdBitmap* out) const {
   *out = std::move(answers.front());
 }
 
-template <typename Keys>
-void MultiSetIndex::WhichSetsBatchImpl(const Keys& keys,
-                                       std::vector<SetIdBitmap>* out) const {
+void MultiSetIndex::WhichSetsBatch(const std::vector<std::string>& keys,
+                                   std::vector<SetIdBitmap>* out) const {
+  WhichSetsBatch(std::vector<std::string_view>(keys.begin(), keys.end()), out);
+}
+
+void MultiSetIndex::WhichSetsBatch(const std::vector<std::string_view>& keys,
+                                   std::vector<SetIdBitmap>* out) const {
   out->assign(keys.size(), SetIdBitmap(id_bound_));
-  uint64_t probes = 0;  // one per key per slice or scan set consulted
-  std::vector<std::string_view> views;
-  std::vector<uint32_t> all;
+  if (keys.empty()) return;
+  const size_t n = keys.size();
+  uint64_t probes = 0;  // Stats::probes
+  for (const auto& slice : slices_) {
+    if (slice->live_slots() == 0) continue;
+    slice->WhichSets(keys, engine_.batch_size(), out->data());
+    probes += n;
+  }
+  for (const auto& slice : cuckoo_slices_) {
+    if (slice->live_lanes() == 0) continue;
+    slice->WhichSets(keys, engine_.batch_size(), out->data());
+    probes += n * (1 + slice->exception_lanes());
+  }
   std::vector<uint8_t> results;
-  // The probe cache lives for this call only, and chunking bounds it: at
-  // most kMaxStores x kMaxKeys probes, whatever the batch size.
-  SharedProbeBatch batch(engine_);
-  for (size_t begin = 0; begin < keys.size();
-       begin += SharedProbeBatch::kMaxKeys) {
-    const auto chunk = std::span(keys).subspan(
-        begin, std::min(SharedProbeBatch::kMaxKeys, keys.size() - begin));
-    SetIdBitmap* answers = out->data() + begin;
-    views.assign(chunk.begin(), chunk.end());
-    for (const auto& slice : slices_) {
-      if (slice->live_slots() == 0) continue;
-      slice->WhichSets(views, engine_.batch_size(), answers);
-      probes += chunk.size();
-    }
-    if (scan_.empty()) continue;
-    batch.Reset(chunk);
-    all.resize(chunk.size());
-    std::iota(all.begin(), all.end(), 0u);
-    for (const ScanSet& set : scan_) {
-      batch.ContainsBatch(*set.filter, set.probe_store, all, &results);
-      probes += all.size();
-      for (size_t i = 0; i < all.size(); ++i) {
-        if (results[i] != 0) answers[i].Set(set.set_id);
-      }
+  for (const ScanSet& set : scan_) {
+    engine_.ContainsBatch(*set.filter, keys, &results);
+    probes += n;
+    for (size_t i = 0; i < n; ++i) {
+      if (results[i] != 0) (*out)[i].Set(set.set_id);
     }
   }
   probes_.fetch_add(probes, std::memory_order_relaxed);
@@ -169,16 +166,6 @@ void MultiSetIndex::WhichSetsBatchImpl(const Keys& keys,
   }
 }
 
-void MultiSetIndex::WhichSetsBatch(const std::vector<std::string>& keys,
-                                   std::vector<SetIdBitmap>* out) const {
-  WhichSetsBatchImpl(keys, out);
-}
-
-void MultiSetIndex::WhichSetsBatch(const std::vector<std::string_view>& keys,
-                                   std::vector<SetIdBitmap>* out) const {
-  WhichSetsBatchImpl(keys, out);
-}
-
 Status MultiSetIndex::AddKey(uint32_t set_id, std::string_view key) {
   auto it = members_.find(set_id);
   if (it == members_.end()) {
@@ -186,6 +173,11 @@ Status MultiSetIndex::AddKey(uint32_t set_id, std::string_view key) {
                             std::to_string(set_id));
   }
   it->second.filter->Add(key);
+  if (it->second.cuckoo_slice != kNoSlice) {
+    // The add may have filled the lane's stash or side table; until the
+    // slice knows, WhichSets would miss that key.
+    cuckoo_slices_[it->second.cuckoo_slice]->PrepareForConstReads();
+  }
   return Status::Ok();
 }
 
@@ -206,6 +198,8 @@ Status MultiSetIndex::RemoveSet(uint32_t set_id) {
   }
   if (it->second.slice != kNoSlice) {
     slices_[it->second.slice]->Drop(it->second.slot);
+  } else if (it->second.cuckoo_slice != kNoSlice) {
+    cuckoo_slices_[it->second.cuckoo_slice]->Drop(it->second.slot);
   } else {
     std::erase_if(scan_,
                   [&](const ScanSet& set) { return set.set_id == set_id; });
@@ -216,6 +210,7 @@ Status MultiSetIndex::RemoveSet(uint32_t set_id) {
 
 void MultiSetIndex::PrepareForConstReads() {
   for (ScanSet& set : scan_) set.filter->PrepareForConstReads();
+  for (auto& slice : cuckoo_slices_) slice->PrepareForConstReads();
 }
 
 MultiSetIndex::Stats MultiSetIndex::stats() const {
@@ -226,6 +221,15 @@ MultiSetIndex::Stats MultiSetIndex::stats() const {
   for (const auto& slice : slices_) {
     const size_t live = slice->live_slots();
     if (live != 0) ++stats.slices;
+    stats.sliced_sets += live;
+    stats.memory_bytes += slice->memory_bytes();
+  }
+  for (const auto& slice : cuckoo_slices_) {
+    const size_t live = slice->live_lanes();
+    if (live != 0) {
+      ++stats.slices;
+      ++stats.cuckoo_slices;
+    }
     stats.sliced_sets += live;
     stats.memory_bytes += slice->memory_bytes();
   }

@@ -1,29 +1,37 @@
 // MultiSetIndex — "which of my N sets contain key k" over a SetCatalog,
-// with Flat-Bloofi slices (Crainiceanu & Lemire, PAPERS.md) where the
-// catalog allows them and a per-set scan everywhere else.
+// with slices where the catalog allows them and a per-set scan everywhere
+// else.
 //
 // Every layer below answers questions about ONE set at a time; a
 // deployment holding hundreds of named filters would pay N probes per key
-// for the multi-set question. Build groups the catalog's unwrapped `shbf_m`
-// and `bloom` sets by probe geometry, and every group of two or more
-// becomes one SetSlice (set_slice.h): bit p of all its members in one
-// column, so a key's answer for the whole group is the AND of its k
-// columns. The slice owns those bits; Build swaps each sliced set's catalog
-// filter for a view over its slot, so memory is not doubled and the
-// catalog (Contains, Serialize, INDEX_ADD, num_elements) behaves as before.
+// for the multi-set question. Build groups the catalog's unwrapped sets by
+// probe geometry, and every group of two or more becomes one slice:
 //
-// Every other set — cuckoo and the other non-bit-array backends, wrapped
-// sets (`dynamic/`, `sharded/`, `scaling/`, whose mapped_saver refuses
-// them), split-block sets, and sets whose geometry no other set shares —
-// stays on the scan: one batch resolve per set through a per-call
-// SharedProbeBatch, which hashes each key once per shared probe geometry.
-// `force_scan` puts every set there; it is the reference the bench and the
-// smoke gates compare against.
+//   * `shbf_m` and `bloom` sets form a SetSlice (set_slice.h), Flat-Bloofi
+//     (Crainiceanu & Lemire, PAPERS.md): bit p of all its members in one
+//     column, so a key's answer for the group is the AND of its k columns.
+//     The slice owns those bits; Build swaps each sliced set's catalog
+//     filter for a view over its slot.
+//   * `cuckoo` sets whose bucket is a whole number of bytes form a
+//     CuckooSlice (cuckoo_slice.h): bucket i of every member side by side,
+//     so a key's answer for the group comes from two rows. Build moves each
+//     member's slots into its lane; the catalog keeps the same adapters,
+//     now running over their lanes.
 //
-// Lifetime: the index and the views share each slice, so the catalog and
-// the index may be destroyed in either order. Build replaces the sliced
-// sets' filters, so an index built earlier over the same catalog must not
-// be used afterwards; a later Build finds the views, which it scans.
+// Either way memory is not doubled and the catalog (Contains, Serialize,
+// INDEX_ADD, num_elements) behaves as before.
+//
+// Every other set — the other non-bit-array backends, wrapped sets
+// (`dynamic/`, `sharded/`, `scaling/`), split-block sets, and sets whose
+// geometry no other set shares — stays on the scan: one engine batch
+// resolve per set. `force_scan` puts every set there; it is the reference
+// the bench and the smoke gates compare against.
+//
+// Lifetime: the index and the views (or lane adapters) share each slice's
+// bits, so the catalog and the index may be destroyed in either order.
+// Build replaces the sliced sets' filters or moves their slots, so an index
+// built earlier over the same catalog must not be used afterwards; a later
+// Build finds views and lane adapters, which it scans.
 //
 // Thread safety: queries are const and safe to run concurrently AFTER
 // PrepareForConstReads(); AddKey / AddKeys / RemoveSet require exclusive
@@ -47,6 +55,7 @@
 #include "api/set_catalog.h"
 #include "core/status.h"
 #include "engine/batch_query_engine.h"
+#include "multiset/cuckoo_slice.h"
 #include "multiset/set_id_bitmap.h"
 #include "multiset/set_slice.h"
 
@@ -85,8 +94,8 @@ class MultiSetIndex {
   void WhichSets(std::string_view key, SetIdBitmap* out) const;
 
   /// Batched WhichSets: `out` is resized to keys.size(); entry i receives
-  /// WhichSets(keys[i]). Runs over chunks of SharedProbeBatch::kMaxKeys
-  /// keys: each slice, then each scan set, answers the whole chunk.
+  /// WhichSets(keys[i]). Each slice, then each scan set, answers the whole
+  /// batch.
   void WhichSetsBatch(const std::vector<std::string>& keys,
                       std::vector<SetIdBitmap>* out) const;
 
@@ -97,8 +106,8 @@ class MultiSetIndex {
                       std::vector<SetIdBitmap>* out) const;
 
   /// Incremental maintenance: adds `key` to set `set_id`'s filter; for a
-  /// sliced set, the view sets the key's k bits in its slot. kNotFound for
-  /// a dead or unknown id.
+  /// sliced set, the view sets the key's k bits in its slot, and a cuckoo
+  /// lane inserts into its lane. kNotFound for a dead or unknown id.
   Status AddKey(uint32_t set_id, std::string_view key);
   Status AddKeys(uint32_t set_id, const std::vector<std::string>& keys);
 
@@ -107,30 +116,37 @@ class MultiSetIndex {
   /// SetCatalog::DropSet frees the filter.
   Status RemoveSet(uint32_t set_id);
 
-  /// Completes deferred (lazy) builds in every scan set, so subsequent
-  /// const queries are pure (shared-lock safe). Call after a maintenance
-  /// burst, from the writer section.
+  /// Completes deferred (lazy) builds in every scan set and recomputes
+  /// each cuckoo slice's exception lanes, so subsequent const queries are
+  /// pure (shared-lock safe) and exact. Call after every maintenance burst,
+  /// from the writer section.
   void PrepareForConstReads();
 
   struct Stats {
-    size_t sets = 0;         ///< live sets reported by queries
-    size_t slices = 0;       ///< slices probed per query
-    size_t sliced_sets = 0;  ///< live sets answered from a slice
-    size_t scan_sets = 0;    ///< live sets probed one by one
-    /// Slices with their probe templates; a view reports 0 bytes, so this
-    /// plus SetCatalog::memory_bytes() counts every byte once.
+    size_t sets = 0;            ///< live sets reported by queries
+    size_t slices = 0;          ///< slices of either kind probed per query
+    size_t cuckoo_slices = 0;   ///< of which CuckooSlices
+    size_t sliced_sets = 0;     ///< live sets answered from a slice
+    size_t scan_sets = 0;       ///< live sets probed one by one
+    /// Slices with their probe templates; a view or a lane adapter reports
+    /// none of these bytes, so this plus SetCatalog::memory_bytes() counts
+    /// every byte once.
     size_t memory_bytes = 0;
-    uint64_t probes = 0;  ///< cumulative per-key slice and scan-set probes
+    /// Cumulative per-key probes: one per slice, cuckoo exception lane and
+    /// scan set consulted.
+    uint64_t probes = 0;
   };
   Stats stats() const;
 
  private:
   static constexpr size_t kNoSlice = static_cast<size_t>(-1);
 
-  /// A live set: a scan set's filter, or a sliced set's slice and slot.
+  /// A live set: a scan set's filter, or a sliced set's slice and slot
+  /// (its lane, for a cuckoo slice).
   struct Member {
     MembershipFilter* filter = nullptr;  ///< the catalog's (a view if sliced)
     size_t slice = kNoSlice;             ///< index into slices_
+    size_t cuckoo_slice = kNoSlice;      ///< index into cuckoo_slices_
     size_t slot = 0;
   };
 
@@ -138,38 +154,29 @@ class MultiSetIndex {
   struct ScanSet {
     MembershipFilter* filter = nullptr;
     uint32_t set_id = 0;
-    /// SharedProbeBatch store of this set's probe geometry, or kNoStore.
-    size_t probe_store = SharedProbeBatch::kNoStore;
   };
 
   MultiSetIndex() = default;
 
-  /// Slices each group of two or more unwrapped shbf_m or bloom sets of
-  /// one geometry and swaps their catalog filters for views; every other
-  /// set becomes a scan set.
+  /// Slices each group of two or more unwrapped shbf_m, bloom or sliceable
+  /// cuckoo sets of one geometry; every other set becomes a scan set.
   Status SliceCatalog(SetCatalog* catalog);
 
-  /// Gives the kMaxStores most used shareable probe geometries, among
-  /// those with at least two scan sets, a SharedProbeBatch store each;
-  /// every other scan set keeps its own engine pass.
-  void AssignProbeStores();
-
-  /// The loop behind both WhichSetsBatch overloads; `Keys` is a vector of
-  /// std::string or std::string_view.
-  template <typename Keys>
-  void WhichSetsBatchImpl(const Keys& keys,
-                          std::vector<SetIdBitmap>* out) const;
+  /// Moves each group of two or more sliceable cuckoo sets into a
+  /// CuckooSlice.
+  void SliceCuckooSets(
+      const std::map<ProbeGeometry, std::vector<CuckooSlice::Member>>& groups);
 
   MultiSetIndexOptions options_;
   BatchQueryEngine engine_{BatchOptions{}};
   size_t id_bound_ = 0;
 
   std::vector<std::shared_ptr<SetSlice>> slices_;
+  std::vector<std::unique_ptr<CuckooSlice>> cuckoo_slices_;
   std::vector<ScanSet> scan_;
   std::map<uint32_t, Member> members_;  ///< live sets by id
 
-  /// Cumulative key-probe counter: one per key per slice or scan set
-  /// consulted.
+  /// Cumulative key-probe counter (Stats::probes).
   mutable std::atomic<uint64_t> probes_{0};
 };
 

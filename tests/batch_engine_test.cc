@@ -9,7 +9,6 @@
 #include <gtest/gtest.h>
 
 #include <memory>
-#include <span>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -162,74 +161,6 @@ TEST(BatchEngineTest, ProbeProtocolFiltersExposeTheirFastPath) {
   engine.ContainsBatch(*cuckoo, keys, &batched);
   for (size_t i = 0; i < keys.size(); ++i) {
     ASSERT_EQ(batched[i] != 0, cuckoo->Contains(keys[i])) << "key " << i;
-  }
-}
-
-TEST(BatchEngineTest, SharedProbeBatchMatchesPerKeyWhateverTheStores) {
-  // Filters of five shareable geometries (seed, size and kind differ) and
-  // one kind without a shareable probe, under three store assignments: all
-  // on one store (later geometries must fall back, not read its probes),
-  // one store each, and none.
-  const auto universe = Universe(0x5a4ed);
-  const auto& registry = FilterRegistry::Global();
-  FilterSpec wider = EngineSpec(1);
-  wider.num_cells *= 2;
-  const struct {
-    const char* name;
-    FilterSpec spec;
-  } configs[] = {{"shbf_m", EngineSpec(1)}, {"shbf_m", EngineSpec(2)},
-                 {"shbf_m", wider},         {"bloom", EngineSpec(1)},
-                 {"cuckoo", EngineSpec(1)},
-                 {"split_block_bloom", EngineSpec(1)}};
-  std::vector<std::unique_ptr<MembershipFilter>> filters;
-  for (const auto& [name, spec] : configs) {
-    filters.emplace_back();
-    ASSERT_TRUE(registry.Create(name, spec, &filters.back()).ok());
-    for (size_t i = 0; i < kNumKeys; ++i) filters.back()->Add(universe[i]);
-  }
-  std::unique_ptr<MembershipFilter> twin;
-  ASSERT_TRUE(registry.Create("shbf_m", EngineSpec(1), &twin).ok());
-  EXPECT_EQ(ShareableProbeGeometry(*filters[0]),
-            ShareableProbeGeometry(*twin));
-  EXPECT_NE(ShareableProbeGeometry(*filters[0]),
-            ShareableProbeGeometry(*filters[1]));
-  EXPECT_NE(ShareableProbeGeometry(*filters[0]),
-            ShareableProbeGeometry(*filters[2]));
-  EXPECT_FALSE(ShareableProbeGeometry(*filters[5]).has_value());
-
-  BatchQueryEngine engine({.batch_size = 7});
-  std::vector<uint8_t> results;
-  for (int assignment = 0; assignment < 3; ++assignment) {
-    SCOPED_TRACE(assignment);
-    SharedProbeBatch batch(engine);
-    // Two batches that straddle the member/absent boundary differently, so
-    // a probe kept across Reset would answer for the wrong key; the second
-    // is larger, so the stores must grow.
-    for (size_t begin : {kNumKeys - 300, kNumKeys - 700}) {
-      const std::span<const std::string> keys(
-          universe.data() + begin,
-          begin == kNumKeys - 300 ? 500 : SharedProbeBatch::kMaxKeys);
-      batch.Reset(keys);
-      std::vector<uint32_t> all(keys.size()), some;
-      for (uint32_t i = 0; i < all.size(); ++i) {
-        all[i] = i;
-        if (i % 3 == 1) some.push_back(i);
-      }
-      for (const auto* indices : {&some, &all}) {
-        for (size_t f = 0; f < filters.size(); ++f) {
-          size_t store = SharedProbeBatch::kNoStore;
-          if (assignment == 0) store = 0;
-          if (assignment == 1) store = f % SharedProbeBatch::kMaxStores;
-          batch.ContainsBatch(*filters[f], store, *indices, &results);
-          ASSERT_EQ(results.size(), indices->size());
-          for (size_t j = 0; j < indices->size(); ++j) {
-            ASSERT_EQ(results[j] != 0,
-                      filters[f]->Contains(keys[(*indices)[j]]))
-                << "filter " << f << " key " << (*indices)[j];
-          }
-        }
-      }
-    }
   }
 }
 

@@ -8,6 +8,7 @@
 #include <vector>
 
 #include "api/filter_registry.h"
+#include "core/packed_counter_array.h"
 #include "engine/batch_query_engine.h"
 #include "trace/workload.h"
 
@@ -195,6 +196,102 @@ TEST(CuckooFilterTest, FromBytesRejectsOutOfRangeVictim) {
   std::optional<CuckooFilter> restored;
   EXPECT_FALSE(CuckooFilter::FromBytes(blob, &restored).ok())
       << "accepted a victim index far past the bucket array";
+}
+
+// A filter in lane `lane` of an N-lane table answers and serializes exactly
+// like a standalone twin fed the same operations: inserts until the stash
+// fills (kicks included), deletes that free the stash, and Clear. Every
+// other lane holds its own filter, whose bytes must never change.
+TEST(CuckooFilterTest, LaneFilterMatchesAStandaloneTwin) {
+  const CuckooFilter::Params params{
+      .num_buckets = 16, .bucket_size = 4, .fingerprint_bits = 12};
+  auto key = [](size_t k) { return "lane-key-" + std::to_string(k); };
+  for (uint32_t lanes : {2u, 3u, 65u}) {
+    for (uint32_t lane : {0u, lanes - 1}) {
+      SCOPED_TRACE("lane " + std::to_string(lane) + " of " +
+                   std::to_string(lanes));
+      auto table = std::make_shared<PackedCounterArray>(
+          params.num_buckets * lanes * params.bucket_size,
+          params.fingerprint_bits);
+      std::vector<CuckooFilter> neighbours;
+      std::vector<std::string> neighbour_bytes;
+      for (uint32_t other = 0; other < lanes; ++other) {
+        if (other == lane) continue;
+        CuckooFilter::Params seeded = params;
+        seeded.seed = 100 + other;
+        neighbours.emplace_back(seeded);
+        for (size_t k = 0; k < 40; ++k) neighbours.back().Insert(key(k));
+        neighbours.back().MoveToLane(table, lanes, other);
+        neighbour_bytes.push_back(neighbours.back().ToBytes());
+      }
+      CuckooFilter twin(params);
+      CuckooFilter laned(params);
+      for (size_t k = 0; k < 10; ++k) {
+        ASSERT_TRUE(twin.Insert(key(k)));
+        ASSERT_TRUE(laned.Insert(key(k)));
+      }
+      laned.MoveToLane(table, lanes, lane);
+      ASSERT_EQ(laned.lanes(), lanes);
+      auto expect_twins = [&](const char* step) {
+        SCOPED_TRACE(step);
+        ASSERT_EQ(laned.ToBytes(), twin.ToBytes());
+        ASSERT_EQ(laned.num_items(), twin.num_items());
+        for (size_t k = 0; k < 400; ++k) {
+          ASSERT_EQ(laned.Contains(key(k)), twin.Contains(key(k))) << k;
+        }
+        for (size_t n = 0; n < neighbours.size(); ++n) {
+          ASSERT_EQ(neighbours[n].ToBytes(), neighbour_bytes[n])
+              << "neighbour " << n << " changed";
+        }
+      };
+      expect_twins("moved into the lane");
+
+      size_t inserted = 10;
+      for (; inserted < 400; ++inserted) {
+        const bool stored = twin.Insert(key(inserted));
+        ASSERT_EQ(laned.Insert(key(inserted)), stored);
+        if (!stored) break;
+      }
+      ASSERT_TRUE(laned.HasVictim()) << "400 inserts never filled the lane";
+      expect_twins("filled to failure");
+
+      for (size_t k = 0; k <= inserted && laned.HasVictim(); ++k) {
+        ASSERT_EQ(laned.Delete(key(k)), twin.Delete(key(k)));
+      }
+      ASSERT_FALSE(laned.HasVictim());
+      expect_twins("stash freed by deletes");
+
+      laned.Clear();
+      twin.Clear();
+      expect_twins("cleared");
+    }
+  }
+}
+
+TEST(CuckooFilterTest, AdapterMemoryCountsTheOverfullSideTable) {
+  // A tiny cuckoo set, filled until its stash is occupied: every later add
+  // goes to the exact side table, whose keys and counts are memory too.
+  const FilterSpec tiny = FilterSpec::ForKeys(16, 64.0, 4);
+  std::unique_ptr<MembershipFilter> cuckoo;
+  ASSERT_TRUE(FilterRegistry::Global().Create("cuckoo", tiny, &cuckoo).ok());
+  const size_t table_bytes = cuckoo->memory_bytes();
+  auto key = [](size_t k) {
+    return "a-rather-long-overfull-key-" + std::to_string(k);
+  };
+  size_t k = 0;
+  while (cuckoo->batch_fast_path().kind != BatchFastPath::Kind::kNone) {
+    ASSERT_LT(k, 200u) << "200 adds never overflowed a tiny cuckoo";
+    cuckoo->Add(key(k++));
+  }
+  size_t overfull_bytes = key(k - 1).size();
+  for (size_t extra = 0; extra < 50; ++extra, ++k) {
+    cuckoo->Add(key(k));
+    overfull_bytes += key(k).size();
+  }
+  EXPECT_GE(cuckoo->memory_bytes(), table_bytes + overfull_bytes)
+      << "the side table's keys are not counted";
+  for (size_t j = k - 51; j < k; ++j) ASSERT_TRUE(cuckoo->Remove(key(j)).ok());
+  EXPECT_EQ(cuckoo->memory_bytes(), table_bytes);
 }
 
 // Every legal-ish corner of the bucket geometry: one to eight slots, and

@@ -3,7 +3,8 @@
 // no false negatives) for mixed sliced/scanned backends, stay correct under
 // incremental AddKey/RemoveSet maintenance, and leave the catalog's
 // outward behaviour (Serialize bytes, names, counts) as it was while the
-// slices own the sliced sets' bits.
+// slices own the sliced sets' bits: bit-sliced shbf_m and bloom sets, and
+// cuckoo sets in the lanes of a bucket-interleaved table.
 
 #include "multiset/multi_set_index.h"
 
@@ -14,6 +15,7 @@
 
 #include <gtest/gtest.h>
 
+#include "api/cuckoo_adapter.h"
 #include "api/filter_registry.h"
 #include "api/set_catalog.h"
 
@@ -86,8 +88,8 @@ void ExpectMatchesBruteForce(const MultiSetIndex& index,
 }
 
 TEST(MultiSetIndexTest, BitIdenticalToBruteForceOverMixedBackends) {
-  // shbf_m and bloom slice (one slice per geometry); cuckoo and shbf_x
-  // stay on the scan.
+  // shbf_m, bloom and cuckoo slice (one slice per geometry); shbf_x stays
+  // on the scan.
   const std::vector<std::string> backends = {"shbf_m", "shbf_m", "bloom",
                                              "cuckoo", "shbf_x"};
   SetCatalog catalog = MakeCatalog(backends, 20, 80);
@@ -97,28 +99,33 @@ TEST(MultiSetIndexTest, BitIdenticalToBruteForceOverMixedBackends) {
 
   const MultiSetIndex::Stats stats = index->stats();
   EXPECT_EQ(stats.sets, 20u);
-  EXPECT_EQ(stats.slices, 2u) << "one slice per shbf_m / bloom geometry";
-  EXPECT_EQ(stats.sliced_sets, 12u);
-  EXPECT_EQ(stats.scan_sets, 8u) << "cuckoo + shbf_x sets scan";
+  EXPECT_EQ(stats.slices, 3u) << "one slice per shbf_m / bloom / cuckoo "
+                                 "geometry";
+  EXPECT_EQ(stats.cuckoo_slices, 1u);
+  EXPECT_EQ(stats.sliced_sets, 16u);
+  EXPECT_EQ(stats.scan_sets, 4u) << "the shbf_x sets scan";
   ExpectMatchesBruteForce(*index, reference, MakeQueries(20, 80));
 
   // One probe per key for each slice or scan set consulted.
   const uint64_t before = index->stats().probes;
   std::vector<SetIdBitmap> answers;
   index->WhichSetsBatch(std::vector<std::string>{"a", "b", "c"}, &answers);
-  EXPECT_EQ(index->stats().probes - before, 3u * (2 + 8));
+  EXPECT_EQ(index->stats().probes - before, 3u * (3 + 4));
 }
 
 TEST(MultiSetIndexTest, ForceScanMatchesSliceAnswers) {
-  SetCatalog sliced = MakeCatalog({"shbf_m"}, 32, 60);
-  SetCatalog scanned = MakeCatalog({"shbf_m"}, 32, 60);
+  const std::vector<std::string> backends = {"shbf_m", "shbf_m", "shbf_m",
+                                             "cuckoo"};
+  SetCatalog sliced = MakeCatalog(backends, 32, 60);
+  SetCatalog scanned = MakeCatalog(backends, 32, 60);
   std::unique_ptr<MultiSetIndex> index;
   ASSERT_TRUE(MultiSetIndex::Build(&sliced, {}, &index).ok());
   MultiSetIndexOptions scan_options;
   scan_options.force_scan = true;
   std::unique_ptr<MultiSetIndex> scan;
   ASSERT_TRUE(MultiSetIndex::Build(&scanned, scan_options, &scan).ok());
-  EXPECT_EQ(index->stats().slices, 1u);
+  EXPECT_EQ(index->stats().slices, 2u);
+  EXPECT_EQ(index->stats().cuckoo_slices, 1u);
   EXPECT_EQ(scan->stats().slices, 0u);
   EXPECT_EQ(scan->stats().scan_sets, 32u);
 
@@ -128,11 +135,12 @@ TEST(MultiSetIndexTest, ForceScanMatchesSliceAnswers) {
   index->WhichSetsBatch(queries, &index_answers);
   scan->WhichSetsBatch(queries, &scan_answers);
   EXPECT_EQ(index_answers, scan_answers);
-  // The whole point: one slice probe per key instead of 32 filter probes.
-  EXPECT_EQ(index->stats().probes, queries.size());
+  // The whole point: two slice probes per key instead of 32 filter probes.
+  EXPECT_EQ(index->stats().probes, 2 * queries.size());
   EXPECT_EQ(scan->stats().probes, 32 * queries.size());
 
-  // A later Build over the sliced catalog finds views, which it scans.
+  // A later Build over the sliced catalog finds views and lane adapters,
+  // which it scans.
   std::unique_ptr<MultiSetIndex> later;
   ASSERT_TRUE(MultiSetIndex::Build(&sliced, {}, &later).ok());
   EXPECT_EQ(later->stats().slices, 0u);
@@ -159,8 +167,8 @@ TEST(MultiSetIndexTest, SliceOfManySetsWithAPartialTailByte) {
 }
 
 TEST(MultiSetIndexTest, SlicesMatchBruteForceAcrossHashCounts) {
-  // Dense sets (10 bits/key), so every slice answers false positives that
-  // must match the rows' exactly.
+  // Dense sets (10 bits/key; the cuckoo sets at 78 % load), so every slice
+  // answers false positives that must match the rows' exactly.
   for (const char* backend : {"shbf_m", "bloom"}) {
     for (uint32_t k : {2u, 4u, 8u}) {
       SCOPED_TRACE(std::string(backend) + " k=" + std::to_string(k));
@@ -182,8 +190,9 @@ TEST(MultiSetIndexTest, SlicesMatchBruteForceAcrossHashCounts) {
       const SetCatalog reference = build();
       std::unique_ptr<MultiSetIndex> index;
       ASSERT_TRUE(MultiSetIndex::Build(&catalog, {}, &index).ok());
-      EXPECT_EQ(index->stats().slices, 1u);
-      EXPECT_EQ(index->stats().sliced_sets, 10u);
+      EXPECT_EQ(index->stats().slices, 2u);
+      EXPECT_EQ(index->stats().cuckoo_slices, 1u) << "the two cuckoo sets";
+      EXPECT_EQ(index->stats().sliced_sets, 12u);
       std::vector<std::string> queries = MakeQueries(12, 200);
       for (int i = 0; i < 3000; ++i) {
         queries.push_back("more-absent-" + std::to_string(i));
@@ -207,7 +216,8 @@ TEST(MultiSetIndexTest, SerializeIsByteIdenticalBeforeDuringAndAfterTheIndex) {
 
   std::unique_ptr<MultiSetIndex> index;
   ASSERT_TRUE(MultiSetIndex::Build(&catalog, {}, &index).ok());
-  ASSERT_EQ(index->stats().slices, 2u);
+  ASSERT_EQ(index->stats().slices, 3u);
+  ASSERT_EQ(index->stats().cuckoo_slices, 1u);
   EXPECT_EQ(catalog.Serialize(), before);
   size_t i = 0;
   for (const SetCatalog::SetEntry* entry : catalog.Entries()) {
@@ -220,20 +230,27 @@ TEST(MultiSetIndexTest, SerializeIsByteIdenticalBeforeDuringAndAfterTheIndex) {
     ++i;
   }
 
-  // The views keep the slices alive: the catalog answers and serializes
-  // the same once the index is gone.
+  // The views and lane adapters keep the slices' bits alive: the catalog
+  // answers and serializes the same once the index is gone, also after
+  // adds into a lane.
   index.reset();
   EXPECT_EQ(catalog.Serialize(), before);
-  const SetCatalog reference = MakeCatalog(backends, 12, 50);
+  SetCatalog reference = MakeCatalog(backends, 12, 50);
   for (const auto& key : MakeQueries(12, 50)) {
     EXPECT_EQ(BruteForce(catalog, key), BruteForce(reference, key)) << key;
   }
+  for (int k = 0; k < 20; ++k) {
+    const std::string key = "after-" + std::to_string(k);
+    catalog.MutableFilter(3)->Add(key);  // a cuckoo lane
+    reference.MutableFilter(3)->Add(key);
+  }
+  EXPECT_EQ(catalog.Serialize(), reference.Serialize());
 
   // And the index keeps them alive when the catalog goes first.
   auto owned = std::make_unique<SetCatalog>(MakeCatalog(backends, 12, 50));
   ASSERT_TRUE(MultiSetIndex::Build(owned.get(), {}, &index).ok());
   owned.reset();
-  EXPECT_EQ(index->stats().sliced_sets, 9u);
+  EXPECT_EQ(index->stats().sliced_sets, 12u);
   index.reset();
 }
 
@@ -256,22 +273,32 @@ TEST(MultiSetIndexTest, AddKeyOnASlicedSetSerializesLikeARowBuiltTwin) {
 }
 
 TEST(MultiSetIndexTest, TheSliceOwnsTheBits) {
-  // 16 shbf_m sets, a whole number of column bytes, plus 4 cuckoo sets.
+  // 16 shbf_m sets, a whole number of column bytes, plus 4 cuckoo sets
+  // and one shbf_x set, which scans.
   SetCatalog catalog = MakeCatalog(
       {"shbf_m", "shbf_m", "shbf_m", "shbf_m", "cuckoo"}, 20, 200);
+  CheckOk(catalog.AddSet("scanned", MakeFilter("shbf_x", 200)));
   const size_t before = catalog.memory_bytes();
   const size_t row_bytes = catalog.FindById(0)->filter->memory_bytes();
+  const size_t cuckoo_bytes = catalog.FindById(4)->filter->memory_bytes();
+  const size_t scan_bytes = catalog.Find("scanned")->filter->memory_bytes();
   std::unique_ptr<MultiSetIndex> index;
   ASSERT_TRUE(MultiSetIndex::Build(&catalog, {}, &index).ok());
   const MultiSetIndex::Stats stats = index->stats();
-  ASSERT_EQ(stats.slices, 1u);
-  ASSERT_EQ(stats.sliced_sets, 16u);
+  ASSERT_EQ(stats.slices, 2u);
+  ASSERT_EQ(stats.cuckoo_slices, 1u);
+  ASSERT_EQ(stats.sliced_sets, 20u);
   EXPECT_EQ(catalog.FindById(0)->filter->memory_bytes(), 0u)
       << "a view owns no bits";
-  // No copy is kept: at most one row per slice (the probe template) more.
+  EXPECT_EQ(catalog.FindById(4)->filter->memory_bytes(), 0u)
+      << "a lane adapter owns no slots";
+  EXPECT_EQ(catalog.memory_bytes(), scan_bytes) << "only the scan set's";
+  // No copy is kept: one row more for the SetSlice's probe template, and a
+  // few words of lane bookkeeping for the CuckooSlice.
   EXPECT_LE(catalog.memory_bytes() + stats.memory_bytes,
-            before + stats.slices * row_bytes);
-  EXPECT_GT(stats.memory_bytes, 15 * row_bytes) << "the slice holds the bits";
+            before + row_bytes + 64);
+  EXPECT_GT(stats.memory_bytes, 15 * row_bytes + 4 * cuckoo_bytes)
+      << "the slices hold the bits";
 }
 
 TEST(MultiSetIndexTest, WrappedSetsAreNotSliced) {
@@ -350,33 +377,49 @@ TEST(MultiSetIndexTest, IncrementalAddKeyReachesSlicesAndTheScan) {
 }
 
 TEST(MultiSetIndexTest, RemoveSetStopsReportingWithoutDisturbingOthers) {
-  SetCatalog catalog = MakeCatalog({"shbf_m", "cuckoo"}, 12, 50);
-  SetCatalog reference = MakeCatalog({"shbf_m", "cuckoo"}, 12, 50);
+  const std::vector<std::string> backends = {"shbf_m", "cuckoo", "shbf_x"};
+  SetCatalog catalog = MakeCatalog(backends, 12, 50);
+  SetCatalog reference = MakeCatalog(backends, 12, 50);
   std::unique_ptr<MultiSetIndex> index;
   ASSERT_TRUE(MultiSetIndex::Build(&catalog, {}, &index).ok());
+  ASSERT_EQ(index->stats().slices, 2u);
 
-  // Drop one sliced set (id 2) and one scan set (id 5): index first, then
-  // the catalog frees the filters.
-  ASSERT_TRUE(index->RemoveSet(2).ok());
-  ASSERT_TRUE(index->RemoveSet(5).ok());
-  ASSERT_TRUE(catalog.DropSet("set-2").ok());
-  ASSERT_TRUE(catalog.DropSet("set-5").ok());
-  ASSERT_TRUE(reference.DropSet("set-2").ok());
-  ASSERT_TRUE(reference.DropSet("set-5").ok());
-  EXPECT_EQ(index->RemoveSet(2).code(), Status::Code::kNotFound);
-  EXPECT_EQ(index->stats().sets, 10u);
-  EXPECT_EQ(index->stats().sliced_sets, 5u);
-  EXPECT_EQ(index->stats().scan_sets, 5u);
+  // Drop one sliced set (id 3), one cuckoo lane (id 4) and one scan set
+  // (id 5): index first, then the catalog frees the filters.
+  const std::vector<uint32_t> dropped = {3, 4, 5};
+  for (uint32_t id : dropped) {
+    const std::string name = "set-" + std::to_string(id);
+    ASSERT_TRUE(index->RemoveSet(id).ok());
+    ASSERT_TRUE(catalog.DropSet(name).ok());
+    ASSERT_TRUE(reference.DropSet(name).ok());
+  }
+  EXPECT_EQ(index->RemoveSet(3).code(), Status::Code::kNotFound);
+  EXPECT_EQ(index->stats().sets, 9u);
+  EXPECT_EQ(index->stats().sliced_sets, 6u);
+  EXPECT_EQ(index->stats().scan_sets, 3u);
+
+  // The remaining lanes keep taking adds beside the dropped one.
+  for (uint32_t id : {1u, 7u, 10u}) {
+    const std::string key = "late-" + std::to_string(id);
+    ASSERT_TRUE(index->AddKey(id, key).ok());
+    reference.MutableFilter(id)->Add(key);
+  }
+  index->PrepareForConstReads();
 
   std::vector<std::string> queries = MakeQueries(12, 50);
-  for (int k = 0; k < 50; ++k) {
-    queries.push_back("set-2-key-" + std::to_string(k));
+  for (uint32_t id : dropped) {
+    for (int k = 0; k < 50; ++k) {
+      queries.push_back("set-" + std::to_string(id) + "-key-" +
+                        std::to_string(k));
+    }
+  }
+  for (uint32_t id : {1u, 7u, 10u}) {
+    queries.push_back("late-" + std::to_string(id));
   }
   for (const auto& key : queries) {
     SetIdBitmap got;
     index->WhichSets(key, &got);
-    EXPECT_FALSE(got.Test(2));
-    EXPECT_FALSE(got.Test(5));
+    for (uint32_t id : dropped) EXPECT_FALSE(got.Test(id)) << key;
   }
   ExpectMatchesBruteForce(*index, reference, queries);
 }
@@ -410,7 +453,7 @@ TEST(MultiSetIndexTest, EachSharedGeometryGetsItsOwnSlice) {
 TEST(MultiSetIndexTest, ProbesNeverCrossHashFamilies) {
   // Each backend in two hash families or geometries: a probe shared across
   // families would turn member keys into false negatives. Three shbf_m
-  // slices and a bloom slice sit beside two cuckoo families on the scan.
+  // slices and a bloom slice sit beside two cuckoo slices, one per family.
   const struct {
     const char* name;
     size_t keys;
@@ -438,14 +481,15 @@ TEST(MultiSetIndexTest, ProbesNeverCrossHashFamilies) {
   };
   SetCatalog catalog = build(&queries);
   const SetCatalog reference = build(nullptr);
-  // Past two SharedProbeBatch chunks, with a partial tail.
+  // 2500 keys: one batch past the 1024-key frames, with a partial group.
   for (int i = 0; queries.size() < 2500; ++i) {
     queries.push_back("absent-" + std::to_string(i));
   }
   std::unique_ptr<MultiSetIndex> index;
   ASSERT_TRUE(MultiSetIndex::Build(&catalog, {}, &index).ok());
-  EXPECT_EQ(index->stats().slices, 4u);
-  EXPECT_EQ(index->stats().scan_sets, 8u);
+  EXPECT_EQ(index->stats().slices, 6u);
+  EXPECT_EQ(index->stats().cuckoo_slices, 2u);
+  EXPECT_EQ(index->stats().scan_sets, 0u);
   ExpectMatchesBruteForce(*index, reference, queries);
 
   std::vector<SetIdBitmap> answers;
@@ -455,9 +499,11 @@ TEST(MultiSetIndexTest, ProbesNeverCrossHashFamilies) {
 
 TEST(MultiSetIndexTest, CuckooSetsFilledToFailureMatchBruteForce) {
   // A tiny cuckoo set driven to its first failed insert parks a fingerprint
-  // in the victim stash and keeps the probe fast path, so the shared probe
-  // must consult the stash. One more add lands in the exact overfull side
-  // table, which takes the set off the fast path.
+  // in the victim stash and keeps the probe fast path; one more add lands
+  // in the exact overfull side table, which takes the set off the fast
+  // path. Both still slice, with a third set one add short of its stash
+  // that AddKey fills after the build: the slice must ask all three
+  // through Contains, since their buckets do not show every key.
   const FilterSpec tiny = FilterSpec::ForKeys(16, 64.0, 4);
   auto key = [](size_t k) { return "full-key-" + std::to_string(k); };
   auto fill = [&](size_t adds) {
@@ -474,44 +520,95 @@ TEST(MultiSetIndexTest, CuckooSetsFilledToFailureMatchBruteForce) {
       first_failure = k;  // add k overflowed: add k - 1 failed
     }
   }
-  ASSERT_GT(first_failure, 0u) << "200 adds never overflowed a tiny cuckoo";
+  ASSERT_GT(first_failure, 1u) << "200 adds never overflowed a tiny cuckoo";
 
   auto build = [&] {
     SetCatalog catalog = MakeCatalog({"shbf_m", "shbf_m", "cuckoo"}, 12, 50);
     auto stashed = fill(first_failure);
     auto overfull = fill(first_failure + 40);
+    auto late = fill(first_failure - 1);
     EXPECT_EQ(stashed->batch_fast_path().kind, BatchFastPath::Kind::kCuckoo);
     EXPECT_EQ(overfull->batch_fast_path().kind, BatchFastPath::Kind::kNone);
+    EXPECT_TRUE(
+        static_cast<const CuckooAdapter*>(stashed.get())->impl().HasVictim());
+    EXPECT_FALSE(
+        static_cast<const CuckooAdapter*>(late.get())->impl().HasVictim());
     CheckOk(catalog.AddSet("stashed", std::move(stashed)));
     CheckOk(catalog.AddSet("overfull", std::move(overfull)));
+    CheckOk(catalog.AddSet("late", std::move(late)));
     return catalog;
   };
   SetCatalog catalog = build();
-  const SetCatalog reference = build();
+  SetCatalog reference = build();
   std::unique_ptr<MultiSetIndex> index;
   ASSERT_TRUE(MultiSetIndex::Build(&catalog, {}, &index).ok());
+  EXPECT_EQ(index->stats().cuckoo_slices, 2u)
+      << "the 50-key and the tiny geometry";
+  EXPECT_EQ(index->stats().scan_sets, 0u);
 
   std::vector<std::string> queries = MakeQueries(12, 50);
   const size_t first_full_key = queries.size();
   for (size_t k = 0; k < first_failure + 40; ++k) queries.push_back(key(k));
   ExpectMatchesBruteForce(*index, reference, queries);
-  // No false negatives, independent of Contains: the key whose fingerprint
-  // sits in the stash must still be reported.
+
+  // The late set's stash fills inside its lane, after the build.
+  const uint32_t late_id = catalog.Find("late")->id;
+  ASSERT_TRUE(index->AddKey(late_id, key(first_failure - 1)).ok());
+  reference.MutableFilter(late_id)->Add(key(first_failure - 1));
+  index->PrepareForConstReads();
+  ASSERT_TRUE(static_cast<const CuckooAdapter*>(catalog.FindById(late_id)
+                                                    ->filter.get())
+                  ->impl()
+                  .HasVictim());
+  ExpectMatchesBruteForce(*index, reference, queries);
+  EXPECT_EQ(catalog.Serialize(), reference.Serialize());
+
+  // No false negatives, independent of Contains: every key whose
+  // fingerprint sits in a stash must still be reported.
   std::vector<SetIdBitmap> answers;
   index->WhichSetsBatch(queries, &answers);
   const uint32_t stashed_id = catalog.Find("stashed")->id;
   for (size_t k = 0; k < first_failure; ++k) {
     EXPECT_TRUE(answers[first_full_key + k].Test(stashed_id)) << key(k);
+    EXPECT_TRUE(answers[first_full_key + k].Test(late_id)) << key(k);
   }
+}
+
+TEST(MultiSetIndexTest, CuckooSliceOfMoreThan64Lanes) {
+  // 65 cuckoo sets: a second live-mask word holding one lane. Lane 64
+  // takes adds, and dropping lane 63 must not touch it.
+  SetCatalog catalog = MakeCatalog({"cuckoo"}, 65, 40);
+  SetCatalog reference = MakeCatalog({"cuckoo"}, 65, 40);
+  std::unique_ptr<MultiSetIndex> index;
+  ASSERT_TRUE(MultiSetIndex::Build(&catalog, {}, &index).ok());
+  EXPECT_EQ(index->stats().cuckoo_slices, 1u);
+  EXPECT_EQ(index->stats().sliced_sets, 65u);
+  std::vector<std::string> queries = MakeQueries(65, 40);
+  for (size_t i = 60; i < 65; ++i) {
+    queries.push_back("set-" + std::to_string(i) + "-key-7");
+  }
+  ExpectMatchesBruteForce(*index, reference, queries);
+
+  for (int k = 0; k < 10; ++k) {
+    const std::string key = "late-64-" + std::to_string(k);
+    ASSERT_TRUE(index->AddKey(64, key).ok());
+    reference.MutableFilter(64)->Add(key);
+    queries.push_back(key);
+  }
+  ASSERT_TRUE(index->RemoveSet(63).ok());
+  ASSERT_TRUE(catalog.DropSet("set-63").ok());
+  ASSERT_TRUE(reference.DropSet("set-63").ok());
+  index->PrepareForConstReads();
+  EXPECT_EQ(index->stats().sliced_sets, 64u);
+  ExpectMatchesBruteForce(*index, reference, queries);
+  EXPECT_EQ(catalog.Serialize(), reference.Serialize());
 }
 
 TEST(MultiSetIndexTest, ManyProbeGeometriesMatchBruteForce) {
   // Sized per set, as `shbf_cli multiset build` sizes them: 48 shbf_m sets
   // of distinct sizes, each its own probe geometry (scanned), plus six
-  // geometries of three sets each (six slices). Under force_scan those six
-  // are more shared geometries than a SharedProbeBatch has stores, so some
-  // get a store and the rest, like the distinct ones, their own engine
-  // pass.
+  // geometries of three sets each (six slices). Under force_scan all 66
+  // take their own engine pass.
   std::vector<std::string> queries;
   auto build = [&](bool record) {
     SetCatalog catalog;
@@ -534,7 +631,7 @@ TEST(MultiSetIndexTest, ManyProbeGeometriesMatchBruteForce) {
   SetCatalog catalog = build(true);
   SetCatalog scanned = build(false);
   const SetCatalog reference = build(false);
-  ASSERT_GT(queries.size(), SharedProbeBatch::kMaxKeys);
+  ASSERT_GT(queries.size(), 1024u);
   for (int i = 0; i < 1000; ++i) {
     queries.push_back("absent-" + std::to_string(i));
   }

@@ -463,8 +463,8 @@ TEST(MultisetServerTest, WhichSetsBitIdenticalToLocalBruteForce) {
   ShbfClient::MultisetInfo info;
   ASSERT_TRUE(client.MultisetList(&info).ok());
   EXPECT_EQ(info.sets.size(), 24u);
-  EXPECT_EQ(info.slices, 1u);     // the 21 shbf_m sets
-  EXPECT_EQ(info.scan_sets, 3u);  // the cuckoo sets
+  EXPECT_EQ(info.slices, 2u);  // the 21 shbf_m sets, the 3 cuckoo sets
+  EXPECT_EQ(info.scan_sets, 0u);
   EXPECT_EQ(info.levels, 1u);
   EXPECT_GT(info.summary_memory_bytes, 0u);
   EXPECT_EQ(info.sets[0].name, "s0");
@@ -479,7 +479,7 @@ TEST(MultisetServerTest, IndexAddAndDropMaintainTheIndexIncrementally) {
   ASSERT_TRUE(client.Connect("127.0.0.1", server.port()).ok());
 
   // Incremental adds are visible to the very next WHICH_SETS, through the
-  // slice (s2 is sliced) and on the scan path (s7 is a cuckoo).
+  // shbf_m slice (s2) and the cuckoo slice (s7 is a cuckoo lane).
   uint64_t added = 0;
   ASSERT_TRUE(client.IndexAdd("s2", {"fresh-a", "fresh-b"}, &added).ok());
   EXPECT_EQ(added, 2u);
@@ -504,8 +504,8 @@ TEST(MultisetServerTest, IndexAddAndDropMaintainTheIndexIncrementally) {
   ShbfClient::MultisetInfo info;
   ASSERT_TRUE(client.MultisetList(&info).ok());
   EXPECT_EQ(info.sets.size(), 15u);
-  EXPECT_EQ(info.slices, 1u);
-  EXPECT_EQ(info.scan_sets, 2u);
+  EXPECT_EQ(info.slices, 2u);
+  EXPECT_EQ(info.scan_sets, 0u);
 }
 
 TEST(MultisetServerTest, WhichSetsRespectsTheKeysPerFrameLimit) {
@@ -667,19 +667,28 @@ TEST(MultisetServerTest, ConcurrentWhichSetsReadersAndOneMaintainer) {
         ++failures;
         return;
       }
+      // s1's keys (a slot of the shbf_m slice) and s7's (a lane of the
+      // cuckoo slice, which the maintainer writes into), 40 members each
+      // followed by 24 absent keys.
       std::vector<std::string> keys;
-      for (int i = 0; i < 64; ++i) keys.push_back("s1-k" + std::to_string(i));
+      for (const char* set : {"s1", "s7"}) {
+        for (int i = 0; i < 64; ++i) {
+          keys.push_back(set + ("-k" + std::to_string(i)));
+        }
+      }
       for (int round = 0; round < 30; ++round) {
         std::vector<std::vector<uint32_t>> which;
         if (!client.WhichSets(keys, &which).ok()) {
           ++failures;
           return;
         }
-        // s1's own keys must always report s1 (no false negatives, even
-        // mid-maintenance).
+        // Each set's own keys must always report it (no false negatives,
+        // even mid-maintenance).
         for (int i = 0; i < 40; ++i) {
           if (std::find(which[i].begin(), which[i].end(), 1u) ==
-              which[i].end()) {
+                  which[i].end() ||
+              std::find(which[64 + i].begin(), which[64 + i].end(), 7u) ==
+                  which[64 + i].end()) {
             ++failures;
             return;
           }
@@ -694,7 +703,9 @@ TEST(MultisetServerTest, ConcurrentWhichSetsReadersAndOneMaintainer) {
       return;
     }
     for (int round = 0; round < 30; ++round) {
-      if (!client.IndexAdd("s3", {"churn-" + std::to_string(round)}).ok()) {
+      const std::string key = "churn-" + std::to_string(round);
+      if (!client.IndexAdd("s3", {key}).ok() ||
+          !client.IndexAdd("s7", {key}).ok()) {
         ++failures;
         return;
       }
