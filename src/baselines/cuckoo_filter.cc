@@ -1,5 +1,6 @@
 #include "baselines/cuckoo_filter.h"
 
+#include <algorithm>
 #include <utility>
 
 #include "core/bits.h"
@@ -169,13 +170,9 @@ bool CuckooFilter::Delete(std::string_view key) {
 }
 
 void CuckooFilter::Clear() {
-  if (lanes_ == 1) {
-    table_->Clear();
-  } else {
-    for (size_t bucket = 0; bucket < num_buckets_; ++bucket) {
-      for (uint32_t s = 0; s < bucket_size_; ++s) {
-        table_->Set(FirstSlot(bucket) + s, 0);
-      }
+  for (size_t bucket = 0; bucket < num_buckets_; ++bucket) {
+    for (uint32_t s = 0; s < bucket_size_; ++s) {
+      table_->Set(FirstSlot(bucket) + s, 0);
     }
   }
   victim_ = Victim{};
@@ -184,11 +181,15 @@ void CuckooFilter::Clear() {
 
 void CuckooFilter::CopySlotsTo(PackedCounterArray* table, uint32_t lanes,
                                uint32_t lane) const {
+  // A bucket's slots are contiguous in every layout: copy them in runs of
+  // at most 64 bits.
+  const uint32_t run = std::min(bucket_size_, 64 / fingerprint_bits_);
   for (size_t bucket = 0; bucket < num_buckets_; ++bucket) {
     const size_t from = FirstSlot(bucket);
     const size_t to = FirstSlotIn(lanes, lane, bucket);
-    for (uint32_t s = 0; s < bucket_size_; ++s) {
-      table->Set(to + s, table_->Get(from + s));
+    for (uint32_t s = 0; s < bucket_size_; s += run) {
+      const uint32_t count = std::min(run, bucket_size_ - s);
+      table->SetRun(to + s, count, table_->GetRun(from + s, count));
     }
   }
 }
@@ -215,13 +216,9 @@ std::string CuckooFilter::ToBytes() const {
   writer.PutU8(victim_.used ? 1 : 0);
   writer.PutU64(victim_.index);
   writer.PutU64(victim_.fingerprint);
-  if (lanes_ == 1) {
-    table_->AppendPayload(&writer);
-  } else {
-    PackedCounterArray own(num_buckets_ * bucket_size_, fingerprint_bits_);
-    CopySlotsTo(&own, 1, 0);
-    own.AppendPayload(&writer);
-  }
+  PackedCounterArray own(num_buckets_ * bucket_size_, fingerprint_bits_);
+  CopySlotsTo(&own, 1, 0);
+  own.AppendPayload(&writer);
   return writer.Take();
 }
 

@@ -117,6 +117,35 @@ void PackedCounterArray::Set(size_t i, uint64_t value) {
   }
 }
 
+uint64_t PackedCounterArray::GetRun(size_t first, uint32_t count) const {
+  const uint32_t width = count * bits_per_counter_;
+  SHBF_DCHECK(first + count <= num_counters_ && width <= 64);
+  const size_t bit = first * bits_per_counter_;
+  const uint32_t shift = bit & 63;
+  const uint64_t* w = words_data_ + (bit >> 6);
+  // w[1] is in bounds for every counter (the straddle word), and the split
+  // left shift stays defined at shift == 0.
+  const uint64_t run = (w[0] >> shift) | ((w[1] << 1) << (63 - shift));
+  return width == 64 ? run : run & ((uint64_t{1} << width) - 1);
+}
+
+void PackedCounterArray::SetRun(size_t first, uint32_t count, uint64_t run) {
+  const uint32_t width = count * bits_per_counter_;
+  SHBF_DCHECK(first + count <= num_counters_ && width <= 64);
+  const uint64_t mask =
+      width == 64 ? ~uint64_t{0} : (uint64_t{1} << width) - 1;
+  SHBF_DCHECK((run & ~mask) == 0);
+  uint64_t* words = mutable_words();
+  const size_t bit = first * bits_per_counter_;
+  const size_t word = bit >> 6;
+  const uint32_t shift = bit & 63;
+  words[word] = (words[word] & ~(mask << shift)) | (run << shift);
+  if (shift + width > 64) {
+    const uint32_t spill = 64 - shift;
+    words[word + 1] = (words[word + 1] & ~(mask >> spill)) | (run >> spill);
+  }
+}
+
 bool PackedCounterArray::Increment(size_t i) {
   uint64_t v = Get(i);
   if (v >= max_value_) {

@@ -92,6 +92,15 @@ class PackedCounterArray {
   /// Overwrites counter `i` with `value` (value <= max_value()).
   void Set(size_t i, uint64_t value);
 
+  /// Counters [first, first + count) as one value, counter `first` in the
+  /// low bits; count·z must be at most 64. One funnel-shifted load of at
+  /// most two words.
+  uint64_t GetRun(size_t first, uint32_t count) const;
+
+  /// Overwrites counters [first, first + count) with `run`, a GetRun value
+  /// of the same count.
+  void SetRun(size_t first, uint32_t count, uint64_t run);
+
   /// Adds one, saturating at max_value(). Returns false iff it saturated
   /// (either was already stuck or just became stuck).
   bool Increment(size_t i);

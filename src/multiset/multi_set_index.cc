@@ -99,7 +99,8 @@ Status MultiSetIndex::SliceCatalog(SetCatalog* catalog) {
     }
     slices_.push_back(std::move(slice));
   }
-  SliceCuckooSets(cuckoo_groups);
+  Status s = SliceCuckooSets(cuckoo_groups);
+  if (!s.ok()) return s;
   for (const auto& [id, member] : members_) {
     if (member.slice == kNoSlice && member.cuckoo_slice == kNoSlice) {
       scan_.push_back(ScanSet{.filter = member.filter, .set_id = id});
@@ -108,12 +109,13 @@ Status MultiSetIndex::SliceCatalog(SetCatalog* catalog) {
   return Status::Ok();
 }
 
-void MultiSetIndex::SliceCuckooSets(
+Status MultiSetIndex::SliceCuckooSets(
     const std::map<ProbeGeometry, std::vector<CuckooSlice::Member>>& groups) {
   for (const auto& [geometry, group] : groups) {
+    if (group.size() < 2) continue;  // a one-set slice is a scan
     std::unique_ptr<CuckooSlice> slice;
-    // A one-set group is a scan; Build refuses it.
-    if (!CuckooSlice::Build(group, &slice).ok()) continue;
+    Status s = CuckooSlice::Build(group, &slice);
+    if (!s.ok()) return s;
     for (size_t lane = 0; lane < group.size(); ++lane) {
       Member& member = members_[group[lane].set_id];
       member.cuckoo_slice = cuckoo_slices_.size();
@@ -121,6 +123,7 @@ void MultiSetIndex::SliceCuckooSets(
     }
     cuckoo_slices_.push_back(std::move(slice));
   }
+  return Status::Ok();
 }
 
 void MultiSetIndex::WhichSets(std::string_view key, SetIdBitmap* out) const {
@@ -173,11 +176,6 @@ Status MultiSetIndex::AddKey(uint32_t set_id, std::string_view key) {
                             std::to_string(set_id));
   }
   it->second.filter->Add(key);
-  if (it->second.cuckoo_slice != kNoSlice) {
-    // The add may have filled the lane's stash or side table; until the
-    // slice knows, WhichSets would miss that key.
-    cuckoo_slices_[it->second.cuckoo_slice]->PrepareForConstReads();
-  }
   return Status::Ok();
 }
 

@@ -107,7 +107,10 @@ class MultiSetIndex {
 
   /// Incremental maintenance: adds `key` to set `set_id`'s filter; for a
   /// sliced set, the view sets the key's k bits in its slot, and a cuckoo
-  /// lane inserts into its lane. kNotFound for a dead or unknown id.
+  /// lane inserts into its lane. Queries report the key once
+  /// PrepareForConstReads() has run: an add that fills a cuckoo lane's
+  /// stash or side table puts the key where only that call makes the
+  /// slice look. kNotFound for a dead or unknown id.
   Status AddKey(uint32_t set_id, std::string_view key);
   Status AddKeys(uint32_t set_id, const std::vector<std::string>& keys);
 
@@ -164,7 +167,7 @@ class MultiSetIndex {
 
   /// Moves each group of two or more sliceable cuckoo sets into a
   /// CuckooSlice.
-  void SliceCuckooSets(
+  Status SliceCuckooSets(
       const std::map<ProbeGeometry, std::vector<CuckooSlice::Member>>& groups);
 
   MultiSetIndexOptions options_;

@@ -5,6 +5,7 @@
 #include <memory>
 #include <string>
 #include <tuple>
+#include <utility>
 #include <vector>
 
 #include "api/filter_registry.h"
@@ -201,69 +202,76 @@ TEST(CuckooFilterTest, FromBytesRejectsOutOfRangeVictim) {
 // A filter in lane `lane` of an N-lane table answers and serializes exactly
 // like a standalone twin fed the same operations: inserts until the stash
 // fills (kicks included), deletes that free the stash, and Clear. Every
-// other lane holds its own filter, whose bytes must never change.
+// other lane holds its own filter, whose bytes must never change. Besides
+// the default bucket, one whose slots are copied in a run of 5 and a run
+// of 3 (b = 8, f = 12), and one whose slots straddle words (f = 17).
 TEST(CuckooFilterTest, LaneFilterMatchesAStandaloneTwin) {
-  const CuckooFilter::Params params{
-      .num_buckets = 16, .bucket_size = 4, .fingerprint_bits = 12};
   auto key = [](size_t k) { return "lane-key-" + std::to_string(k); };
-  for (uint32_t lanes : {2u, 3u, 65u}) {
-    for (uint32_t lane : {0u, lanes - 1}) {
-      SCOPED_TRACE("lane " + std::to_string(lane) + " of " +
-                   std::to_string(lanes));
-      auto table = std::make_shared<PackedCounterArray>(
-          params.num_buckets * lanes * params.bucket_size,
-          params.fingerprint_bits);
-      std::vector<CuckooFilter> neighbours;
-      std::vector<std::string> neighbour_bytes;
-      for (uint32_t other = 0; other < lanes; ++other) {
-        if (other == lane) continue;
-        CuckooFilter::Params seeded = params;
-        seeded.seed = 100 + other;
-        neighbours.emplace_back(seeded);
-        for (size_t k = 0; k < 40; ++k) neighbours.back().Insert(key(k));
-        neighbours.back().MoveToLane(table, lanes, other);
-        neighbour_bytes.push_back(neighbours.back().ToBytes());
-      }
-      CuckooFilter twin(params);
-      CuckooFilter laned(params);
-      for (size_t k = 0; k < 10; ++k) {
-        ASSERT_TRUE(twin.Insert(key(k)));
-        ASSERT_TRUE(laned.Insert(key(k)));
-      }
-      laned.MoveToLane(table, lanes, lane);
-      ASSERT_EQ(laned.lanes(), lanes);
-      auto expect_twins = [&](const char* step) {
-        SCOPED_TRACE(step);
-        ASSERT_EQ(laned.ToBytes(), twin.ToBytes());
-        ASSERT_EQ(laned.num_items(), twin.num_items());
-        for (size_t k = 0; k < 400; ++k) {
-          ASSERT_EQ(laned.Contains(key(k)), twin.Contains(key(k))) << k;
+  for (const auto& [bucket_size, fingerprint_bits] :
+       {std::pair{4u, 12u}, std::pair{8u, 12u}, std::pair{4u, 17u}}) {
+    const CuckooFilter::Params params{.num_buckets = 16,
+                                      .bucket_size = bucket_size,
+                                      .fingerprint_bits = fingerprint_bits};
+    for (uint32_t lanes : {2u, 3u, 65u}) {
+      for (uint32_t lane : {0u, lanes - 1}) {
+        SCOPED_TRACE("b " + std::to_string(bucket_size) + ", f " +
+                     std::to_string(fingerprint_bits) + ": lane " +
+                     std::to_string(lane) + " of " + std::to_string(lanes));
+        auto table = std::make_shared<PackedCounterArray>(
+            params.num_buckets * lanes * params.bucket_size,
+            params.fingerprint_bits);
+        std::vector<CuckooFilter> neighbours;
+        std::vector<std::string> neighbour_bytes;
+        for (uint32_t other = 0; other < lanes; ++other) {
+          if (other == lane) continue;
+          CuckooFilter::Params seeded = params;
+          seeded.seed = 100 + other;
+          neighbours.emplace_back(seeded);
+          for (size_t k = 0; k < 40; ++k) neighbours.back().Insert(key(k));
+          neighbours.back().MoveToLane(table, lanes, other);
+          neighbour_bytes.push_back(neighbours.back().ToBytes());
         }
-        for (size_t n = 0; n < neighbours.size(); ++n) {
-          ASSERT_EQ(neighbours[n].ToBytes(), neighbour_bytes[n])
-              << "neighbour " << n << " changed";
+        CuckooFilter twin(params);
+        CuckooFilter laned(params);
+        for (size_t k = 0; k < 10; ++k) {
+          ASSERT_TRUE(twin.Insert(key(k)));
+          ASSERT_TRUE(laned.Insert(key(k)));
         }
-      };
-      expect_twins("moved into the lane");
+        laned.MoveToLane(table, lanes, lane);
+        ASSERT_EQ(laned.lanes(), lanes);
+        auto expect_twins = [&](const char* step) {
+          SCOPED_TRACE(step);
+          ASSERT_EQ(laned.ToBytes(), twin.ToBytes());
+          ASSERT_EQ(laned.num_items(), twin.num_items());
+          for (size_t k = 0; k < 400; ++k) {
+            ASSERT_EQ(laned.Contains(key(k)), twin.Contains(key(k))) << k;
+          }
+          for (size_t n = 0; n < neighbours.size(); ++n) {
+            ASSERT_EQ(neighbours[n].ToBytes(), neighbour_bytes[n])
+                << "neighbour " << n << " changed";
+          }
+        };
+        expect_twins("moved into the lane");
 
-      size_t inserted = 10;
-      for (; inserted < 400; ++inserted) {
-        const bool stored = twin.Insert(key(inserted));
-        ASSERT_EQ(laned.Insert(key(inserted)), stored);
-        if (!stored) break;
+        size_t inserted = 10;
+        for (; inserted < 400; ++inserted) {
+          const bool stored = twin.Insert(key(inserted));
+          ASSERT_EQ(laned.Insert(key(inserted)), stored);
+          if (!stored) break;
+        }
+        ASSERT_TRUE(laned.HasVictim()) << "400 inserts never filled the lane";
+        expect_twins("filled to failure");
+
+        for (size_t k = 0; k <= inserted && laned.HasVictim(); ++k) {
+          ASSERT_EQ(laned.Delete(key(k)), twin.Delete(key(k)));
+        }
+        ASSERT_FALSE(laned.HasVictim());
+        expect_twins("stash freed by deletes");
+
+        laned.Clear();
+        twin.Clear();
+        expect_twins("cleared");
       }
-      ASSERT_TRUE(laned.HasVictim()) << "400 inserts never filled the lane";
-      expect_twins("filled to failure");
-
-      for (size_t k = 0; k <= inserted && laned.HasVictim(); ++k) {
-        ASSERT_EQ(laned.Delete(key(k)), twin.Delete(key(k)));
-      }
-      ASSERT_FALSE(laned.HasVictim());
-      expect_twins("stash freed by deletes");
-
-      laned.Clear();
-      twin.Clear();
-      expect_twins("cleared");
     }
   }
 }

@@ -11,6 +11,7 @@
 #include <functional>
 #include <memory>
 #include <string>
+#include <tuple>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -603,6 +604,96 @@ TEST(MultiSetIndexTest, CuckooSliceOfMoreThan64Lanes) {
   ExpectMatchesBruteForce(*index, reference, queries);
   EXPECT_EQ(catalog.Serialize(), reference.Serialize());
 }
+
+// Every bucket geometry of cuckoo_filter_test's grid: one to eight slots
+// by 4- to 32-bit fingerprints. A geometry whose bucket is a whole number
+// of bytes, at most 7, slices; every other geometry scans. Each catalog
+// holds four cuckoo sets of the geometry: half full and one add short of
+// its stash (lanes 0 and 1, which the row test answers alone), then a
+// stashed and an overfull set (exception lanes).
+class CuckooSliceGeometryTest
+    : public ::testing::TestWithParam<std::tuple<uint32_t, uint32_t>> {};
+
+TEST_P(CuckooSliceGeometryTest, SliceableGeometriesMatchBruteForceOthersScan) {
+  const auto [bucket_size, fingerprint_bits] = GetParam();
+  constexpr size_t kBuckets = 64;
+  FilterSpec spec;
+  spec.num_cells = kBuckets * bucket_size * fingerprint_bits;
+  spec.bucket_size = bucket_size;
+  spec.fingerprint_bits = fingerprint_bits;
+  auto key = [](size_t set, size_t k) {
+    return "g" + std::to_string(set) + "-key-" + std::to_string(k);
+  };
+  auto fill = [&](size_t set, size_t adds) {
+    std::unique_ptr<MembershipFilter> filter;
+    CheckOk(FilterRegistry::Global().Create("cuckoo", spec, &filter));
+    for (size_t k = 0; k < adds; ++k) filter->Add(key(set, k));
+    return filter;
+  };
+  // The number of adds after which set `set`'s stash is used.
+  auto stashing_adds = [&](size_t set) {
+    auto filter = fill(set, 0);
+    for (size_t k = 0; k < 8 * kBuckets * bucket_size; ++k) {
+      filter->Add(key(set, k));
+      if (static_cast<const CuckooAdapter*>(filter.get())->impl().HasVictim()) {
+        return k + 1;
+      }
+    }
+    return size_t{0};
+  };
+  std::vector<size_t> adds;
+  for (size_t set = 0; set < 4; ++set) {
+    adds.push_back(stashing_adds(set));
+    ASSERT_GT(adds.back(), 1u) << "set " << set << " never stashed";
+  }
+  adds[0] /= 2;
+  adds[1] -= 1;
+  adds[3] += 20;
+  auto build = [&] {
+    SetCatalog catalog;
+    for (size_t set = 0; set < 4; ++set) {
+      CheckOk(catalog.AddSet("g" + std::to_string(set), fill(set, adds[set])));
+    }
+    return catalog;
+  };
+  SetCatalog catalog = build();
+  SetCatalog reference = build();
+  std::unique_ptr<MultiSetIndex> index;
+  ASSERT_TRUE(MultiSetIndex::Build(&catalog, {}, &index).ok());
+  const uint32_t bucket_bits = bucket_size * fingerprint_bits;
+  const bool sliceable = bucket_bits % 8 == 0 && bucket_bits / 8 <= 7;
+  EXPECT_EQ(index->stats().cuckoo_slices, sliceable ? 1u : 0u);
+  EXPECT_EQ(index->stats().scan_sets, sliceable ? 0u : 4u);
+
+  std::vector<std::string> queries;
+  for (size_t set = 0; set < 4; ++set) {
+    for (size_t k = 0; k < adds[set] + 20; ++k) queries.push_back(key(set, k));
+  }
+  for (int i = 0; i < 300; ++i) {
+    queries.push_back("absent-" + std::to_string(i));
+  }
+  ExpectMatchesBruteForce(*index, reference, queries);
+
+  // Set 1's next add fills its stash inside its lane.
+  ASSERT_TRUE(index->AddKey(1, key(1, adds[1])).ok());
+  reference.MutableFilter(1)->Add(key(1, adds[1]));
+  index->PrepareForConstReads();
+  ASSERT_TRUE(static_cast<const CuckooAdapter*>(catalog.FindById(1)
+                                                    ->filter.get())
+                  ->impl()
+                  .HasVictim());
+  ExpectMatchesBruteForce(*index, reference, queries);
+  EXPECT_EQ(catalog.Serialize(), reference.Serialize());
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    BucketsByFingerprints, CuckooSliceGeometryTest,
+    ::testing::Combine(::testing::Values(1u, 2u, 4u, 8u),
+                       ::testing::Values(4u, 8u, 12u, 16u, 17u, 32u)),
+    [](const auto& info) {
+      return "b" + std::to_string(std::get<0>(info.param)) + "_f" +
+             std::to_string(std::get<1>(info.param));
+    });
 
 TEST(MultiSetIndexTest, ManyProbeGeometriesMatchBruteForce) {
   // Sized per set, as `shbf_cli multiset build` sizes them: 48 shbf_m sets

@@ -123,6 +123,37 @@ TEST_P(PackedCounterWidthTest, IncrementMatchesShadow) {
   }
 }
 
+TEST_P(PackedCounterWidthTest, RunsMatchPerCounterGetAndSet) {
+  const uint32_t bits = GetParam();
+  const size_t n = 257;
+  const uint32_t max_run = 64 / bits;
+  PackedCounterArray counters(n, bits);
+  std::vector<uint64_t> shadow(n, 0);
+  Rng rng(bits * 15485863);
+  for (int step = 0; step < 3000; ++step) {
+    // Every start offset within a word; the last runs end on the final
+    // counter, whose load reads the straddle word.
+    const auto count = static_cast<uint32_t>(1 + rng.NextBelow(max_run));
+    const size_t first =
+        step % 8 == 0 ? n - count : rng.NextBelow(n - count + 1);
+    uint64_t expected = 0;
+    for (uint32_t j = 0; j < count; ++j) {
+      expected |= shadow[first + j] << (j * bits);
+    }
+    ASSERT_EQ(counters.GetRun(first, count), expected)
+        << "first " << first << " count " << count;
+    uint64_t run = 0;
+    for (uint32_t j = 0; j < count; ++j) {
+      shadow[first + j] = rng.NextBelow(counters.max_value() + 1);
+      run |= shadow[first + j] << (j * bits);
+    }
+    counters.SetRun(first, count, run);
+  }
+  for (size_t i = 0; i < n; ++i) {
+    ASSERT_EQ(counters.Get(i), shadow[i]) << "counter " << i;
+  }
+}
+
 INSTANTIATE_TEST_SUITE_P(Widths, PackedCounterWidthTest,
                          ::testing::Values(1, 2, 3, 4, 5, 6, 7, 8, 12, 16, 17,
                                            24, 31, 32));

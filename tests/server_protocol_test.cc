@@ -415,7 +415,9 @@ TEST_F(ServerProtocolTest, MultisetOpcodesWithoutCatalogAreUnsupported) {
 }
 
 /// Builds the deterministic multiset catalog the wire tests serve: shbf_m
-/// sets of one geometry (one slice) with every 8th set a cuckoo (scanned).
+/// sets of one geometry (a SetSlice), every 8th set a cuckoo (a
+/// CuckooSlice once there are two) and set s5 a shbf_x (scanned), so a
+/// catalog of more than 8 sets reaches all three index paths.
 /// Construction is seed-stable, so building it twice yields bit-identical
 /// filters — the local copy is the brute-force reference.
 SetCatalog BuildTestCatalog(size_t num_sets, size_t keys_per_set) {
@@ -425,7 +427,7 @@ SetCatalog BuildTestCatalog(size_t num_sets, size_t keys_per_set) {
     spec.max_count = 8;
     std::unique_ptr<MembershipFilter> filter;
     CheckOk(FilterRegistry::Global().Create(
-        i % 8 == 7 ? "cuckoo" : "shbf_m", spec, &filter));
+        i % 8 == 7 ? "cuckoo" : i == 5 ? "shbf_x" : "shbf_m", spec, &filter));
     for (size_t k = 0; k < keys_per_set; ++k) {
       filter->Add("s" + std::to_string(i) + "-k" + std::to_string(k));
     }
@@ -463,8 +465,8 @@ TEST(MultisetServerTest, WhichSetsBitIdenticalToLocalBruteForce) {
   ShbfClient::MultisetInfo info;
   ASSERT_TRUE(client.MultisetList(&info).ok());
   EXPECT_EQ(info.sets.size(), 24u);
-  EXPECT_EQ(info.slices, 2u);  // the 21 shbf_m sets, the 3 cuckoo sets
-  EXPECT_EQ(info.scan_sets, 0u);
+  EXPECT_EQ(info.slices, 2u);  // the 20 shbf_m sets, the 3 cuckoo sets
+  EXPECT_EQ(info.scan_sets, 1u);  // s5, the shbf_x set
   EXPECT_EQ(info.levels, 1u);
   EXPECT_GT(info.summary_memory_bytes, 0u);
   EXPECT_EQ(info.sets[0].name, "s0");
@@ -479,31 +481,46 @@ TEST(MultisetServerTest, IndexAddAndDropMaintainTheIndexIncrementally) {
   ASSERT_TRUE(client.Connect("127.0.0.1", server.port()).ok());
 
   // Incremental adds are visible to the very next WHICH_SETS, through the
-  // shbf_m slice (s2) and the cuckoo slice (s7 is a cuckoo lane).
+  // shbf_m slice (s2), the cuckoo slice (s7 is a cuckoo lane) and the scan
+  // (s5 is the shbf_x set).
   uint64_t added = 0;
   ASSERT_TRUE(client.IndexAdd("s2", {"fresh-a", "fresh-b"}, &added).ok());
   EXPECT_EQ(added, 2u);
   ASSERT_TRUE(client.IndexAdd("s7", {"fresh-a"}).ok());
+  ASSERT_TRUE(client.IndexAdd("s5", {"fresh-a"}).ok());
   std::vector<std::vector<uint32_t>> which;
   ASSERT_TRUE(client.WhichSets({"fresh-a", "fresh-b"}, &which).ok());
-  EXPECT_NE(std::find(which[0].begin(), which[0].end(), 2u), which[0].end());
-  EXPECT_NE(std::find(which[0].begin(), which[0].end(), 7u), which[0].end());
+  for (uint32_t id : {2u, 5u, 7u}) {
+    EXPECT_NE(std::find(which[0].begin(), which[0].end(), id), which[0].end())
+        << "s" << id;
+  }
   EXPECT_NE(std::find(which[1].begin(), which[1].end(), 2u), which[1].end());
 
   EXPECT_EQ(client.IndexAdd("nope", {"k"}).code(), Status::Code::kNotFound);
 
-  // Drops detach the set at once; its id is never reported again.
+  // Drops detach the set at once, whichever path answered for it; its id
+  // is never reported again.
   uint64_t remaining = 0;
   ASSERT_TRUE(client.IndexDrop("s2", &remaining).ok());
   EXPECT_EQ(remaining, 15u);
   EXPECT_EQ(client.IndexDrop("s2").code(), Status::Code::kNotFound);
-  ASSERT_TRUE(client.WhichSets({"fresh-a", "s2-k0"}, &which).ok());
+  ASSERT_TRUE(client.IndexDrop("s5").ok());
+  ASSERT_TRUE(client.IndexDrop("s7", &remaining).ok());
+  EXPECT_EQ(remaining, 13u);
+  ASSERT_TRUE(
+      client.WhichSets({"fresh-a", "s2-k0", "s5-k0", "s7-k0"}, &which).ok());
   for (const auto& ids : which) {
-    EXPECT_EQ(std::find(ids.begin(), ids.end(), 2u), ids.end());
+    for (uint32_t id : {2u, 5u, 7u}) {
+      EXPECT_EQ(std::find(ids.begin(), ids.end(), id), ids.end()) << "s" << id;
+    }
   }
+  // The other sets still answer: s15 is the cuckoo slice's other lane.
+  ASSERT_TRUE(client.WhichSets({"s3-k0", "s15-k0"}, &which).ok());
+  EXPECT_NE(std::find(which[0].begin(), which[0].end(), 3u), which[0].end());
+  EXPECT_NE(std::find(which[1].begin(), which[1].end(), 15u), which[1].end());
   ShbfClient::MultisetInfo info;
   ASSERT_TRUE(client.MultisetList(&info).ok());
-  EXPECT_EQ(info.sets.size(), 15u);
+  EXPECT_EQ(info.sets.size(), 13u);
   EXPECT_EQ(info.slices, 2u);
   EXPECT_EQ(info.scan_sets, 0u);
 }
@@ -667,11 +684,11 @@ TEST(MultisetServerTest, ConcurrentWhichSetsReadersAndOneMaintainer) {
         ++failures;
         return;
       }
-      // s1's keys (a slot of the shbf_m slice) and s7's (a lane of the
-      // cuckoo slice, which the maintainer writes into), 40 members each
-      // followed by 24 absent keys.
+      // s1's keys (a slot of the shbf_m slice), s7's (a lane of the
+      // cuckoo slice) and s5's (the scanned shbf_x set), 40 members each
+      // followed by 24 absent keys. The maintainer writes into s7 and s5.
       std::vector<std::string> keys;
-      for (const char* set : {"s1", "s7"}) {
+      for (const char* set : {"s1", "s7", "s5"}) {
         for (int i = 0; i < 64; ++i) {
           keys.push_back(set + ("-k" + std::to_string(i)));
         }
@@ -688,7 +705,9 @@ TEST(MultisetServerTest, ConcurrentWhichSetsReadersAndOneMaintainer) {
           if (std::find(which[i].begin(), which[i].end(), 1u) ==
                   which[i].end() ||
               std::find(which[64 + i].begin(), which[64 + i].end(), 7u) ==
-                  which[64 + i].end()) {
+                  which[64 + i].end() ||
+              std::find(which[128 + i].begin(), which[128 + i].end(), 5u) ==
+                  which[128 + i].end()) {
             ++failures;
             return;
           }
@@ -705,7 +724,8 @@ TEST(MultisetServerTest, ConcurrentWhichSetsReadersAndOneMaintainer) {
     for (int round = 0; round < 30; ++round) {
       const std::string key = "churn-" + std::to_string(round);
       if (!client.IndexAdd("s3", {key}).ok() ||
-          !client.IndexAdd("s7", {key}).ok()) {
+          !client.IndexAdd("s7", {key}).ok() ||
+          !client.IndexAdd("s5", {key}).ok()) {
         ++failures;
         return;
       }
