@@ -143,35 +143,6 @@ void BM_ShbfM_ContainsMember_Inlined(benchmark::State& state) {
 }
 BENCHMARK(BM_ShbfM_ContainsMember_Inlined);
 
-// Batch (prefetching) vs scalar queries: the gap widens once the filter
-// outgrows the last-level cache; at this size it mainly shows the overhead
-// floor of batching.
-void BM_ShbfM_ContainsBatch(benchmark::State& state) {
-  ShbfM filter({.num_bits = kM, .num_hashes = kK});
-  for (const auto& key : Workload().members) filter.Add(key);
-  std::vector<uint8_t> results(Workload().members.size());
-  for (auto _ : state) {
-    filter.ContainsBatch(Workload().members, &results);
-    benchmark::DoNotOptimize(results.data());
-  }
-  state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
-                          static_cast<int64_t>(Workload().members.size()));
-}
-BENCHMARK(BM_ShbfM_ContainsBatch);
-
-void BM_Bloom_ContainsBatch(benchmark::State& state) {
-  BloomFilter filter({.num_bits = kM, .num_hashes = kK});
-  for (const auto& key : Workload().members) filter.Add(key);
-  std::vector<uint8_t> results(Workload().members.size());
-  for (auto _ : state) {
-    filter.ContainsBatch(Workload().members, &results);
-    benchmark::DoNotOptimize(results.data());
-  }
-  state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
-                          static_cast<int64_t>(Workload().members.size()));
-}
-BENCHMARK(BM_Bloom_ContainsBatch);
-
 // --- update paths ---------------------------------------------------------
 
 void BM_Bloom_Add(benchmark::State& state) {

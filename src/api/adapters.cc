@@ -3,10 +3,11 @@
 //
 // Each adapter is a thin wrapper: it owns the concrete filter by value,
 // forwards the hot calls, and adds only what the interface needs (a name, an
-// add counter, spec-derived construction, envelope-free serde). The concrete
-// classes stay available for inlined hot paths; these adapters exist so
-// registry-driven drivers (tests, benches, the CLI, future sharded front
-// ends) can treat all fifteen schemes as one family.
+// add counter, spec-derived construction, envelope-free serde). Adapters
+// that would differ only in the wrapped type are one class template. The
+// concrete classes stay available for inlined hot paths; these adapters
+// exist so registry-driven drivers (tests, benches, the CLI, the server)
+// can treat all nineteen schemes as one family.
 //
 // Factory derivations from FilterSpec are documented entry by entry in
 // RegisterBuiltinFilters at the bottom of this file.
@@ -66,6 +67,16 @@ class AdapterCore : public Base {
     adds_ = 0;
   }
 
+  /// Adapter payload: the add counter (which only the adapter tracks)
+  /// followed by the concrete filter's own versioned blob.
+  std::string ToBytes() const override {
+    const std::string native = impl_.ToBytes();
+    ByteWriter writer;
+    writer.PutU64(adds_);
+    writer.PutBytes(native.data(), native.size());
+    return writer.Take();
+  }
+
   /// Direct access to the wrapped filter (inlined-hot-path escape hatch).
   const Impl& impl() const { return impl_; }
 
@@ -73,23 +84,19 @@ class AdapterCore : public Base {
   void RestoreAddCount(size_t adds) { adds_ = adds; }
 
  protected:
-  /// Adapter payload for native-serde filters: the add counter (which only
-  /// the adapter tracks) followed by the concrete filter's own blob.
-  std::string WrapNative(const std::string& native_blob) const {
-    ByteWriter writer;
-    writer.PutU64(adds_);
-    writer.PutBytes(native_blob.data(), native_blob.size());
-    return writer.Take();
-  }
-
   std::string name_;
   Impl impl_;
   size_t adds_ = 0;
 };
 
-/// Deserializer wrapper for filters with native FromBytes: payload is the
-/// add counter followed by the concrete filter's own versioned blob.
-template <typename Adapter, typename Impl>
+/// The concrete filter type an adapter wraps.
+template <typename Adapter>
+using WrappedType =
+    std::remove_cvref_t<decltype(std::declval<const Adapter&>().impl())>;
+
+/// Deserializer for AdapterCore adapters: reads the add counter, then hands
+/// the rest of the payload to the concrete filter's FromBytes.
+template <typename Adapter>
 FilterRegistry::Deserializer NativeDeserializer(std::string name) {
   return [name](std::string_view payload,
                 std::unique_ptr<MembershipFilter>* out) -> Status {
@@ -98,8 +105,8 @@ FilterRegistry::Deserializer NativeDeserializer(std::string name) {
     if (!reader.GetU64(&adds)) {
       return Status::InvalidArgument(name + ": truncated adapter payload");
     }
-    std::optional<Impl> impl;
-    Status s = Impl::FromBytes(payload.substr(8), &impl);
+    std::optional<WrappedType<Adapter>> impl;
+    Status s = WrappedType<Adapter>::FromBytes(payload.substr(8), &impl);
     if (!s.ok()) return s;
     auto adapter = std::make_unique<Adapter>(name, std::move(*impl));
     adapter->RestoreAddCount(adds);
@@ -120,9 +127,18 @@ using serde::WriteKeyList;
 // Membership adapters
 // ------------------------------------------------------------------------
 
-class BloomAdapter : public AdapterCore<MembershipFilter, BloomFilter> {
+/// bloom, shbf_m and the two split-block filters: bit arrays the batch
+/// engine probes natively (`kKind` names the wrapped type to it), whose Add
+/// only sets bits, so a same-geometry sibling merges in by OR.
+template <typename Impl, BatchFastPath::Kind kKind>
+class ProbeAdapter : public AdapterCore<MembershipFilter, Impl> {
+  using Core = AdapterCore<MembershipFilter, Impl>;
+  using Core::adds_;
+  using Core::impl_;
+  using Core::name_;
+
  public:
-  using AdapterCore::AdapterCore;
+  using Core::Core;
   void Add(std::string_view key) override {
     impl_.Add(key);
     ++adds_;
@@ -134,18 +150,12 @@ class BloomAdapter : public AdapterCore<MembershipFilter, BloomFilter> {
                          QueryStats* stats) const override {
     return impl_.ContainsWithStats(key, stats);
   }
-  void ContainsBatch(const std::vector<std::string>& keys,
-                     std::vector<uint8_t>* results) const override {
-    impl_.ContainsBatch(keys, results);
-  }
-  BatchFastPath batch_fast_path() const override {
-    return {BatchFastPath::Kind::kBloom, &impl_};
-  }
+  BatchFastPath batch_fast_path() const override { return {kKind, &impl_}; }
   uint32_t capabilities() const override {
     return kIncrementalAdd | kMergeable;
   }
   Status MergeFrom(const MembershipFilter& other) override {
-    const auto* peer = dynamic_cast<const BloomAdapter*>(&other);
+    const auto* peer = dynamic_cast<const ProbeAdapter*>(&other);
     if (peer == nullptr) {
       return Status::FailedPrecondition(
           name_ + ": MergeFrom needs another " + name_ + " instance");
@@ -158,139 +168,24 @@ class BloomAdapter : public AdapterCore<MembershipFilter, BloomFilter> {
   size_t memory_bytes() const override {
     return impl_.bits().allocated_bytes();
   }
-  std::string ToBytes() const override { return WrapNative(impl_.ToBytes()); }
 };
 
-class ShbfMAdapter : public AdapterCore<MembershipFilter, ShbfM> {
- public:
-  using AdapterCore::AdapterCore;
-  void Add(std::string_view key) override {
-    impl_.Add(key);
-    ++adds_;
-  }
-  bool Contains(std::string_view key) const override {
-    return impl_.Contains(key);
-  }
-  bool ContainsWithStats(std::string_view key,
-                         QueryStats* stats) const override {
-    return impl_.ContainsWithStats(key, stats);
-  }
-  void ContainsBatch(const std::vector<std::string>& keys,
-                     std::vector<uint8_t>* results) const override {
-    impl_.ContainsBatch(keys, results);
-  }
-  BatchFastPath batch_fast_path() const override {
-    return {BatchFastPath::Kind::kShbfM, &impl_};
-  }
-  uint32_t capabilities() const override {
-    return kIncrementalAdd | kMergeable;
-  }
-  Status MergeFrom(const MembershipFilter& other) override {
-    const auto* peer = dynamic_cast<const ShbfMAdapter*>(&other);
-    if (peer == nullptr) {
-      return Status::FailedPrecondition(
-          name_ + ": MergeFrom needs another " + name_ + " instance");
-    }
-    Status s = impl_.MergeFrom(peer->impl_);
-    if (s.ok()) adds_ += peer->adds_;
-    return s;
-  }
-  size_t num_elements() const override { return impl_.num_elements(); }
-  size_t memory_bytes() const override {
-    return impl_.bits().allocated_bytes();
-  }
-  std::string ToBytes() const override { return WrapNative(impl_.ToBytes()); }
-};
+using BloomAdapter = ProbeAdapter<BloomFilter, BatchFastPath::Kind::kBloom>;
+using ShbfMAdapter = ProbeAdapter<ShbfM, BatchFastPath::Kind::kShbfM>;
+using SplitBlockBloomAdapter =
+    ProbeAdapter<SplitBlockBloomFilter, BatchFastPath::Kind::kSplitBlockBloom>;
+using SplitBlockShbfMAdapter =
+    ProbeAdapter<SplitBlockShbfM, BatchFastPath::Kind::kSplitBlockShbfM>;
 
-class SplitBlockBloomAdapter
-    : public AdapterCore<MembershipFilter, SplitBlockBloomFilter> {
- public:
-  using AdapterCore::AdapterCore;
-  void Add(std::string_view key) override {
-    impl_.Add(key);
-    ++adds_;
-  }
-  bool Contains(std::string_view key) const override {
-    return impl_.Contains(key);
-  }
-  bool ContainsWithStats(std::string_view key,
-                         QueryStats* stats) const override {
-    return impl_.ContainsWithStats(key, stats);
-  }
-  void ContainsBatch(const std::vector<std::string>& keys,
-                     std::vector<uint8_t>* results) const override {
-    impl_.ContainsBatch(keys, results);
-  }
-  using MembershipFilter::ContainsBatch;  // keep the view overload visible
-  BatchFastPath batch_fast_path() const override {
-    return {BatchFastPath::Kind::kSplitBlockBloom, &impl_};
-  }
-  uint32_t capabilities() const override {
-    return kIncrementalAdd | kMergeable;
-  }
-  Status MergeFrom(const MembershipFilter& other) override {
-    const auto* peer = dynamic_cast<const SplitBlockBloomAdapter*>(&other);
-    if (peer == nullptr) {
-      return Status::FailedPrecondition(
-          name_ + ": MergeFrom needs another " + name_ + " instance");
-    }
-    Status s = impl_.MergeFrom(peer->impl_);
-    if (s.ok()) adds_ += peer->adds_;
-    return s;
-  }
-  size_t num_elements() const override { return impl_.num_elements(); }
-  size_t memory_bytes() const override {
-    return impl_.bits().allocated_bytes();
-  }
-  std::string ToBytes() const override { return WrapNative(impl_.ToBytes()); }
-};
+/// km_bloom, one_mem_bf, shbf_g: bit arrays the engine answers per key.
+template <typename Impl>
+class BitArrayAdapter : public AdapterCore<MembershipFilter, Impl> {
+  using Core = AdapterCore<MembershipFilter, Impl>;
+  using Core::adds_;
+  using Core::impl_;
 
-class SplitBlockShbfMAdapter
-    : public AdapterCore<MembershipFilter, SplitBlockShbfM> {
  public:
-  using AdapterCore::AdapterCore;
-  void Add(std::string_view key) override {
-    impl_.Add(key);
-    ++adds_;
-  }
-  bool Contains(std::string_view key) const override {
-    return impl_.Contains(key);
-  }
-  bool ContainsWithStats(std::string_view key,
-                         QueryStats* stats) const override {
-    return impl_.ContainsWithStats(key, stats);
-  }
-  void ContainsBatch(const std::vector<std::string>& keys,
-                     std::vector<uint8_t>* results) const override {
-    impl_.ContainsBatch(keys, results);
-  }
-  using MembershipFilter::ContainsBatch;  // keep the view overload visible
-  BatchFastPath batch_fast_path() const override {
-    return {BatchFastPath::Kind::kSplitBlockShbfM, &impl_};
-  }
-  uint32_t capabilities() const override {
-    return kIncrementalAdd | kMergeable;
-  }
-  Status MergeFrom(const MembershipFilter& other) override {
-    const auto* peer = dynamic_cast<const SplitBlockShbfMAdapter*>(&other);
-    if (peer == nullptr) {
-      return Status::FailedPrecondition(
-          name_ + ": MergeFrom needs another " + name_ + " instance");
-    }
-    Status s = impl_.MergeFrom(peer->impl_);
-    if (s.ok()) adds_ += peer->adds_;
-    return s;
-  }
-  size_t num_elements() const override { return impl_.num_elements(); }
-  size_t memory_bytes() const override {
-    return impl_.bits().allocated_bytes();
-  }
-  std::string ToBytes() const override { return WrapNative(impl_.ToBytes()); }
-};
-
-class KmBloomAdapter : public AdapterCore<MembershipFilter, KmBloomFilter> {
- public:
-  using AdapterCore::AdapterCore;
+  using Core::Core;
   void Add(std::string_view key) override {
     impl_.Add(key);
     ++adds_;
@@ -303,26 +198,6 @@ class KmBloomAdapter : public AdapterCore<MembershipFilter, KmBloomFilter> {
     return impl_.ContainsWithStats(key, stats);
   }
   size_t memory_bytes() const override { return impl_.num_bits() / 8; }
-  std::string ToBytes() const override { return WrapNative(impl_.ToBytes()); }
-};
-
-class OneMemBfAdapter
-    : public AdapterCore<MembershipFilter, OneMemBloomFilter> {
- public:
-  using AdapterCore::AdapterCore;
-  void Add(std::string_view key) override {
-    impl_.Add(key);
-    ++adds_;
-  }
-  bool Contains(std::string_view key) const override {
-    return impl_.Contains(key);
-  }
-  bool ContainsWithStats(std::string_view key,
-                         QueryStats* stats) const override {
-    return impl_.ContainsWithStats(key, stats);
-  }
-  size_t memory_bytes() const override { return impl_.num_bits() / 8; }
-  std::string ToBytes() const override { return WrapNative(impl_.ToBytes()); }
 };
 
 class CountingBloomAdapter
@@ -355,7 +230,6 @@ class CountingBloomAdapter
     return impl_.counters().num_counters() *
            impl_.counters().bits_per_counter() / 8;
   }
-  std::string ToBytes() const override { return WrapNative(impl_.ToBytes()); }
 };
 
 class CountingShbfMAdapter
@@ -388,36 +262,23 @@ class CountingShbfMAdapter
     return impl_.num_bits() / 8 + impl_.counters().num_counters() *
                                       impl_.counters().bits_per_counter() / 8;
   }
-  std::string ToBytes() const override { return WrapNative(impl_.ToBytes()); }
-};
-
-class GeneralizedShbfAdapter
-    : public AdapterCore<MembershipFilter, GeneralizedShbfM> {
- public:
-  using AdapterCore::AdapterCore;
-  void Add(std::string_view key) override {
-    impl_.Add(key);
-    ++adds_;
-  }
-  bool Contains(std::string_view key) const override {
-    return impl_.Contains(key);
-  }
-  bool ContainsWithStats(std::string_view key,
-                         QueryStats* stats) const override {
-    return impl_.ContainsWithStats(key, stats);
-  }
-  size_t memory_bytes() const override { return impl_.num_bits() / 8; }
-  std::string ToBytes() const override { return WrapNative(impl_.ToBytes()); }
 };
 
 // ------------------------------------------------------------------------
 // Multiplicity adapters
 // ------------------------------------------------------------------------
 
-class SpectralAdapter
-    : public AdapterCore<MultiplicityFilter, SpectralBloomFilter> {
+/// cm, scm: counter sketches; Add inserts one occurrence.
+template <typename Impl>
+class CountAdapter : public AdapterCore<MultiplicityFilter, Impl> {
+  using Core = AdapterCore<MultiplicityFilter, Impl>;
+
+ protected:
+  using Core::adds_;
+  using Core::impl_;
+
  public:
-  using AdapterCore::AdapterCore;
+  using Core::Core;
   void Add(std::string_view key) override {
     impl_.Insert(key);
     ++adds_;
@@ -429,9 +290,23 @@ class SpectralAdapter
                          QueryStats* stats) const override {
     return impl_.QueryCountWithStats(key, stats) > 0;
   }
+  size_t memory_bytes() const override { return impl_.memory_bits() / 8; }
+};
+
+/// spectral, dynamic_count: counters that also delete.
+template <typename Impl>
+class RemovableCountAdapter : public CountAdapter<Impl> {
+  using Count = CountAdapter<Impl>;
+  using Count::adds_;
+  using Count::impl_;
+  using Count::name_;
+
+ public:
+  using Count::Count;
   Status Remove(std::string_view key) override {
-    // The registry always builds the kIncrementAll policy (the delete-
-    // capable one); QueryCount never underestimates, so 0 proves absence.
+    // QueryCount never underestimates (the registry builds spectral's
+    // delete-capable kIncrementAll policy), so 0 proves absence and the
+    // decrement cannot underflow the concrete class's CHECK.
     if (impl_.QueryCount(key) == 0) {
       return Status::NotFound(name_ + ": Remove of an absent key");
     }
@@ -440,74 +315,6 @@ class SpectralAdapter
     return Status::Ok();
   }
   uint32_t capabilities() const override { return kIncrementalAdd | kRemove; }
-  size_t memory_bytes() const override { return impl_.memory_bits() / 8; }
-  std::string ToBytes() const override { return WrapNative(impl_.ToBytes()); }
-};
-
-class CmSketchAdapter : public AdapterCore<MultiplicityFilter, CmSketch> {
- public:
-  using AdapterCore::AdapterCore;
-  void Add(std::string_view key) override {
-    impl_.Insert(key);
-    ++adds_;
-  }
-  uint64_t QueryCount(std::string_view key) const override {
-    return impl_.QueryCount(key);
-  }
-  bool ContainsWithStats(std::string_view key,
-                         QueryStats* stats) const override {
-    return impl_.QueryCountWithStats(key, stats) > 0;
-  }
-  size_t memory_bytes() const override { return impl_.memory_bits() / 8; }
-  std::string ToBytes() const override { return WrapNative(impl_.ToBytes()); }
-};
-
-class ScmSketchAdapter : public AdapterCore<MultiplicityFilter, ScmSketch> {
- public:
-  using AdapterCore::AdapterCore;
-  void Add(std::string_view key) override {
-    impl_.Insert(key);
-    ++adds_;
-  }
-  uint64_t QueryCount(std::string_view key) const override {
-    return impl_.QueryCount(key);
-  }
-  bool ContainsWithStats(std::string_view key,
-                         QueryStats* stats) const override {
-    return impl_.QueryCountWithStats(key, stats) > 0;
-  }
-  size_t memory_bytes() const override { return impl_.memory_bits() / 8; }
-  std::string ToBytes() const override { return WrapNative(impl_.ToBytes()); }
-};
-
-class DynamicCountAdapter
-    : public AdapterCore<MultiplicityFilter, DynamicCountFilter> {
- public:
-  using AdapterCore::AdapterCore;
-  void Add(std::string_view key) override {
-    impl_.Insert(key);
-    ++adds_;
-  }
-  uint64_t QueryCount(std::string_view key) const override {
-    return impl_.QueryCount(key);
-  }
-  bool ContainsWithStats(std::string_view key,
-                         QueryStats* stats) const override {
-    return impl_.QueryCountWithStats(key, stats) > 0;
-  }
-  Status Remove(std::string_view key) override {
-    // QueryCount never underestimates, so 0 proves absence and the
-    // decrement cannot underflow the CHECK.
-    if (impl_.QueryCount(key) == 0) {
-      return Status::NotFound(name_ + ": Remove of an absent key");
-    }
-    impl_.Delete(key);
-    if (adds_ > 0) --adds_;
-    return Status::Ok();
-  }
-  uint32_t capabilities() const override { return kIncrementalAdd | kRemove; }
-  size_t memory_bytes() const override { return impl_.memory_bits() / 8; }
-  std::string ToBytes() const override { return WrapNative(impl_.ToBytes()); }
 };
 
 /// CountingShbfX (§5.3, table-backed): incremental multiplicity updates.
@@ -567,9 +374,6 @@ class CountingShbfXAdapter : public MultiplicityFilter {
     WriteKeyCountList(&writer, entries);
     return writer.Take();
   }
-
-  const CountingShbfX& impl() const { return impl_; }
-  CountingShbfX& impl() { return impl_; }
 
  private:
   std::string name_;
@@ -804,9 +608,6 @@ class CountingShbfAAdapter : public AssociationFilter {
     return writer.Take();
   }
 
-  const CountingShbfA& impl() const { return impl_; }
-  CountingShbfA& impl() { return impl_; }
-
  private:
   std::string name_;
   FilterSpec spec_;
@@ -862,8 +663,6 @@ class IbfAdapter : public AssociationFilter {
 
   void RestoreAddCount(size_t adds) { adds_ = adds; }
 
-  const IndividualBloomFilters& impl() const { return impl_; }
-
  private:
   std::string name_;
   IndividualBloomFilters impl_;
@@ -884,9 +683,7 @@ Status MakeAdapter(const std::string& name, const Params& params,
                    std::unique_ptr<MembershipFilter>* out) {
   Status valid = params.Validate();
   if (!valid.ok()) return valid;
-  using Impl = decltype(std::declval<Adapter>().impl());
-  *out = std::make_unique<Adapter>(
-      name, std::remove_cvref_t<Impl>(params));
+  *out = std::make_unique<Adapter>(name, WrappedType<Adapter>(params));
   return Status::Ok();
 }
 
@@ -962,7 +759,7 @@ Status CheckHashId(uint8_t hash_algorithm) {
 /// Opener body: params already Validate()d, geometry already cross-checked,
 /// so the Impl view constructor's CHECKs cannot fire. Builds the adapter
 /// over a BitArray::View of the mapped region — zero copies.
-template <typename Adapter, typename Impl, typename Params>
+template <typename Adapter, typename Params>
 Status OpenBitArrayImage(const char* name, const Params& params,
                          const storage::ImageHeader& header,
                          const std::vector<storage::MappedRegionView>& regions,
@@ -973,8 +770,8 @@ Status OpenBitArrayImage(const char* name, const Params& params,
                                  static_cast<size_t>(g.num_bits),
                                  static_cast<size_t>(expected_slack));
   auto adapter = std::make_unique<Adapter>(
-      name, Impl(params, std::move(bits),
-                 static_cast<size_t>(g.num_elements)));
+      name, WrappedType<Adapter>(params, std::move(bits),
+                                 static_cast<size_t>(g.num_elements)));
   adapter->RestoreAddCount(static_cast<size_t>(g.num_elements));
   *out = std::move(adapter);
   return Status::Ok();
@@ -1000,7 +797,7 @@ Status RegisterAll(FilterRegistry* r) {
                                      .seed = spec.seed},
                  out);
            },
-       .deserializer = NativeDeserializer<BloomAdapter, BloomFilter>("bloom"),
+       .deserializer = NativeDeserializer<BloomAdapter>("bloom"),
        .mapped_saver =
            [](const MembershipFilter& filter, storage::ImageHeader* header,
               std::vector<storage::RegionPayload>* payloads) {
@@ -1024,7 +821,7 @@ Status RegisterAll(FilterRegistry* r) {
              if (!s.ok()) return s;
              s = CheckSingleRegion(header, regions, /*expected_slack=*/0);
              if (!s.ok()) return s;
-             return OpenBitArrayImage<BloomAdapter, BloomFilter>(
+             return OpenBitArrayImage<BloomAdapter>(
                  "bloom", params, header, regions, /*expected_slack=*/0, out);
            }});
   if (!s.ok()) return s;
@@ -1048,7 +845,7 @@ Status RegisterAll(FilterRegistry* r) {
                                .seed = spec.seed},
                  out);
            },
-       .deserializer = NativeDeserializer<ShbfMAdapter, ShbfM>("shbf_m"),
+       .deserializer = NativeDeserializer<ShbfMAdapter>("shbf_m"),
        .mapped_saver =
            [](const MembershipFilter& filter, storage::ImageHeader* header,
               std::vector<storage::RegionPayload>* payloads) {
@@ -1076,7 +873,7 @@ Status RegisterAll(FilterRegistry* r) {
              // Shifted writes spill up to w̄ − 1 bits past m − 1: slack = w̄.
              s = CheckSingleRegion(header, regions, g.max_offset_span);
              if (!s.ok()) return s;
-             return OpenBitArrayImage<ShbfMAdapter, ShbfM>(
+             return OpenBitArrayImage<ShbfMAdapter>(
                  "shbf_m", params, header, regions, g.max_offset_span, out);
            }});
   if (!s.ok()) return s;
@@ -1113,9 +910,8 @@ Status RegisterAll(FilterRegistry* r) {
                                                .seed = spec.seed},
                  out);
            },
-       .deserializer = NativeDeserializer<SplitBlockBloomAdapter,
-                                          SplitBlockBloomFilter>(
-           "split_block_bloom"),
+       .deserializer =
+           NativeDeserializer<SplitBlockBloomAdapter>("split_block_bloom"),
        .mapped_saver =
            [](const MembershipFilter& filter, storage::ImageHeader* header,
               std::vector<storage::RegionPayload>* payloads) {
@@ -1153,8 +949,7 @@ Status RegisterAll(FilterRegistry* r) {
              }
              s = CheckSingleRegion(header, regions, /*expected_slack=*/0);
              if (!s.ok()) return s;
-             return OpenBitArrayImage<SplitBlockBloomAdapter,
-                                      SplitBlockBloomFilter>(
+             return OpenBitArrayImage<SplitBlockBloomAdapter>(
                  "split_block_bloom", params, header, regions,
                  /*expected_slack=*/0, out);
            }});
@@ -1195,9 +990,8 @@ Status RegisterAll(FilterRegistry* r) {
                                          .seed = spec.seed},
                  out);
            },
-       .deserializer = NativeDeserializer<SplitBlockShbfMAdapter,
-                                          SplitBlockShbfM>(
-           "split_block_shbf_m"),
+       .deserializer =
+           NativeDeserializer<SplitBlockShbfMAdapter>("split_block_shbf_m"),
        .mapped_saver =
            [](const MembershipFilter& filter, storage::ImageHeader* header,
               std::vector<storage::RegionPayload>* payloads) {
@@ -1235,7 +1029,7 @@ Status RegisterAll(FilterRegistry* r) {
              // Pairs never leave their sub-word: slack 0, unlike flat shbf_m.
              s = CheckSingleRegion(header, regions, /*expected_slack=*/0);
              if (!s.ok()) return s;
-             return OpenBitArrayImage<SplitBlockShbfMAdapter, SplitBlockShbfM>(
+             return OpenBitArrayImage<SplitBlockShbfMAdapter>(
                  "split_block_shbf_m", params, header, regions,
                  /*expected_slack=*/0, out);
            }});
@@ -1252,7 +1046,7 @@ Status RegisterAll(FilterRegistry* r) {
            [](const FilterSpec& spec, std::unique_ptr<MembershipFilter>* out) {
              uint32_t t = spec.num_shifts;
              uint32_t k = RoundUpToMultiple(spec.num_hashes, t + 1);
-             return MakeAdapter<GeneralizedShbfAdapter>(
+             return MakeAdapter<BitArrayAdapter<GeneralizedShbfM>>(
                  "shbf_g",
                  GeneralizedShbfM::Params{.num_bits = spec.num_cells,
                                           .num_hashes = k,
@@ -1261,8 +1055,8 @@ Status RegisterAll(FilterRegistry* r) {
                                           .seed = spec.seed},
                  out);
            },
-       .deserializer = NativeDeserializer<GeneralizedShbfAdapter,
-                                          GeneralizedShbfM>("shbf_g")});
+       .deserializer =
+           NativeDeserializer<BitArrayAdapter<GeneralizedShbfM>>("shbf_g")});
   if (!s.ok()) return s;
 
   // counting_shbf_m: same geometry as shbf_m plus counter_bits counters.
@@ -1285,8 +1079,8 @@ Status RegisterAll(FilterRegistry* r) {
                                        .seed = spec.seed},
                  out);
            },
-       .deserializer = NativeDeserializer<CountingShbfMAdapter, CountingShbfM>(
-           "counting_shbf_m")});
+       .deserializer =
+           NativeDeserializer<CountingShbfMAdapter>("counting_shbf_m")});
   if (!s.ok()) return s;
 
   // km_bloom: num_cells bits, k simulated probes from two real hashes.
@@ -1296,7 +1090,7 @@ Status RegisterAll(FilterRegistry* r) {
        .description = "Kirsch-Mitzenmacher two-hash Bloom filter (paper §2.1)",
        .factory =
            [](const FilterSpec& spec, std::unique_ptr<MembershipFilter>* out) {
-             return MakeAdapter<KmBloomAdapter>(
+             return MakeAdapter<BitArrayAdapter<KmBloomFilter>>(
                  "km_bloom",
                  KmBloomFilter::Params{.num_bits = spec.num_cells,
                                        .num_hashes = spec.num_hashes,
@@ -1305,7 +1099,7 @@ Status RegisterAll(FilterRegistry* r) {
                  out);
            },
        .deserializer =
-           NativeDeserializer<KmBloomAdapter, KmBloomFilter>("km_bloom")});
+           NativeDeserializer<BitArrayAdapter<KmBloomFilter>>("km_bloom")});
   if (!s.ok()) return s;
 
   // one_mem_bf: num_cells bits partitioned into word_bits words.
@@ -1315,7 +1109,7 @@ Status RegisterAll(FilterRegistry* r) {
        .description = "one-memory-access Bloom filter (Qiao 2011; paper §6.2)",
        .factory =
            [](const FilterSpec& spec, std::unique_ptr<MembershipFilter>* out) {
-             return MakeAdapter<OneMemBfAdapter>(
+             return MakeAdapter<BitArrayAdapter<OneMemBloomFilter>>(
                  "one_mem_bf",
                  OneMemBloomFilter::Params{.num_bits = spec.num_cells,
                                            .num_hashes = spec.num_hashes,
@@ -1325,7 +1119,7 @@ Status RegisterAll(FilterRegistry* r) {
                                            .seed = spec.seed},
                  out);
            },
-       .deserializer = NativeDeserializer<OneMemBfAdapter, OneMemBloomFilter>(
+       .deserializer = NativeDeserializer<BitArrayAdapter<OneMemBloomFilter>>(
            "one_mem_bf")});
   if (!s.ok()) return s;
 
@@ -1347,9 +1141,8 @@ Status RegisterAll(FilterRegistry* r) {
                                              .seed = spec.seed},
                  out);
            },
-       .deserializer = NativeDeserializer<CountingBloomAdapter,
-                                          CountingBloomFilter>(
-           "counting_bloom")});
+       .deserializer =
+           NativeDeserializer<CountingBloomAdapter>("counting_bloom")});
   if (!s.ok()) return s;
 
   // cuckoo: buckets from expected_keys at ~84% load when given, otherwise
@@ -1425,7 +1218,7 @@ Status RegisterAll(FilterRegistry* r) {
        .capabilities = kIncrementalAdd | kRemove,
        .factory =
            [](const FilterSpec& spec, std::unique_ptr<MembershipFilter>* out) {
-             return MakeAdapter<SpectralAdapter>(
+             return MakeAdapter<RemovableCountAdapter<SpectralBloomFilter>>(
                  "spectral",
                  SpectralBloomFilter::Params{.num_counters = spec.num_cells,
                                              .num_hashes = spec.num_hashes,
@@ -1435,8 +1228,9 @@ Status RegisterAll(FilterRegistry* r) {
                                              .seed = spec.seed},
                  out);
            },
-       .deserializer = NativeDeserializer<SpectralAdapter, SpectralBloomFilter>(
-           "spectral")});
+       .deserializer =
+           NativeDeserializer<RemovableCountAdapter<SpectralBloomFilter>>(
+               "spectral")});
   if (!s.ok()) return s;
 
   // cm: depth = num_hashes rows, width = num_cells / depth counters per row.
@@ -1447,7 +1241,7 @@ Status RegisterAll(FilterRegistry* r) {
        .factory =
            [](const FilterSpec& spec, std::unique_ptr<MembershipFilter>* out) {
              size_t width = spec.num_cells / spec.num_hashes;
-             return MakeAdapter<CmSketchAdapter>(
+             return MakeAdapter<CountAdapter<CmSketch>>(
                  "cm",
                  CmSketch::Params{.depth = spec.num_hashes,
                                   .width = width == 0 ? 1 : width,
@@ -1456,7 +1250,7 @@ Status RegisterAll(FilterRegistry* r) {
                                   .seed = spec.seed},
                  out);
            },
-       .deserializer = NativeDeserializer<CmSketchAdapter, CmSketch>("cm")});
+       .deserializer = NativeDeserializer<CountAdapter<CmSketch>>("cm")});
   if (!s.ok()) return s;
 
   // scm: depth rounded up to even; width = num_cells / depth; counter_bits
@@ -1470,7 +1264,7 @@ Status RegisterAll(FilterRegistry* r) {
              uint32_t depth = RoundUpToMultiple(
                  spec.num_hashes < 2 ? 2 : spec.num_hashes, 2);
              size_t width = spec.num_cells / depth;
-             return MakeAdapter<ScmSketchAdapter>(
+             return MakeAdapter<CountAdapter<ScmSketch>>(
                  "scm",
                  ScmSketch::Params{.depth = depth,
                                    .width = width == 0 ? 1 : width,
@@ -1483,7 +1277,7 @@ Status RegisterAll(FilterRegistry* r) {
                  out);
            },
        .deserializer =
-           NativeDeserializer<ScmSketchAdapter, ScmSketch>("scm")});
+           NativeDeserializer<CountAdapter<ScmSketch>>("scm")});
   if (!s.ok()) return s;
 
   // dynamic_count: num_cells counters; base width clamped to the scheme's
@@ -1495,7 +1289,7 @@ Status RegisterAll(FilterRegistry* r) {
        .capabilities = kIncrementalAdd | kRemove,
        .factory =
            [](const FilterSpec& spec, std::unique_ptr<MembershipFilter>* out) {
-             return MakeAdapter<DynamicCountAdapter>(
+             return MakeAdapter<RemovableCountAdapter<DynamicCountFilter>>(
                  "dynamic_count",
                  DynamicCountFilter::Params{.num_counters = spec.num_cells,
                                             .num_hashes = spec.num_hashes,
@@ -1508,9 +1302,9 @@ Status RegisterAll(FilterRegistry* r) {
                                             .seed = spec.seed},
                  out);
            },
-       .deserializer = NativeDeserializer<DynamicCountAdapter,
-                                          DynamicCountFilter>(
-           "dynamic_count")});
+       .deserializer =
+           NativeDeserializer<RemovableCountAdapter<DynamicCountFilter>>(
+               "dynamic_count")});
   if (!s.ok()) return s;
 
   // shbf_x: bulk-built multiplicity filter; max_count clamped to the

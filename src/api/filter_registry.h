@@ -4,7 +4,7 @@
 // "bloom", "cuckoo", ...) with a factory mapping a FilterSpec to a live
 // MembershipFilter and a deserializer reversing ToBytes(). Drivers iterate
 // Names() instead of hand-wiring each scheme — the registry is what turns
-// fifteen ad-hoc classes into one framework (cf. gpdb's bloom_set registry
+// nineteen ad-hoc classes into one framework (cf. gpdb's bloom_set registry
 // and Boost.Bloom's single configurable filter template).
 //
 // Serialized blobs carry a self-describing envelope (magic + version + the

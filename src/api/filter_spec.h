@@ -1,7 +1,7 @@
 // FilterSpec — one parameter struct every registry factory understands.
 //
 // Each concrete filter has its own Params with scheme-specific knobs; a
-// uniform driver loop cannot fill in fifteen different structs. FilterSpec
+// uniform driver loop cannot fill in nineteen different structs. FilterSpec
 // names the shared vocabulary (cells, hashes, counter width, seed, ...) and
 // each factory derives the nearest valid concrete Params from it: shbf_m
 // rounds num_hashes up to even, shbf_g to a multiple of t + 1, the sketches

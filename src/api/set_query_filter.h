@@ -3,7 +3,7 @@
 // of set queries — membership (§3), association (§4) and multiplicity (§5) —
 // yet implementations naturally grow one bespoke class per scheme. This
 // header is the seam that lets a single driver loop (bench, differential
-// test, CLI, future sharded/async front ends) serve every variant:
+// test, CLI, server) serve every variant:
 //
 //   SetQueryFilter                 — identity + lifecycle + serialization
 //     └─ MembershipFilter          — Add / Contains (+ batch, + cost model)
@@ -113,8 +113,11 @@ class MembershipFilter : public SetQueryFilter {
   }
 
   /// Batched membership query. `results` is resized to keys.size(); entry i
-  /// receives Contains(keys[i]). Implementations with software-prefetching
-  /// batch paths override this; the default is a scalar loop.
+  /// receives Contains(keys[i]). BatchQueryEngine is the one batch loop: it
+  /// runs the probe protocol when batch_fast_path() offers one and calls
+  /// this otherwise. The default is the per-key loop; only the engine
+  /// wrappers (dynamic, scaling, sharded) override it, to send their inner
+  /// filters back through the engine.
   virtual void ContainsBatch(const std::vector<std::string>& keys,
                              std::vector<uint8_t>* results) const {
     results->resize(keys.size());

@@ -65,12 +65,7 @@ class BloomFilter {
   /// bit probed, one hash per function evaluated; early exit on a 0 bit).
   bool ContainsWithStats(std::string_view key, QueryStats* stats) const;
 
-  /// Batched membership query with software prefetching (see
-  /// ShbfM::ContainsBatch). `results` is resized to keys.size().
-  void ContainsBatch(const std::vector<std::string>& keys,
-                     std::vector<uint8_t>* results) const;
-
-  /// Largest k the probe/batch paths support.
+  /// Largest k the probe protocol supports.
   static constexpr uint32_t kMaxBatchHashes = 64;
 
   /// Precomputed query state for one key (hashes only, no memory touched);

@@ -38,7 +38,6 @@
 #include <optional>
 #include <string>
 #include <string_view>
-#include <vector>
 
 #include "core/bit_array.h"
 #include "core/query_stats.h"
@@ -55,7 +54,7 @@ class SplitBlockBloomFilter {
   static constexpr uint32_t kMaxBlockBits = 512;
   static constexpr uint32_t kMaxBlockWords = kMaxBlockBits / 64;
 
-  /// Largest k the probe/batch paths support.
+  /// Largest k the probe protocol supports.
   static constexpr uint32_t kMaxBatchHashes = 64;
 
   struct Params {
@@ -92,10 +91,6 @@ class SplitBlockBloomFilter {
   /// Query under the paper's cost model: the whole block is one memory
   /// access; one hash computation (the single HashPair pass).
   bool ContainsWithStats(std::string_view key, QueryStats* stats) const;
-
-  /// Batched membership query (two-pass prepare/prefetch/resolve groups).
-  void ContainsBatch(const std::vector<std::string>& keys,
-                     std::vector<uint8_t>* results) const;
 
   /// Precomputed query state — same shape as SplitBlockShbfM::Probe, so
   /// the engine resolves both through one BlockSubsetTest path.

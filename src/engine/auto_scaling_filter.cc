@@ -5,6 +5,7 @@
 #include "api/filter_registry.h"
 #include "core/check.h"
 #include "core/serde.h"
+#include "engine/batch_query_engine.h"
 
 namespace shbf {
 namespace {
@@ -88,10 +89,12 @@ bool AutoScalingFilter::Contains(std::string_view key) const {
 
 void AutoScalingFilter::ContainsBatch(const std::vector<std::string>& keys,
                                       std::vector<uint8_t>* results) const {
-  generations_.back().filter->ContainsBatch(keys, results);
+  // Through the engine, so each generation keeps its prefetching path.
+  const BatchQueryEngine engine;
+  engine.ContainsBatch(*generations_.back().filter, keys, results);
   std::vector<uint8_t> partial;
   for (size_t g = generations_.size() - 1; g-- > 0;) {
-    generations_[g].filter->ContainsBatch(keys, &partial);
+    engine.ContainsBatch(*generations_[g].filter, keys, &partial);
     for (size_t i = 0; i < keys.size(); ++i) {
       (*results)[i] |= partial[i];
     }

@@ -14,10 +14,17 @@
 // structures whose query is a pure read of a few precomputable locations
 // (ShbfM §3, ShbfA §4, ShbfX §5, the classic Bloom filter, the split-block
 // variants, and the cuckoo filter); the engine discovers them through
-// MembershipFilter::batch_fast_path(). Every other registered filter is
-// served through its virtual interface, so the engine answers for all
-// schemes and is bit-identical to the per-key path in every case
+// MembershipFilter::batch_fast_path(). Every other registered filter, and
+// any filter whose k exceeds its probe protocol's bound, is served through
+// its virtual ContainsBatch, so the engine answers for all schemes and is
+// bit-identical to the per-key path in every case
 // (tests/batch_engine_test.cc enforces this).
+//
+// The engine is the only loop that batches membership queries: no concrete
+// filter has one of its own. The virtual ContainsBatch is MembershipFilter's
+// per-key loop, except in the engine wrappers (DynamicFilter,
+// AutoScalingFilter, ShardedMembershipFilter), where it is their entry
+// point and sends each inner filter back through an engine.
 //
 // The split-block paths resolve a key with one whole-block subset test
 // (BlockSubsetTest, core/bits.h) over a mask built inside PrepareProbe.
@@ -61,8 +68,8 @@ class BatchQueryEngine {
   /// `results` is resized to `keys.size()`; entry i becomes 1 iff
   /// `filter.Contains(keys[i])` — bit-identical to the per-key path, only
   /// faster. Uses the non-virtual probe protocol when
-  /// `filter.batch_fast_path()` offers one, the filter's own virtual
-  /// ContainsBatch otherwise.
+  /// `filter.batch_fast_path()` offers one and k is within its bound, the
+  /// filter's virtual ContainsBatch otherwise.
   void ContainsBatch(const MembershipFilter& filter,
                      const std::vector<std::string>& keys,
                      std::vector<uint8_t>* results) const;

@@ -6,6 +6,7 @@
 #include "api/filter_registry.h"
 #include "core/check.h"
 #include "core/serde.h"
+#include "engine/batch_query_engine.h"
 
 namespace shbf {
 namespace {
@@ -102,7 +103,8 @@ bool DynamicFilter::Contains(std::string_view key) const {
 
 void DynamicFilter::ContainsBatch(const std::vector<std::string>& keys,
                                   std::vector<uint8_t>* results) const {
-  active_->ContainsBatch(keys, results);
+  // Through the engine, so the active filter keeps its prefetching path.
+  BatchQueryEngine().ContainsBatch(*active_, keys, results);
   if (!delta_in_use()) return;
   for (size_t i = 0; i < keys.size(); ++i) {
     if (!(*results)[i] && delta_.Contains(keys[i])) (*results)[i] = 1;

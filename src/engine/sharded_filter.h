@@ -13,8 +13,8 @@
 //
 // Two layers:
 //   * ShardedFilter<F>           — generic template; F is any class with
-//     Add/Contains/ContainsBatch (a concrete filter like ShbfM for fully
-//     inlined shards, or MembershipFilter for registry-built shards).
+//     Add/Contains (a concrete filter like ShbfM for fully inlined shards,
+//     or MembershipFilter for registry-built shards).
 //   * ShardedMembershipFilter    — MembershipFilter wrapper over
 //     ShardedFilter<MembershipFilter> that routes batches through a
 //     BatchQueryEngine; FilterRegistry::Create builds one when

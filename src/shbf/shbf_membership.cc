@@ -1,8 +1,5 @@
 #include "shbf/shbf_membership.h"
 
-#include <algorithm>
-#include <vector>
-
 namespace shbf {
 
 Status ShbfM::Params::Validate() const {
@@ -126,28 +123,6 @@ void ShbfM::PrepareProbe(std::string_view key, Probe* probe) const {
   probe->need = 1ull | (1ull << offset);
   for (uint32_t i = 0; i < pairs; ++i) {
     probe->bases[i] = family_.Hash(i, key.data(), key.size()) % m;
-  }
-}
-
-void ShbfM::ContainsBatch(const std::vector<std::string>& keys,
-                          std::vector<uint8_t>* results) const {
-  results->resize(keys.size());
-  if (keys.empty()) return;
-  constexpr size_t kGroup = 16;
-  SHBF_CHECK(num_hashes_ / 2 <= kMaxBatchPairs) << "batch path supports k <= 64";
-
-  Probe probes[kGroup];
-  for (size_t start = 0; start < keys.size(); start += kGroup) {
-    size_t group = std::min(kGroup, keys.size() - start);
-    // Phase 1: hash everything and prefetch every window's cache line.
-    for (size_t g = 0; g < group; ++g) {
-      PrepareProbe(keys[start + g], &probes[g]);
-      PrefetchProbe(probes[g]);
-    }
-    // Phase 2: test (windows are now resident or in flight).
-    for (size_t g = 0; g < group; ++g) {
-      (*results)[start + g] = ResolveProbe(probes[g]) ? 1 : 0;
-    }
   }
 }
 

@@ -66,14 +66,7 @@ class ShbfM {
   /// (both bits share a window), one hash per function actually evaluated.
   bool ContainsWithStats(std::string_view key, QueryStats* stats) const;
 
-  /// Batched membership query: computes all probe positions for a group of
-  /// keys first, prefetches their cache lines, then tests — overlapping
-  /// hash computation with memory latency. `results` is resized to
-  /// keys.size(); entry i receives Contains(keys[i]).
-  void ContainsBatch(const std::vector<std::string>& keys,
-                     std::vector<uint8_t>* results) const;
-
-  /// Largest k/2 the probe/batch paths support (k <= 64).
+  /// Largest k/2 the probe protocol supports (k <= 64).
   static constexpr uint32_t kMaxBatchPairs = 32;
 
   /// Precomputed query state for one key: every hash evaluated, no filter

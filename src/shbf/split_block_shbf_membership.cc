@@ -178,23 +178,6 @@ bool SplitBlockShbfM::ResolveProbe(const Probe& probe) const {
                          block_bits_ / 64);
 }
 
-void SplitBlockShbfM::ContainsBatch(const std::vector<std::string>& keys,
-                                    std::vector<uint8_t>* results) const {
-  results->resize(keys.size());
-  if (keys.empty()) return;
-  constexpr size_t kGroup = 16;
-  Probe probes[kGroup];
-  for (size_t start = 0; start < keys.size(); start += kGroup) {
-    const size_t group = std::min(kGroup, keys.size() - start);
-    for (size_t g = 0; g < group; ++g) {
-      PrepareProbe(keys[start + g], &probes[g]);
-    }
-    for (size_t g = 0; g < group; ++g) {
-      (*results)[start + g] = ResolveProbe(probes[g]) ? 1 : 0;
-    }
-  }
-}
-
 void SplitBlockShbfM::Clear() {
   bits_.Clear();
   num_elements_ = 0;

@@ -31,7 +31,6 @@
 #include <optional>
 #include <string>
 #include <string_view>
-#include <vector>
 
 #include "core/bit_array.h"
 #include "core/bits.h"
@@ -48,7 +47,7 @@ class SplitBlockShbfM {
   static constexpr uint32_t kMaxBlockBits = 512;
   static constexpr uint32_t kMaxBlockWords = kMaxBlockBits / 64;
 
-  /// Largest k/2 the probe/batch paths support (k <= 64).
+  /// Largest k/2 the probe protocol supports (k <= 64).
   static constexpr uint32_t kMaxBatchPairs = 32;
 
   struct Params {
@@ -88,10 +87,6 @@ class SplitBlockShbfM {
   /// Query under the paper's cost model: the whole block is one memory
   /// access; one hash computation (the single HashPair pass).
   bool ContainsWithStats(std::string_view key, QueryStats* stats) const;
-
-  /// Batched membership query (two-pass prepare/prefetch/resolve groups).
-  void ContainsBatch(const std::vector<std::string>& keys,
-                     std::vector<uint8_t>* results) const;
 
   /// Precomputed query state — same shape as SplitBlockBloomFilter::Probe,
   /// so the engine resolves both through one BlockSubsetTest path with no

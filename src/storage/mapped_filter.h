@@ -6,8 +6,8 @@
 // deserialization, so open cost is independent of filter size and the
 // kernel shares one physical copy of the pages across every process
 // mapping the image (tests/mapped_filter_test.cc forks readers to prove
-// it). Queries (Contains / ContainsBatch / the engine's batch_fast_path)
-// forward to the inner filter and are bit-identical to its heap twin.
+// it). Queries (Contains and the engine's batch_fast_path) forward to the
+// inner filter and are bit-identical to its heap twin.
 //
 // The wrapper is strictly read-only: capabilities() == 0, Add/Clear
 // CHECK-fail (the server refuses ADD on a read-only serve instead of ever
@@ -20,7 +20,6 @@
 #include <memory>
 #include <string>
 #include <string_view>
-#include <vector>
 
 #include "api/set_query_filter.h"
 #include "storage/filter_image.h"
@@ -57,14 +56,6 @@ class MappedFilter final : public MembershipFilter {
   bool ContainsWithStats(std::string_view key,
                          QueryStats* stats) const override {
     return inner_->ContainsWithStats(key, stats);
-  }
-  void ContainsBatch(const std::vector<std::string>& keys,
-                     std::vector<uint8_t>* results) const override {
-    inner_->ContainsBatch(keys, results);
-  }
-  void ContainsBatch(const std::vector<std::string_view>& keys,
-                     std::vector<uint8_t>* results) const override {
-    inner_->ContainsBatch(keys, results);
   }
   BatchFastPath batch_fast_path() const override {
     return inner_->batch_fast_path();

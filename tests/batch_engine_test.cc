@@ -1,6 +1,8 @@
 // Engine-vs-per-key differential: BatchQueryEngine must be bit-identical to
 // the per-key interface for every registered filter — the fast paths are
-// an execution strategy, never a semantic change. The string_view batch
+// an execution strategy, never a semantic change — at a k inside the probe
+// protocol's bound and one above it, where the engine falls back to the
+// filter's virtual ContainsBatch. The string_view batch
 // overloads (engine, sharded wrapper, multi-set index) must answer exactly
 // like the string paths they shadow. Also pins down that the probe-protocol
 // structures actually expose their fast path (a silently dropped fast path
@@ -15,7 +17,9 @@
 
 #include "api/filter_registry.h"
 #include "api/set_catalog.h"
+#include "engine/auto_scaling_filter.h"
 #include "engine/batch_query_engine.h"
+#include "engine/dynamic_filter.h"
 #include "multiset/multi_set_index.h"
 #include "shbf/shbf_multiplicity.h"
 #include "trace/trace_generator.h"
@@ -25,10 +29,13 @@ namespace {
 
 constexpr size_t kNumKeys = 3000;
 
-FilterSpec EngineSpec(uint64_t seed) {
+// k = 72 is above BloomFilter's and ShbfM's 64-hash probe bound.
+constexpr uint32_t kHashCounts[] = {8, 72};
+
+FilterSpec EngineSpec(uint64_t seed, uint32_t num_hashes = 8) {
   FilterSpec spec;
   spec.num_cells = 12 * kNumKeys;
-  spec.num_hashes = 8;
+  spec.num_hashes = num_hashes;
   spec.expected_keys = kNumKeys;
   spec.max_count = 8;
   spec.seed = seed;
@@ -40,28 +47,62 @@ std::vector<std::string> Universe(uint64_t seed) {
   return gen.DistinctFlowKeys(2 * kNumKeys);  // half members, half absent
 }
 
-// The bit-identity acceptance gate: for every registered filter, the
-// engine's batched answers must equal the per-key loop.
+struct EngineCase {
+  std::string label;
+  std::string name;
+  FilterSpec spec;
+};
+
+// Every registered filter, plus the dynamic and scaling wrappers over bloom
+// and shbf_m, whose batches reach their inner filters through an engine.
+std::vector<EngineCase> EngineCases(uint64_t seed, uint32_t num_hashes) {
+  std::vector<EngineCase> cases;
+  for (const auto& name : FilterRegistry::Global().Names()) {
+    cases.push_back({name, name, EngineSpec(seed, num_hashes)});
+  }
+  for (const char* name : {"bloom", "shbf_m"}) {
+    FilterSpec dynamic = EngineSpec(seed, num_hashes);
+    dynamic.delta_capacity = 1024;  // 3000 adds: two folds, 952 in the delta
+    cases.push_back({std::string("dynamic/") + name, name, dynamic});
+    FilterSpec scaling = EngineSpec(seed, num_hashes);
+    scaling.auto_scale = true;
+    scaling.expected_keys = kNumKeys / 4;  // generations of 750, 1500, 3000
+    cases.push_back({std::string("scaling/") + name, name, scaling});
+  }
+  return cases;
+}
+
+// The bit-identity acceptance gate: for every case, the engine's batched
+// answers must equal the per-key loop.
 TEST(BatchEngineTest, ContainsBatchMatchesPerKeyForEveryRegisteredFilter) {
   const auto universe = Universe(0xba7c4);
-  const auto& registry = FilterRegistry::Global();
-  for (const auto& name : registry.Names()) {
-    SCOPED_TRACE(name);
-    std::unique_ptr<MembershipFilter> filter;
-    ASSERT_TRUE(registry.Create(name, EngineSpec(0xba7c4), &filter).ok());
-    for (size_t i = 0; i < kNumKeys; ++i) filter->Add(universe[i]);
-    std::vector<uint8_t> expected(universe.size());
-    for (size_t i = 0; i < universe.size(); ++i) {
-      expected[i] = filter->Contains(universe[i]) ? 1 : 0;
-    }
+  for (uint32_t k : kHashCounts) {
+    for (const auto& c : EngineCases(0xba7c4, k)) {
+      SCOPED_TRACE(c.label + " k=" + std::to_string(k));
+      std::unique_ptr<MembershipFilter> filter;
+      ASSERT_TRUE(
+          FilterRegistry::Global().Create(c.name, c.spec, &filter).ok());
+      for (size_t i = 0; i < kNumKeys; ++i) filter->Add(universe[i]);
+      if (const auto* dynamic = dynamic_cast<DynamicFilter*>(filter.get())) {
+        ASSERT_GT(dynamic->pending_mutations(), 0u) << "delta not in use";
+      }
+      if (const auto* scaling =
+              dynamic_cast<AutoScalingFilter*>(filter.get())) {
+        ASSERT_GE(scaling->num_generations(), 2u);
+      }
+      std::vector<uint8_t> expected(universe.size());
+      for (size_t i = 0; i < universe.size(); ++i) {
+        expected[i] = filter->Contains(universe[i]) ? 1 : 0;
+      }
 
-    // Three group sizes: degenerate, odd, and larger than most groups.
-    for (size_t batch_size : {size_t{1}, size_t{7}, size_t{64}}) {
-      SCOPED_TRACE(batch_size);
-      BatchQueryEngine engine({.batch_size = batch_size});
-      std::vector<uint8_t> batched;
-      engine.ContainsBatch(*filter, universe, &batched);
-      ASSERT_EQ(batched, expected);
+      // Three group sizes: degenerate, odd, and larger than most groups.
+      for (size_t batch_size : {size_t{1}, size_t{7}, size_t{64}}) {
+        SCOPED_TRACE(batch_size);
+        BatchQueryEngine engine({.batch_size = batch_size});
+        std::vector<uint8_t> batched;
+        engine.ContainsBatch(*filter, universe, &batched);
+        ASSERT_EQ(batched, expected);
+      }
     }
   }
 }
@@ -230,19 +271,43 @@ TEST(BatchEngineTest, ConcreteShbfXOverloadHonoursReportPolicy) {
   }
 }
 
+// Key counts around the default group of 16, into result buffers that are
+// short, oversized or full of stale bytes: the engine must resize to the
+// key count and overwrite every entry, whichever path answers.
 TEST(BatchEngineTest, EmptyKeysAndStaleResultsAreHandled) {
-  std::unique_ptr<MembershipFilter> filter;
-  ASSERT_TRUE(
-      FilterRegistry::Global().Create("shbf_m", EngineSpec(9), &filter).ok());
-  filter->Add("present");
-  BatchQueryEngine engine;
-  std::vector<uint8_t> results(17, 255);  // stale, oversized
-  engine.ContainsBatch(*filter, std::vector<std::string>{}, &results);
-  EXPECT_TRUE(results.empty());
-  std::vector<std::string> keys = {"present", "absent-xyzzy"};
-  engine.ContainsBatch(*filter, keys, &results);
-  ASSERT_EQ(results.size(), 2u);
-  EXPECT_EQ(results[0], 1);
+  const auto universe = Universe(0x57a1e);
+  const BatchQueryEngine engine;
+  for (uint32_t k : kHashCounts) {
+    for (const auto& c : EngineCases(0x57a1e, k)) {
+      SCOPED_TRACE(c.label + " k=" + std::to_string(k));
+      std::unique_ptr<MembershipFilter> filter;
+      ASSERT_TRUE(
+          FilterRegistry::Global().Create(c.name, c.spec, &filter).ok());
+      // Even keys are members, odd keys absent.
+      for (size_t i = 0; i < 34; i += 2) filter->Add(universe[i]);
+      for (size_t n : {0, 1, 15, 16, 17, 33}) {
+        SCOPED_TRACE(n);
+        const std::vector<std::string> keys(universe.begin(),
+                                            universe.begin() + n);
+        const std::vector<std::string_view> views(keys.begin(), keys.end());
+        std::vector<uint8_t> expected(n);
+        for (size_t i = 0; i < n; ++i) {
+          expected[i] = filter->Contains(keys[i]) ? 1 : 0;
+          if (i % 2 == 0) {
+            ASSERT_EQ(expected[i], 1) << "false negative";
+          }
+        }
+        for (size_t stale_size : {size_t{0}, n / 2, n, n + 17}) {
+          std::vector<uint8_t> results(stale_size, 0xaa);
+          engine.ContainsBatch(*filter, keys, &results);
+          ASSERT_EQ(results, expected) << "stale size " << stale_size;
+          results.assign(stale_size, 0xaa);
+          engine.ContainsBatch(*filter, views, &results);
+          ASSERT_EQ(results, expected) << "stale size " << stale_size;
+        }
+      }
+    }
+  }
 }
 
 }  // namespace

@@ -83,19 +83,6 @@ TEST(BloomFilterTest, StatsShowEarlyExitForNonMembers) {
   EXPECT_GT(stats.AvgMemoryAccesses(), 1.0);
 }
 
-TEST(BloomFilterTest, BatchQueryMatchesScalarQuery) {
-  auto w = MakeMembershipWorkload(2000, 2000, 63);
-  BloomFilter bf({.num_bits = 20000, .num_hashes = 7});
-  for (const auto& key : w.members) bf.Add(key);
-  std::vector<std::string> queries = w.members;
-  queries.insert(queries.end(), w.non_members.begin(), w.non_members.end());
-  std::vector<uint8_t> batch(queries.size());
-  bf.ContainsBatch(queries, &batch);
-  for (size_t i = 0; i < queries.size(); ++i) {
-    ASSERT_EQ(batch[i] != 0, bf.Contains(queries[i])) << "index " << i;
-  }
-}
-
 struct FprCase {
   size_t num_bits;
   size_t num_elements;

@@ -25,8 +25,8 @@ namespace shbf {
 namespace {
 
 std::unique_ptr<MembershipFilter> BuildFilter(const std::string& name,
-                                              size_t keys) {
-  FilterSpec spec = FilterSpec::ForKeys(keys, 12.0, 8);
+                                              size_t keys, uint32_t k = 8) {
+  FilterSpec spec = FilterSpec::ForKeys(keys, 12.0, k);
   spec.max_count = 8;
   std::unique_ptr<MembershipFilter> filter;
   CheckOk(FilterRegistry::Global().Create(name, spec, &filter));
@@ -412,6 +412,31 @@ TEST_F(ServerProtocolTest, MultisetOpcodesWithoutCatalogAreUnsupported) {
   net::CloseFd(
       ExpectError(wire::Frame(garbage.Take()), wire::WireStatus::kBadFrame));
   ExpectServerAlive();
+}
+
+// Above k = 64 the engine declines BloomFilter's probe path and answers
+// per key. A QUERY must get the per-key answers, and the connection must
+// still serve the next frame (the server used to abort here).
+TEST(WideFilterServerTest, BloomAboveTheProbeBoundAnswersPerKey) {
+  std::unique_ptr<MembershipFilter> filter = BuildFilter("bloom", 2000, 72);
+  // Members and non-members, in two frames.
+  std::vector<std::string> frames[2];
+  std::vector<uint8_t> expected[2];
+  for (int i = 0; i < 4000; ++i) {
+    const std::string key = "key-" + std::to_string(i);
+    frames[i % 2].push_back(key);
+    expected[i % 2].push_back(filter->Contains(key) ? 1 : 0);
+  }
+  ShbfServer server;
+  CheckOk(server.RegisterFilter("wide", std::move(filter)));
+  CheckOk(server.Start());
+  ShbfClient client;
+  ASSERT_TRUE(client.Connect("127.0.0.1", server.port()).ok());
+  for (int f = 0; f < 2; ++f) {
+    std::vector<uint8_t> results;
+    ASSERT_TRUE(client.Query("wide", frames[f], &results).ok()) << f;
+    EXPECT_EQ(results, expected[f]) << f;
+  }
 }
 
 /// Builds the deterministic multiset catalog the wire tests serve: shbf_m

@@ -213,59 +213,6 @@ TEST(ShbfMTest, DifferentSeedsProduceDifferentFilters) {
   EXPECT_GT(disagreements, 0u);
 }
 
-TEST(ShbfMTest, BatchQueryMatchesScalarQuery) {
-  auto w = MakeMembershipWorkload(2000, 2000, 61);
-  ShbfM filter(BaseParams());
-  for (const auto& key : w.members) filter.Add(key);
-  std::vector<std::string> queries = w.members;
-  queries.insert(queries.end(), w.non_members.begin(), w.non_members.end());
-  std::vector<uint8_t> batch(queries.size());
-  filter.ContainsBatch(queries, &batch);
-  for (size_t i = 0; i < queries.size(); ++i) {
-    ASSERT_EQ(batch[i] != 0, filter.Contains(queries[i])) << "index " << i;
-  }
-}
-
-TEST(ShbfMTest, BatchQueryHandlesOddSizes) {
-  ShbfM filter(BaseParams());
-  filter.Add("present");
-  for (size_t size : {size_t{0}, size_t{1}, size_t{15}, size_t{16},
-                      size_t{17}, size_t{33}}) {
-    std::vector<std::string> queries(size, "present");
-    std::vector<uint8_t> batch(size);
-    filter.ContainsBatch(queries, &batch);
-    for (size_t i = 0; i < size; ++i) EXPECT_EQ(batch[i], 1) << size;
-  }
-}
-
-TEST(ShbfMTest, BatchResizesShortResultsBuffer) {
-  // A short (or empty) results vector is resized to keys.size() internally.
-  ShbfM filter(BaseParams());
-  filter.Add("x");
-  std::vector<std::string> queries(10, "x");
-  std::vector<uint8_t> too_small(5);
-  filter.ContainsBatch(queries, &too_small);
-  ASSERT_EQ(too_small.size(), queries.size());
-  for (uint8_t hit : too_small) EXPECT_EQ(hit, 1);
-}
-
-TEST(ShbfMTest, BatchShrinksOversizedResultsBuffer) {
-  ShbfM filter(BaseParams());
-  std::vector<std::string> queries(4, "absent");
-  std::vector<uint8_t> oversized(64, 0xaa);
-  filter.ContainsBatch(queries, &oversized);
-  ASSERT_EQ(oversized.size(), queries.size());
-  for (uint8_t hit : oversized) EXPECT_EQ(hit, 0);
-}
-
-TEST(ShbfMTest, BatchHandlesEmptyKeyList) {
-  ShbfM filter(BaseParams());
-  std::vector<std::string> no_queries;
-  std::vector<uint8_t> results(7, 1);
-  filter.ContainsBatch(no_queries, &results);
-  EXPECT_TRUE(results.empty());
-}
-
 TEST(ShbfMTest, WorksWithEveryHashAlgorithm) {
   for (HashAlgorithm alg :
        {HashAlgorithm::kMurmur3, HashAlgorithm::kBobLookup3,
