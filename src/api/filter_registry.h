@@ -126,10 +126,11 @@ class FilterRegistry {
 
   /// Writes `filter` as a flat mmap-able image at `path` (versioned header
   /// page + page-aligned array regions; docs/persistence.md), crash-
-  /// consistently: temp file → msync → rename → directory fsync.
-  /// `generation` is stamped into the header for old-vs-new assertions
-  /// across a crash. `filter` must be an unwrapped instance of a mapped-
-  /// capable entry (a MappedFilter is unwrapped transparently).
+  /// consistently through WriteStringToFile: temp file → fsync → rename →
+  /// directory fsync. `generation` is stamped into the header for
+  /// old-vs-new assertions across a crash. `filter` must be an unwrapped
+  /// instance of a mapped-capable entry (a MappedFilter is unwrapped
+  /// transparently).
   Status SaveMapped(const MembershipFilter& filter, const std::string& path,
                     uint64_t generation = 0) const;
 

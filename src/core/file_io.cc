@@ -4,7 +4,9 @@
 #include <sys/stat.h>
 #include <unistd.h>
 
+#include <atomic>
 #include <cerrno>
+#include <cstdint>
 #include <cstring>
 
 namespace shbf {
@@ -24,6 +26,44 @@ Status WriteError(const std::string& what, const std::string& path, int err) {
   }
   return Status::Internal(message);
 }
+
+/// Writes every span in order. Loops over partial writes: a short write
+/// with no errno (size-capped file, almost-full disk) is still a failure
+/// once the remainder won't go.
+Status WriteSpans(int fd, const std::string& path,
+                  const std::vector<std::string_view>& spans) {
+  for (std::string_view span : spans) {
+    while (!span.empty()) {
+      const ssize_t n = ::write(fd, span.data(), span.size());
+      if (n < 0) {
+        if (errno == EINTR) continue;
+        return WriteError("short write to", path, errno);
+      }
+      if (n == 0) return WriteError("short write to", path, ENOSPC);
+      span.remove_prefix(static_cast<size_t>(n));
+    }
+  }
+  return Status::Ok();
+}
+
+/// fsyncs the directory holding `path`, making a just-renamed entry
+/// survive a power cut.
+Status SyncDirectoryOf(const std::string& path) {
+  const size_t slash = path.find_last_of('/');
+  const std::string dir =
+      slash == std::string::npos ? "." : path.substr(0, slash + 1);
+  const int fd = ::open(dir.c_str(), O_RDONLY | O_DIRECTORY | O_CLOEXEC);
+  if (fd < 0) return WriteError("cannot open directory", dir, errno);
+  const int rc = ::fsync(fd);
+  const int err = errno;
+  ::close(fd);
+  if (rc != 0) return WriteError("cannot fsync directory", dir, err);
+  return Status::Ok();
+}
+
+/// Numbers temp files per process, so writers in one process (two
+/// SNAPSHOTs of one path) never share a temp file.
+std::atomic<uint64_t> temp_counter{0};
 
 }  // namespace
 
@@ -52,59 +92,45 @@ Status ReadFileToString(const std::string& path, std::string* out) {
   return Status::Ok();
 }
 
-Status WriteStringToFile(const std::string& path, const std::string& bytes) {
+Status WriteStringToFile(const std::string& path,
+                         const std::vector<std::string_view>& spans) {
+  // A device or FIFO at `path` is written in place: renaming a file over it
+  // would replace the node. Anything else is written to a fresh temp file
+  // beside the target, so the rename stays on one filesystem and is atomic.
+  struct stat st;
+  const bool in_place = ::stat(path.c_str(), &st) == 0 && !S_ISREG(st.st_mode);
+  const std::string target =
+      in_place ? path
+               : path + ".tmp." + std::to_string(::getpid()) + "." +
+                     std::to_string(temp_counter.fetch_add(1));
   const int fd =
-      ::open(path.c_str(), O_WRONLY | O_CREAT | O_TRUNC | O_CLOEXEC, 0644);
-  if (fd < 0) return WriteError("cannot create", path, errno);
-  // Loop over partial writes: a short write with no errno (size-capped file,
-  // almost-full disk) is still a failure once the remainder won't go.
-  size_t written = 0;
-  while (written < bytes.size()) {
-    const ssize_t n =
-        ::write(fd, bytes.data() + written, bytes.size() - written);
-    if (n < 0) {
-      if (errno == EINTR) continue;
-      const int err = errno;
-      ::close(fd);
-      return WriteError("short write to", path, err);
-    }
-    if (n == 0) {
-      ::close(fd);
-      return WriteError("short write to", path, ENOSPC);
-    }
-    written += static_cast<size_t>(n);
+      in_place ? ::open(target.c_str(), O_WRONLY | O_CLOEXEC)
+               : ::open(target.c_str(),
+                        O_WRONLY | O_CREAT | O_EXCL | O_CLOEXEC, 0644);
+  if (fd < 0) return WriteError("cannot open", target, errno);
+  Status status = WriteSpans(fd, path, spans);
+  // fsync before the rename: the bytes reach the device before anything
+  // points at them, so a crash can never publish a torn file. A FIFO or a
+  // socket has nothing to synchronize (EINVAL).
+  if (status.ok() && ::fsync(fd) != 0 && !(in_place && errno == EINVAL)) {
+    status = WriteError("cannot fsync", path, errno);
   }
-  // fsync before the verdict: an OK means the bytes reached the device, not
-  // just the page cache — a snapshot that "succeeded" must survive a crash.
-  if (::fsync(fd) != 0) {
-    const int err = errno;
-    ::close(fd);
-    return WriteError("cannot fsync", path, err);
+  if (::close(fd) != 0 && status.ok()) {
+    status = WriteError("cannot close", path, errno);
   }
-  if (::close(fd) != 0) {
-    return WriteError("cannot close", path, errno);
+  if (in_place) return status;
+  if (status.ok() && ::rename(target.c_str(), path.c_str()) != 0) {
+    status = WriteError("cannot rename into", path, errno);
   }
-  return Status::Ok();
+  if (!status.ok()) {
+    ::unlink(target.c_str());
+    return status;
+  }
+  return SyncDirectoryOf(path);
 }
 
-Status SyncDirectory(const std::string& dir_path) {
-  const std::string dir = dir_path.empty() ? "." : dir_path;
-  const int fd = ::open(dir.c_str(), O_RDONLY | O_DIRECTORY | O_CLOEXEC);
-  if (fd < 0) return Status::NotFound(Errno("cannot open directory", dir, errno));
-  if (::fsync(fd) != 0) {
-    const int err = errno;
-    ::close(fd);
-    return Status::Internal(Errno("cannot fsync directory", dir, err));
-  }
-  ::close(fd);
-  return Status::Ok();
-}
-
-std::string DirectoryOf(const std::string& path) {
-  const size_t slash = path.find_last_of('/');
-  if (slash == std::string::npos) return ".";
-  if (slash == 0) return "/";
-  return path.substr(0, slash);
+Status WriteStringToFile(const std::string& path, const std::string& bytes) {
+  return WriteStringToFile(path, std::vector<std::string_view>{bytes});
 }
 
 }  // namespace shbf

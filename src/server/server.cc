@@ -664,7 +664,7 @@ ShbfServer::Response ShbfServer::HandleSnapshot(ByteReader* reader) {
     std::string image_path = path;
     if (StripMmapPrefix(&image_path)) {
       // Flat-image snapshot. The saver borrows pointers into the live
-      // array, so the write (temp + msync + rename; crash-consistent)
+      // array, so the write (temp + fsync + rename; crash-consistent)
       // happens under the writer lock — unlike the heap branch there is
       // no intermediate blob to copy out.
       const uint64_t generation = served->snapshot_generation + 1;
@@ -687,7 +687,9 @@ ShbfServer::Response ShbfServer::HandleSnapshot(ByteReader* reader) {
     }
     blob = FilterRegistry::Serialize(*served->filter);
   }
-  // File I/O outside the lock; the remembered path only moves to the new
+  // File I/O outside the lock: each write gets its own temp file, so
+  // concurrent SNAPSHOTs of one path never interleave, and a RELOAD of the
+  // path reads a whole envelope. The remembered path only moves to the new
   // target once the bytes are actually on disk.
   Status s = WriteStringToFile(path, blob);
   if (!s.ok()) {

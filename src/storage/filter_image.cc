@@ -1,12 +1,6 @@
 #include "storage/filter_image.h"
 
-#include <fcntl.h>
-#include <sys/mman.h>
-#include <sys/stat.h>
-#include <unistd.h>
-
-#include <cerrno>
-#include <cstring>
+#include <string_view>
 
 #include "core/check.h"
 #include "core/file_io.h"
@@ -33,14 +27,6 @@ uint64_t RegionStride(uint64_t payload_bytes) {
   return RoundUpPage(payload_bytes + kImageGuardBytes);
 }
 
-Status IoError(const std::string& what, const std::string& path, int err) {
-  const std::string message = what + " " + path + ": " + std::strerror(err);
-  if (err == ENOSPC || err == EDQUOT || err == EFBIG) {
-    return Status::ResourceExhausted(message);
-  }
-  return Status::Internal(message);
-}
-
 }  // namespace
 
 uint64_t ImageChecksum(const void* data, size_t len) {
@@ -53,10 +39,6 @@ uint64_t RegionOffset(const std::vector<RegionPayload>& payloads,
   uint64_t offset = kImagePageBytes;  // header page
   for (size_t i = 0; i < index; ++i) offset += RegionStride(payloads[i].bytes);
   return offset;
-}
-
-uint64_t ImageFileBytes(const std::vector<RegionPayload>& payloads) {
-  return RegionOffset(payloads, payloads.size());
 }
 
 std::string EncodeImageHeader(const ImageHeader& header) {
@@ -238,56 +220,17 @@ Status WriteImageFile(const std::string& path, ImageHeader* header,
     header->regions[i].checksum =
         ImageChecksum(payloads[i].data, payloads[i].bytes);
   }
-  const uint64_t file_bytes = ImageFileBytes(payloads);
   const std::string page = EncodeImageHeader(*header);
-
-  // Temp file beside the target (same filesystem, so rename is atomic);
-  // pid-suffixed so concurrent writers never share one.
-  const std::string temp_path =
-      path + ".tmp." + std::to_string(::getpid());
-  const int fd = ::open(temp_path.c_str(),
-                        O_RDWR | O_CREAT | O_TRUNC | O_CLOEXEC, 0644);
-  if (fd < 0) return IoError("cannot create", temp_path, errno);
-  Status status = Status::Ok();
-  uint8_t* image = nullptr;
-  if (::ftruncate(fd, static_cast<off_t>(file_bytes)) != 0) {
-    status = IoError("cannot size", temp_path, errno);
+  // Each stride's zero tail (guard bytes and page fill) is at most a page
+  // plus the guard, so one static run of zeros pads every region.
+  static constexpr char kZeros[kImagePageBytes + kImageGuardBytes] = {};
+  std::vector<std::string_view> spans = {page};
+  for (const RegionPayload& payload : payloads) {
+    spans.emplace_back(reinterpret_cast<const char*>(payload.data),
+                       payload.bytes);
+    spans.emplace_back(kZeros, RegionStride(payload.bytes) - payload.bytes);
   }
-  if (status.ok()) {
-    void* mapping = ::mmap(nullptr, file_bytes, PROT_READ | PROT_WRITE,
-                           MAP_SHARED, fd, 0);
-    if (mapping == MAP_FAILED) {
-      status = IoError("cannot mmap", temp_path, errno);
-    } else {
-      image = static_cast<uint8_t*>(mapping);
-    }
-  }
-  if (status.ok()) {
-    std::memcpy(image, page.data(), page.size());
-    for (size_t i = 0; i < payloads.size(); ++i) {
-      std::memcpy(image + header->regions[i].offset, payloads[i].data,
-                  payloads[i].bytes);
-    }
-    // msync-on-snapshot: the dirty image pages reach the device before the
-    // rename publishes them — the crash-consistency half the header's
-    // generation field is asserted against.
-    if (::msync(image, file_bytes, MS_SYNC) != 0) {
-      status = IoError("cannot msync", temp_path, errno);
-    }
-  }
-  if (image != nullptr) ::munmap(image, file_bytes);
-  if (status.ok() && ::fsync(fd) != 0) {
-    status = IoError("cannot fsync", temp_path, errno);
-  }
-  ::close(fd);
-  if (status.ok() && ::rename(temp_path.c_str(), path.c_str()) != 0) {
-    status = IoError("cannot rename into", path, errno);
-  }
-  if (!status.ok()) {
-    ::unlink(temp_path.c_str());
-    return status;
-  }
-  return SyncDirectory(DirectoryOf(path));
+  return WriteStringToFile(path, spans);
 }
 
 }  // namespace storage

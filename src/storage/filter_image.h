@@ -21,8 +21,9 @@
 // format). Decode failures are Status, never a crash: every field is
 // bounds-checked against the mapped size before anything dereferences it.
 //
-// Crash consistency (WriteImageFile): build the image in a temp file in the
-// target's directory, msync + fsync it, rename(2) over the target, fsync
+// Crash consistency (WriteImageFile): the image goes through the one
+// durable writer, WriteStringToFile (core/file_io.h), which writes a temp
+// file beside the target, fsyncs it, renames it over the target and fsyncs
 // the directory. A reader that opens the path therefore sees either the
 // complete old image or the complete new one — never a torn mix — which the
 // crash harness (tests/storage_crash_test.cc) enforces by SIGKILLing a
@@ -116,9 +117,6 @@ uint64_t ImageChecksum(const void* data, size_t len);
 uint64_t RegionOffset(const std::vector<RegionPayload>& payloads,
                       size_t index);
 
-/// Total file size for `payloads` (header page + every region stride).
-uint64_t ImageFileBytes(const std::vector<RegionPayload>& payloads);
-
 /// Renders the full header page (kImagePageBytes, zero-padded, trailing
 /// checksum). `header.regions` must already be laid out.
 std::string EncodeImageHeader(const ImageHeader& header);
@@ -134,9 +132,9 @@ Status VerifyRegionChecksum(const ImageHeader& header, size_t index,
                             const uint8_t* file_data);
 
 /// Writes a complete image (header built from `header` + `payloads`, one
-/// region per payload) crash-consistently: temp file in the target's
-/// directory → msync + fsync → rename over `path` → directory fsync.
-/// Fills `header->regions`. ENOSPC-class failures surface as
+/// region per payload) through WriteStringToFile: the header page, each
+/// payload and its zero pad go to the writer as spans, never copied into
+/// one buffer. Fills `header->regions`. ENOSPC-class failures surface as
 /// kResourceExhausted with the path in the message; the target is never
 /// left torn.
 Status WriteImageFile(const std::string& path, ImageHeader* header,

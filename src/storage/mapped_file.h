@@ -4,10 +4,10 @@
 // mapping is MAP_SHARED + PROT_READ, so N servers (or N forked readers)
 // mapping the same image share page-cache frames instead of each
 // deserializing a private heap copy. The mapping is immutable for its whole
-// lifetime — a concurrent SaveMapped replaces the *directory entry* via
-// rename(2), never the bytes this mapping sees — which is what makes the
-// open path TOCTOU-free: every header field is validated against, and every
-// query served from, the same immutable bytes.
+// lifetime — a concurrent SaveMapped renames a new file over the
+// *directory entry*, never touching the bytes this mapping sees — which is
+// what makes the open path TOCTOU-free: every header field is validated
+// against, and every query served from, the same immutable bytes.
 
 #ifndef SHBF_STORAGE_MAPPED_FILE_H_
 #define SHBF_STORAGE_MAPPED_FILE_H_

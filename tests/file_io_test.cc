@@ -3,18 +3,22 @@
 // surfacing as kResourceExhausted instead of a silently truncated file.
 // ENOSPC is injected two ways: RLIMIT_FSIZE (a size-capped process makes
 // write(2) past the cap fail with EFBIG, same Status family) and /dev/full
-// where the platform provides it.
+// where the platform provides it. A failed write must also leave the old
+// file whole, and a target that is not a regular file is written in place.
 
 #include <gtest/gtest.h>
 
+#include <dirent.h>
 #include <signal.h>
 #include <sys/resource.h>
+#include <sys/stat.h>
 #include <sys/types.h>
 #include <sys/wait.h>
 #include <unistd.h>
 
 #include <cstdio>
 #include <string>
+#include <vector>
 
 #include "core/file_io.h"
 
@@ -57,15 +61,46 @@ TEST(FileIoTest, UnwritableTargetNamesThePath) {
   EXPECT_NE(s.message().find("/nonexistent/dir/out.bin"), std::string::npos);
 }
 
-TEST(FileIoTest, DirectoryOfSplitsPaths) {
-  EXPECT_EQ(DirectoryOf("/a/b/c.bin"), "/a/b");
-  EXPECT_EQ(DirectoryOf("/c.bin"), "/");
-  EXPECT_EQ(DirectoryOf("c.bin"), ".");
+/// The writer's temp files ("<stem>.tmp.<pid>.<n>") present in `dir`.
+std::vector<std::string> TempFilesOf(const std::string& dir,
+                                     const std::string& stem) {
+  std::vector<std::string> found;
+  DIR* d = opendir(dir.c_str());
+  if (d == nullptr) return found;
+  while (struct dirent* entry = readdir(d)) {
+    const std::string name = entry->d_name;
+    if (name.rfind(stem + ".tmp.", 0) == 0) found.push_back(name);
+  }
+  closedir(d);
+  return found;
 }
 
-TEST(FileIoTest, SyncDirectoryAcceptsRealDirectoriesOnly) {
-  EXPECT_TRUE(SyncDirectory(::testing::TempDir()).ok());
-  EXPECT_FALSE(SyncDirectory("/nonexistent/dir").ok());
+/// Waits for `pid` and returns its exit code, or -1 if it did not exit.
+int ChildExitCode(pid_t pid) {
+  int status = 0;
+  if (waitpid(pid, &status, 0) != pid || !WIFEXITED(status)) return -1;
+  return WEXITSTATUS(status);
+}
+
+TEST(FileIoTest, RelativePathIsWrittenInTheWorkingDirectory) {
+  // A bare file name has no directory part: the temp file, the rename and
+  // the directory fsync all happen in ".". In a child, so the test
+  // process keeps its working directory.
+  const std::string dir = ::testing::TempDir();
+  const std::string stem = "file_io_relative.bin";
+  pid_t pid = fork();
+  ASSERT_GE(pid, 0);
+  if (pid == 0) {
+    if (chdir(dir.c_str()) != 0) _exit(20);
+    if (!WriteStringToFile(stem, "relative").ok()) _exit(21);
+    _exit(0);
+  }
+  ASSERT_EQ(ChildExitCode(pid), 0) << "20 = chdir failed, 21 = write failed";
+  std::string back;
+  ASSERT_TRUE(ReadFileToString(dir + "/" + stem, &back).ok());
+  EXPECT_EQ(back, "relative");
+  EXPECT_TRUE(TempFilesOf(dir, stem).empty());
+  std::remove((dir + "/" + stem).c_str());
 }
 
 TEST(FileIoTest, SizeCappedProcessReportsResourceExhaustion) {
@@ -95,6 +130,56 @@ TEST(FileIoTest, SizeCappedProcessReportsResourceExhaustion) {
   EXPECT_EQ(WEXITSTATUS(status), 0)
       << "child exit " << WEXITSTATUS(status)
       << " (21 = silent truncation, 22 = wrong code, 23 = path missing)";
+  std::remove(path.c_str());
+}
+
+TEST(FileIoTest, FailedWriteKeepsTheOldFile) {
+  // Same RLIMIT_FSIZE child as above, but over an existing file: the failed
+  // 64 KB write must leave the old bytes at `path` and no temp file behind.
+  // A writer that truncates the target first leaves 8 KB of the new bytes.
+  const std::string dir = ::testing::TempDir();
+  const std::string stem = "file_io_keep_old.bin";
+  const std::string path = dir + "/" + stem;
+  std::remove(path.c_str());
+  pid_t pid = fork();
+  ASSERT_GE(pid, 0);
+  if (pid == 0) {
+    signal(SIGXFSZ, SIG_IGN);
+    struct rlimit cap{.rlim_cur = 8192, .rlim_max = 8192};
+    if (setrlimit(RLIMIT_FSIZE, &cap) != 0) _exit(20);
+    if (!WriteStringToFile(path, "old bytes").ok()) _exit(21);
+    if (WriteStringToFile(path, std::string(65536, 'x')).ok()) _exit(22);
+    std::string back;
+    if (!ReadFileToString(path, &back).ok() || back != "old bytes") _exit(23);
+    if (!TempFilesOf(dir, stem).empty()) _exit(24);
+    _exit(0);
+  }
+  EXPECT_EQ(ChildExitCode(pid), 0)
+      << "(21 = first write failed, 22 = capped write succeeded, 23 = old "
+         "bytes lost, 24 = temp file left)";
+  std::remove(path.c_str());
+}
+
+TEST(FileIoTest, FifoIsWrittenInPlace) {
+  // Renaming a file over a FIFO would replace the node; the writer writes
+  // through it instead, and a FIFO having nothing to fsync is no failure.
+  const std::string path = ::testing::TempDir() + "/file_io_fifo";
+  std::remove(path.c_str());
+  ASSERT_EQ(mkfifo(path.c_str(), 0600), 0);
+  pid_t pid = fork();
+  ASSERT_GE(pid, 0);
+  if (pid == 0) {
+    alarm(10);  // a writer that replaced the FIFO would leave us blocked
+    std::string back;
+    if (!ReadFileToString(path, &back).ok()) _exit(20);
+    _exit(back == "through the fifo" ? 0 : 21);
+  }
+  Status s = WriteStringToFile(path, "through the fifo");
+  EXPECT_TRUE(s.ok()) << s.ToString();
+  EXPECT_EQ(ChildExitCode(pid), 0) << "(20 = open failed, 21 = wrong bytes)";
+  struct stat st {};
+  ASSERT_EQ(stat(path.c_str(), &st), 0);
+  EXPECT_TRUE(S_ISFIFO(st.st_mode));
   std::remove(path.c_str());
 }
 

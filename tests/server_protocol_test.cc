@@ -10,8 +10,10 @@
 
 #include <algorithm>
 #include <atomic>
+#include <cstdio>
 #include <cstring>
 #include <memory>
+#include <mutex>
 #include <string>
 #include <thread>
 #include <vector>
@@ -437,6 +439,64 @@ TEST(WideFilterServerTest, BloomAboveTheProbeBoundAnswersPerKey) {
     ASSERT_TRUE(client.Query("wide", frames[f], &results).ok()) << f;
     EXPECT_EQ(results, expected[f]) << f;
   }
+}
+
+// Two connections SNAPSHOT one heap filter to one path while a third
+// RELOADs from it. A heap SNAPSHOT writes outside the filter lock, so the
+// two writes overlap: each needs a temp file of its own (a shared one fails
+// a SNAPSHOT), and each must reach the path by rename (an in-place rewrite
+// hands RELOAD a torn envelope). The 1 MB bit array makes each write(2)
+// long enough for a RELOAD to land inside it.
+TEST(SnapshotRaceTest, ConcurrentSnapshotsAndReloadsOfOnePathAllSucceed) {
+  FilterSpec spec = FilterSpec::ForKeys(2000, 12.0, 8);
+  spec.num_cells = 8'000'000;
+  std::unique_ptr<MembershipFilter> filter;
+  CheckOk(FilterRegistry::Global().Create("shbf_m", spec, &filter));
+  std::vector<std::string> probes;
+  for (int i = 0; i < 4000; ++i) probes.push_back("key-" + std::to_string(i));
+  for (int i = 0; i < 2000; ++i) filter->Add(probes[i]);
+  std::vector<uint8_t> expected;
+  for (const auto& key : probes) expected.push_back(filter->Contains(key));
+
+  ShbfServer server;
+  CheckOk(server.RegisterFilter("members", std::move(filter)));
+  CheckOk(server.Start());
+  const std::string path = ::testing::TempDir() + "/server_snapshot_race.shbf";
+  {
+    ShbfClient client;
+    ASSERT_TRUE(client.Connect("127.0.0.1", server.port()).ok());
+    ASSERT_TRUE(client.Snapshot("members", path).ok());
+  }
+
+  constexpr int kRounds = 30;
+  std::mutex mu;
+  std::vector<std::string> failures;
+  auto run = [&](bool reload) {
+    ShbfClient client;
+    Status s = client.Connect("127.0.0.1", server.port());
+    for (int round = 0; s.ok() && round < kRounds; ++round) {
+      s = reload ? client.Reload("members", path)
+                 : client.Snapshot("members", path);
+    }
+    if (!s.ok()) {
+      std::lock_guard<std::mutex> lock(mu);
+      failures.push_back(s.ToString());
+    }
+  };
+  std::vector<std::thread> threads;
+  threads.emplace_back(run, false);
+  threads.emplace_back(run, false);
+  threads.emplace_back(run, true);
+  for (auto& thread : threads) thread.join();
+  EXPECT_TRUE(failures.empty()) << failures.front();
+
+  ShbfClient client;
+  ASSERT_TRUE(client.Connect("127.0.0.1", server.port()).ok());
+  std::vector<uint8_t> results;
+  ASSERT_TRUE(client.Query("members", probes, &results).ok());
+  EXPECT_EQ(results, expected);
+  server.Stop();
+  std::remove(path.c_str());
 }
 
 /// Builds the deterministic multiset catalog the wire tests serve: shbf_m

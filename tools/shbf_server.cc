@@ -37,6 +37,7 @@
 #include <vector>
 
 #include "api/filter_registry.h"
+#include "core/file_io.h"
 #include "core/version.h"
 #include "server/server.h"
 
@@ -90,7 +91,8 @@ void PrintUsage(std::FILE* out) {
       "                      write the metrics snapshot (the METRICS opcode\n"
       "                      payload, docs/observability.md) as JSON to PATH\n"
       "                      every SECONDS (default 60) and once at\n"
-      "                      shutdown; the file is replaced atomically\n"
+      "                      shutdown; each write goes to a temp file,\n"
+      "                      is fsynced and renamed over PATH\n"
       "  --slow-request-ms=N log requests whose handle time exceeds N ms to\n"
       "                      stderr ('[shbf slow] ...'; default 0 = off)\n"
       "  --help              this text\n"
@@ -172,8 +174,9 @@ Status BuildFromSpec(const std::string& arg, std::string* name,
 
 /// Background writer for --metrics-dump: every `interval_seconds` (and once
 /// more at destruction, after the server drained) it serializes
-/// CollectMetrics() to JSON and atomically replaces `path` (write-to-temp +
-/// rename, so a scraper mid-read never sees a torn file).
+/// CollectMetrics() to JSON and replaces `path` through WriteStringToFile
+/// (temp file, fsync, rename), so a scraper mid-read never sees a torn
+/// file.
 class MetricsDumper {
  public:
   MetricsDumper(const ShbfServer& server, std::string path,
@@ -211,19 +214,11 @@ class MetricsDumper {
   }
 
   void WriteOnce() {
-    const std::string json = server_.CollectMetrics().ToJson();
-    const std::string tmp = path_ + ".tmp";
-    std::FILE* file = std::fopen(tmp.c_str(), "w");
-    if (file == nullptr) {
-      std::fprintf(stderr, "warning: --metrics-dump: cannot write %s\n",
-                   tmp.c_str());
-      return;
-    }
-    std::fwrite(json.data(), 1, json.size(), file);
-    std::fclose(file);
-    if (std::rename(tmp.c_str(), path_.c_str()) != 0) {
-      std::fprintf(stderr, "warning: --metrics-dump: cannot rename to %s\n",
-                   path_.c_str());
+    const Status s =
+        WriteStringToFile(path_, server_.CollectMetrics().ToJson());
+    if (!s.ok()) {
+      std::fprintf(stderr, "warning: --metrics-dump: %s\n",
+                   s.ToString().c_str());
     }
   }
 
