@@ -7,6 +7,7 @@
 #include <atomic>
 #include <cerrno>
 #include <cstdint>
+#include <cstdlib>
 #include <cstring>
 
 namespace shbf {
@@ -46,24 +47,26 @@ Status WriteSpans(int fd, const std::string& path,
   return Status::Ok();
 }
 
-/// fsyncs the directory holding `path`, making a just-renamed entry
-/// survive a power cut.
-Status SyncDirectoryOf(const std::string& path) {
-  const size_t slash = path.find_last_of('/');
-  const std::string dir =
-      slash == std::string::npos ? "." : path.substr(0, slash + 1);
-  const int fd = ::open(dir.c_str(), O_RDONLY | O_DIRECTORY | O_CLOEXEC);
-  if (fd < 0) return WriteError("cannot open directory", dir, errno);
-  const int rc = ::fsync(fd);
-  const int err = errno;
-  ::close(fd);
-  if (rc != 0) return WriteError("cannot fsync directory", dir, err);
-  return Status::Ok();
-}
-
 /// Numbers temp files per process, so writers in one process (two
 /// SNAPSHOTs of one path) never share a temp file.
 std::atomic<uint64_t> temp_counter{0};
+
+/// How many taken temp names a write skips before it gives up.
+constexpr int kTempNameAttempts = 1000;
+
+/// Creates a fresh temp file beside `file` and names it in `*temp`. A name
+/// that exists already is skipped: a killed writer's stray carries a pid a
+/// later process can get again (a container's pid 1 after a restart), and
+/// O_EXCL must not make that stray block every later write to the path.
+int CreateTempFile(const std::string& file, std::string* temp) {
+  const std::string prefix = file + ".tmp." + std::to_string(::getpid()) + ".";
+  for (int attempt = 1;; ++attempt) {
+    *temp = prefix + std::to_string(temp_counter.fetch_add(1));
+    const int fd = ::open(temp->c_str(),
+                          O_WRONLY | O_CREAT | O_EXCL | O_CLOEXEC, 0644);
+    if (fd >= 0 || errno != EEXIST || attempt == kTempNameAttempts) return fd;
+  }
+}
 
 }  // namespace
 
@@ -99,14 +102,19 @@ Status WriteStringToFile(const std::string& path,
   // beside the target, so the rename stays on one filesystem and is atomic.
   struct stat st;
   const bool in_place = ::stat(path.c_str(), &st) == 0 && !S_ISREG(st.st_mode);
-  const std::string target =
-      in_place ? path
-               : path + ".tmp." + std::to_string(::getpid()) + "." +
-                     std::to_string(temp_counter.fetch_add(1));
-  const int fd =
-      in_place ? ::open(target.c_str(), O_WRONLY | O_CLOEXEC)
-               : ::open(target.c_str(),
-                        O_WRONLY | O_CREAT | O_EXCL | O_CLOEXEC, 0644);
+  // A symlink is followed, so the temp file and the rename land beside the
+  // file it names and the link stays: /dev/stdout redirected to a file must
+  // replace that file, never the /dev/stdout link.
+  std::string file = path;
+  if (!in_place && ::lstat(path.c_str(), &st) == 0 && S_ISLNK(st.st_mode)) {
+    char* resolved = ::realpath(path.c_str(), nullptr);
+    if (resolved == nullptr) return WriteError("cannot resolve", path, errno);
+    file = resolved;
+    std::free(resolved);
+  }
+  std::string target = path;
+  const int fd = in_place ? ::open(path.c_str(), O_WRONLY | O_CLOEXEC)
+                          : CreateTempFile(file, &target);
   if (fd < 0) return WriteError("cannot open", target, errno);
   Status status = WriteSpans(fd, path, spans);
   // fsync before the rename: the bytes reach the device before anything
@@ -119,18 +127,38 @@ Status WriteStringToFile(const std::string& path,
     status = WriteError("cannot close", path, errno);
   }
   if (in_place) return status;
-  if (status.ok() && ::rename(target.c_str(), path.c_str()) != 0) {
+  if (status.ok() && ::rename(target.c_str(), file.c_str()) != 0) {
     status = WriteError("cannot rename into", path, errno);
   }
   if (!status.ok()) {
     ::unlink(target.c_str());
     return status;
   }
-  return SyncDirectoryOf(path);
+  return SyncDirectory(DirectoryOf(file));
 }
 
 Status WriteStringToFile(const std::string& path, const std::string& bytes) {
   return WriteStringToFile(path, std::vector<std::string_view>{bytes});
+}
+
+Status SyncDirectory(const std::string& dir_path) {
+  const std::string dir = dir_path.empty() ? "." : dir_path;
+  const int fd = ::open(dir.c_str(), O_RDONLY | O_DIRECTORY | O_CLOEXEC);
+  if (fd < 0) return Status::NotFound(Errno("cannot open directory", dir, errno));
+  if (::fsync(fd) != 0) {
+    const int err = errno;
+    ::close(fd);
+    return Status::Internal(Errno("cannot fsync directory", dir, err));
+  }
+  ::close(fd);
+  return Status::Ok();
+}
+
+std::string DirectoryOf(const std::string& path) {
+  const size_t slash = path.find_last_of('/');
+  if (slash == std::string::npos) return ".";
+  if (slash == 0) return "/";
+  return path.substr(0, slash);
 }
 
 }  // namespace shbf

@@ -22,12 +22,14 @@ Status ReadFileToString(const std::string& path, std::string* out);
 /// The one durable writer: replaces the file at `path` with the
 /// concatenation of `spans`, crash-consistently. The bytes go to a fresh
 /// temp file beside the target ("<path>.tmp.<pid>.<n>", created exclusively
-/// at mode 0644 under the umask), which is fsynced, renamed over `path`,
-/// and then the directory is fsynced. A reader of `path` — or the file a
-/// crash leaves behind — is the complete old file or the complete new one,
-/// never a torn mix; the target gets a new inode, so a symlink at `path`
-/// is replaced rather than followed. An OK means every byte reached the
-/// device.
+/// at mode 0644 under the umask; a name already taken, such as a stray left
+/// by a killed writer with the same pid, is skipped), which is fsynced,
+/// renamed over `path`, and then the directory is fsynced. A reader of
+/// `path` — or the file a crash leaves behind — is the complete old file or
+/// the complete new one, never a torn mix. The target gets a new inode. A
+/// symlink at `path` is followed: the file it resolves to is replaced and
+/// the link stays (a dangling link fails). An OK means every byte reached
+/// the device.
 ///
 /// Only a target that already exists and is not a regular file (a device
 /// such as /dev/full, a FIFO) is written in place, since a rename would
@@ -42,6 +44,14 @@ Status WriteStringToFile(const std::string& path,
 
 /// The one-span case of the writer above.
 Status WriteStringToFile(const std::string& path, const std::string& bytes);
+
+/// fsyncs the directory itself, making a just-renamed entry durable (the
+/// last step of the writer above; see docs/persistence.md).
+Status SyncDirectory(const std::string& dir_path);
+
+/// The directory component of `path` ("." when there is none) — the target
+/// SyncDirectory wants after renaming `path` into place.
+std::string DirectoryOf(const std::string& path);
 
 }  // namespace shbf
 

@@ -34,13 +34,6 @@ uint64_t ImageChecksum(const void* data, size_t len) {
   return lo ^ hi;
 }
 
-uint64_t RegionOffset(const std::vector<RegionPayload>& payloads,
-                      size_t index) {
-  uint64_t offset = kImagePageBytes;  // header page
-  for (size_t i = 0; i < index; ++i) offset += RegionStride(payloads[i].bytes);
-  return offset;
-}
-
 std::string EncodeImageHeader(const ImageHeader& header) {
   SHBF_CHECK(!header.filter_name.empty() &&
              header.filter_name.size() <= kImageMaxNameBytes);
@@ -214,8 +207,10 @@ Status WriteImageFile(const std::string& path, ImageHeader* header,
                                    " regions");
   }
   header->regions.resize(payloads.size());
+  uint64_t offset = kImagePageBytes;  // regions follow the header page
   for (size_t i = 0; i < payloads.size(); ++i) {
-    header->regions[i].offset = RegionOffset(payloads, i);
+    header->regions[i].offset = offset;
+    offset += RegionStride(payloads[i].bytes);
     header->regions[i].bytes = payloads[i].bytes;
     header->regions[i].checksum =
         ImageChecksum(payloads[i].data, payloads[i].bytes);

@@ -21,13 +21,10 @@
 // format). Decode failures are Status, never a crash: every field is
 // bounds-checked against the mapped size before anything dereferences it.
 //
-// Crash consistency (WriteImageFile): the image goes through the one
-// durable writer, WriteStringToFile (core/file_io.h), which writes a temp
-// file beside the target, fsyncs it, renames it over the target and fsyncs
-// the directory. A reader that opens the path therefore sees either the
-// complete old image or the complete new one — never a torn mix — which the
-// crash harness (tests/storage_crash_test.cc) enforces by SIGKILLing a
-// writer at randomized points.
+// Crash consistency: WriteImageFile goes through the one durable writer,
+// WriteStringToFile (core/file_io.h), so a reader sees the complete old or
+// new image, never a torn mix; tests/storage_crash_test.cc SIGKILLs writers
+// at randomized points to enforce it.
 
 #ifndef SHBF_STORAGE_FILTER_IMAGE_H_
 #define SHBF_STORAGE_FILTER_IMAGE_H_
@@ -110,12 +107,6 @@ struct RegionPayload {
 /// The image checksum (a 64-bit fold of Murmur3_128 under a fixed seed);
 /// used for both the header and each region payload.
 uint64_t ImageChecksum(const void* data, size_t len);
-
-/// Region `index`'s page-aligned offset given the payload sizes of the
-/// regions before it (header page first, then each region's stride =
-/// RoundUp(bytes + kImageGuardBytes, page)).
-uint64_t RegionOffset(const std::vector<RegionPayload>& payloads,
-                      size_t index);
 
 /// Renders the full header page (kImagePageBytes, zero-padded, trailing
 /// checksum). `header.regions` must already be laid out.

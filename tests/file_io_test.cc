@@ -4,11 +4,14 @@
 // ENOSPC is injected two ways: RLIMIT_FSIZE (a size-capped process makes
 // write(2) past the cap fail with EFBIG, same Status family) and /dev/full
 // where the platform provides it. A failed write must also leave the old
-// file whole, and a target that is not a regular file is written in place.
+// file whole, a target that is not a regular file is written in place, a
+// symlink is followed, and a killed writer's stray temp file never blocks a
+// later write.
 
 #include <gtest/gtest.h>
 
 #include <dirent.h>
+#include <fcntl.h>
 #include <signal.h>
 #include <sys/resource.h>
 #include <sys/stat.h>
@@ -17,6 +20,7 @@
 #include <unistd.h>
 
 #include <cstdio>
+#include <cstdlib>
 #include <string>
 #include <vector>
 
@@ -61,6 +65,17 @@ TEST(FileIoTest, UnwritableTargetNamesThePath) {
   EXPECT_NE(s.message().find("/nonexistent/dir/out.bin"), std::string::npos);
 }
 
+TEST(FileIoTest, DirectoryOfSplitsPaths) {
+  EXPECT_EQ(DirectoryOf("/a/b/c.bin"), "/a/b");
+  EXPECT_EQ(DirectoryOf("/c.bin"), "/");
+  EXPECT_EQ(DirectoryOf("c.bin"), ".");
+}
+
+TEST(FileIoTest, SyncDirectoryAcceptsRealDirectoriesOnly) {
+  EXPECT_TRUE(SyncDirectory(::testing::TempDir()).ok());
+  EXPECT_FALSE(SyncDirectory("/nonexistent/dir").ok());
+}
+
 /// The writer's temp files ("<stem>.tmp.<pid>.<n>") present in `dir`.
 std::vector<std::string> TempFilesOf(const std::string& dir,
                                      const std::string& stem) {
@@ -101,6 +116,96 @@ TEST(FileIoTest, RelativePathIsWrittenInTheWorkingDirectory) {
   EXPECT_EQ(back, "relative");
   EXPECT_TRUE(TempFilesOf(dir, stem).empty());
   std::remove((dir + "/" + stem).c_str());
+}
+
+TEST(FileIoTest, SymlinkIsFollowedAndKept) {
+  // The file a symlink names gets the new bytes and the link stays a link.
+  const std::string dir = ::testing::TempDir();
+  const std::string file = dir + "/file_io_link_target.bin";
+  const std::string link = dir + "/file_io_link";
+  std::remove(link.c_str());
+  ASSERT_TRUE(WriteStringToFile(file, "old").ok());
+  ASSERT_EQ(symlink(file.c_str(), link.c_str()), 0);
+  Status s = WriteStringToFile(link, "new");
+  ASSERT_TRUE(s.ok()) << s.ToString();
+  struct stat st {};
+  ASSERT_EQ(lstat(link.c_str(), &st), 0);
+  EXPECT_TRUE(S_ISLNK(st.st_mode));
+  std::string back;
+  ASSERT_TRUE(ReadFileToString(file, &back).ok());
+  EXPECT_EQ(back, "new");
+  EXPECT_TRUE(TempFilesOf(dir, "file_io_link").empty());
+  std::remove(link.c_str());
+  std::remove(file.c_str());
+}
+
+TEST(FileIoTest, StdoutRedirectedToAFileWritesThatFile) {
+  // `shbf_cli build keys.txt /dev/stdout > f.shbf`: /dev/stdout links to
+  // /proc/self/fd/1, which links to f.shbf. The bytes must reach f.shbf;
+  // no temp file or rename may land in /dev or /proc. In a child, so the
+  // test process keeps its stdout.
+  if (access("/proc/self/fd/1", F_OK) != 0) {
+    GTEST_SKIP() << "/proc/self/fd not available";
+  }
+  const std::string dir = ::testing::TempDir();
+  const std::string stem = "file_io_stdout.bin";
+  const std::string path = dir + "/" + stem;
+  std::remove(path.c_str());
+  pid_t pid = fork();
+  ASSERT_GE(pid, 0);
+  if (pid == 0) {
+    const int fd = open(path.c_str(), O_WRONLY | O_CREAT | O_TRUNC, 0644);
+    if (fd < 0 || dup2(fd, 1) != 1) _exit(20);
+    if (!WriteStringToFile("/proc/self/fd/1", "via stdout").ok()) _exit(21);
+    _exit(0);
+  }
+  ASSERT_EQ(ChildExitCode(pid), 0) << "20 = redirect failed, 21 = write failed";
+  std::string back;
+  ASSERT_TRUE(ReadFileToString(path, &back).ok());
+  EXPECT_EQ(back, "via stdout");
+  EXPECT_TRUE(TempFilesOf(dir, stem).empty());
+  std::remove(path.c_str());
+}
+
+TEST(FileIoTest, StrayTempFilesOfTheSamePidAreSkipped) {
+  // A killed writer leaves "<path>.tmp.<pid>.<n>"; a later process that gets
+  // the same pid (a container's pid 1 after a restart) counts n from 0 again
+  // and must step past such strays rather than fail on them. A forked child
+  // reads its next counter value off the temp name a write into a missing
+  // directory reports, plants strays for the values after it, and writes.
+  const std::string dir = ::testing::TempDir();
+  const std::string stem = "file_io_stray.bin";
+  const std::string path = dir + "/" + stem;
+  std::remove(path.c_str());
+  constexpr int kStrays = 5;
+  pid_t pid = fork();
+  ASSERT_GE(pid, 0);
+  if (pid == 0) {
+    const std::string prefix = stem + ".tmp." + std::to_string(getpid()) + ".";
+    const Status probe = WriteStringToFile(dir + "/missing/" + stem, "");
+    const size_t at = probe.message().find(prefix);
+    if (at == std::string::npos) _exit(20);
+    const unsigned long long used =
+        std::strtoull(probe.message().c_str() + at + prefix.size(), nullptr, 10);
+    for (int i = 1; i <= kStrays; ++i) {
+      const std::string stray = dir + "/" + prefix + std::to_string(used + i);
+      const int fd = open(stray.c_str(), O_WRONLY | O_CREAT | O_EXCL, 0644);
+      if (fd < 0) _exit(21);
+      close(fd);
+    }
+    if (!WriteStringToFile(path, "past the strays").ok()) _exit(22);
+    _exit(TempFilesOf(dir, stem).size() == size_t{kStrays} ? 0 : 23);
+  }
+  const int code = ChildExitCode(pid);
+  const std::vector<std::string> strays = TempFilesOf(dir, stem);
+  for (const std::string& stray : strays) std::remove((dir + "/" + stray).c_str());
+  ASSERT_EQ(code, 0) << "(20 = temp name not reported, 21 = planting failed, "
+                        "22 = write failed, 23 = temp file left)";
+  EXPECT_EQ(strays.size(), static_cast<size_t>(kStrays));
+  std::string back;
+  ASSERT_TRUE(ReadFileToString(path, &back).ok());
+  EXPECT_EQ(back, "past the strays");
+  std::remove(path.c_str());
 }
 
 TEST(FileIoTest, SizeCappedProcessReportsResourceExhaustion) {
