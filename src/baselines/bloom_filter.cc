@@ -49,16 +49,18 @@ BloomFilter::BloomFilter(const Params& params, BitArray bits,
 
 void BloomFilter::Add(const void* data, size_t len) {
   const size_t m = bits_.num_bits();
+  const auto h = family_.Bind(data, len);
   for (uint32_t i = 0; i < family_.num_functions(); ++i) {
-    bits_.SetBit(family_.Hash(i, data, len) % m);
+    bits_.SetBit(h(i) % m);
   }
   ++num_elements_;
 }
 
 bool BloomFilter::Contains(const void* data, size_t len) const {
   const size_t m = bits_.num_bits();
+  const auto h = family_.Bind(data, len);
   for (uint32_t i = 0; i < family_.num_functions(); ++i) {
-    if (!bits_.GetBit(family_.Hash(i, data, len) % m)) return false;
+    if (!bits_.GetBit(h(i) % m)) return false;
   }
   return true;
 }
@@ -67,12 +69,11 @@ bool BloomFilter::ContainsWithStats(std::string_view key,
                                     QueryStats* stats) const {
   const size_t m = bits_.num_bits();
   ++stats->queries;
+  const auto h = family_.Bind(key);
   for (uint32_t i = 0; i < family_.num_functions(); ++i) {
     ++stats->hash_computations;
     ++stats->memory_accesses;
-    if (!bits_.GetBit(family_.Hash(i, key.data(), key.size()) % m)) {
-      return false;
-    }
+    if (!bits_.GetBit(h(i) % m)) return false;
   }
   return true;
 }
@@ -101,9 +102,8 @@ void BloomFilter::PrepareProbe(std::string_view key, Probe* probe) const {
   const size_t m = bits_.num_bits();
   const uint32_t k = family_.num_functions();
   SHBF_DCHECK(k <= kMaxBatchHashes);
-  for (uint32_t i = 0; i < k; ++i) {
-    probe->positions[i] = family_.Hash(i, key.data(), key.size()) % m;
-  }
+  const auto h = family_.Bind(key);
+  for (uint32_t i = 0; i < k; ++i) probe->positions[i] = h(i) % m;
 }
 
 void BloomFilter::PrefetchProbe(const Probe& probe) const {

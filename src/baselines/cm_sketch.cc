@@ -28,9 +28,10 @@ CmSketch::CmSketch(const Params& params)
 }
 
 void CmSketch::Insert(std::string_view key) {
+  const auto h = family_.Bind(key);
   if (!conservative_) {
     for (uint32_t row = 0; row < depth_; ++row) {
-      counters_.Increment(CellIndex(row, key));
+      counters_.Increment(CellIndex(row, h));
     }
     return;
   }
@@ -40,7 +41,7 @@ void CmSketch::Insert(std::string_view key) {
   size_t cells[64];
   SHBF_CHECK(depth_ <= 64) << "CmSketch: depth too large";
   for (uint32_t row = 0; row < depth_; ++row) {
-    cells[row] = CellIndex(row, key);
+    cells[row] = CellIndex(row, h);
     min_value = std::min(min_value, counters_.Get(cells[row]));
   }
   uint64_t target = min_value + 1;
@@ -53,9 +54,10 @@ void CmSketch::Insert(std::string_view key) {
 }
 
 uint64_t CmSketch::QueryCount(std::string_view key) const {
+  const auto h = family_.Bind(key);
   uint64_t min_value = ~0ull;
   for (uint32_t row = 0; row < depth_; ++row) {
-    min_value = std::min(min_value, counters_.Get(CellIndex(row, key)));
+    min_value = std::min(min_value, counters_.Get(CellIndex(row, h)));
     if (min_value == 0) return 0;
   }
   return min_value;
@@ -64,11 +66,12 @@ uint64_t CmSketch::QueryCount(std::string_view key) const {
 uint64_t CmSketch::QueryCountWithStats(std::string_view key,
                                        QueryStats* stats) const {
   ++stats->queries;
+  const auto h = family_.Bind(key);
   uint64_t min_value = ~0ull;
   for (uint32_t row = 0; row < depth_; ++row) {
     ++stats->hash_computations;
     ++stats->memory_accesses;
-    min_value = std::min(min_value, counters_.Get(CellIndex(row, key)));
+    min_value = std::min(min_value, counters_.Get(CellIndex(row, h)));
     if (min_value == 0) return 0;
   }
   return min_value;

@@ -60,8 +60,8 @@ class CmSketch {
                           std::optional<CmSketch>* out);
 
  private:
-  size_t CellIndex(uint32_t row, std::string_view key) const {
-    return static_cast<size_t>(row) * width_ + family_.Hash(row, key) % width_;
+  size_t CellIndex(uint32_t row, const HashFamily::BoundKey& h) const {
+    return static_cast<size_t>(row) * width_ + h(row) % width_;
   }
 
   HashFamily family_;

@@ -23,22 +23,25 @@ CountingBloomFilter::CountingBloomFilter(const Params& params)
 
 void CountingBloomFilter::Insert(std::string_view key) {
   const size_t m = counters_.num_counters();
+  const auto h = family_.Bind(key);
   for (uint32_t i = 0; i < family_.num_functions(); ++i) {
-    counters_.Increment(family_.Hash(i, key) % m);
+    counters_.Increment(h(i) % m);
   }
 }
 
 void CountingBloomFilter::Delete(std::string_view key) {
   const size_t m = counters_.num_counters();
+  const auto h = family_.Bind(key);
   for (uint32_t i = 0; i < family_.num_functions(); ++i) {
-    counters_.Decrement(family_.Hash(i, key) % m);
+    counters_.Decrement(h(i) % m);
   }
 }
 
 bool CountingBloomFilter::Contains(std::string_view key) const {
   const size_t m = counters_.num_counters();
+  const auto h = family_.Bind(key);
   for (uint32_t i = 0; i < family_.num_functions(); ++i) {
-    if (counters_.Get(family_.Hash(i, key) % m) == 0) return false;
+    if (counters_.Get(h(i) % m) == 0) return false;
   }
   return true;
 }
@@ -47,10 +50,11 @@ bool CountingBloomFilter::ContainsWithStats(std::string_view key,
                                             QueryStats* stats) const {
   const size_t m = counters_.num_counters();
   ++stats->queries;
+  const auto h = family_.Bind(key);
   for (uint32_t i = 0; i < family_.num_functions(); ++i) {
     ++stats->hash_computations;
     ++stats->memory_accesses;
-    if (counters_.Get(family_.Hash(i, key) % m) == 0) return false;
+    if (counters_.Get(h(i) % m) == 0) return false;
   }
   return true;
 }

@@ -64,9 +64,10 @@ CuckooFilter::Params CuckooFilter::params() const {
 
 void CuckooFilter::PrepareProbe(std::string_view key, Probe* probe) const {
   uint64_t fp_mask = table_->max_value();
-  uint64_t fingerprint = family_.Hash(1, key) & fp_mask;
+  const auto h = family_.Bind(key);
+  uint64_t fingerprint = h(1) & fp_mask;
   if (fingerprint == 0) fingerprint = 1;  // 0 is the empty-slot marker
-  size_t i1 = family_.Hash(0, key) & (num_buckets_ - 1);
+  size_t i1 = h(0) & (num_buckets_ - 1);
   *probe = {i1, AltIndex(i1, fingerprint), fingerprint};
 }
 

@@ -99,15 +99,17 @@ void DynamicCountFilter::DecrementAt(size_t i) {
 
 void DynamicCountFilter::Insert(std::string_view key) {
   const size_t m = base_.num_counters();
+  const auto h = family_.Bind(key);
   for (uint32_t i = 0; i < family_.num_functions(); ++i) {
-    IncrementAt(family_.Hash(i, key) % m);
+    IncrementAt(h(i) % m);
   }
 }
 
 void DynamicCountFilter::Delete(std::string_view key) {
   const size_t m = base_.num_counters();
+  const auto h = family_.Bind(key);
   for (uint32_t i = 0; i < family_.num_functions(); ++i) {
-    DecrementAt(family_.Hash(i, key) % m);
+    DecrementAt(h(i) % m);
   }
   MaybeShrinkOverflow();
 }
@@ -115,8 +117,9 @@ void DynamicCountFilter::Delete(std::string_view key) {
 uint64_t DynamicCountFilter::QueryCount(std::string_view key) const {
   const size_t m = base_.num_counters();
   uint64_t min_value = ~0ull;
+  const auto h = family_.Bind(key);
   for (uint32_t i = 0; i < family_.num_functions(); ++i) {
-    min_value = std::min(min_value, Combined(family_.Hash(i, key) % m));
+    min_value = std::min(min_value, Combined(h(i) % m));
     if (min_value == 0) return 0;
   }
   return min_value;
@@ -128,10 +131,11 @@ uint64_t DynamicCountFilter::QueryCountWithStats(std::string_view key,
   ++stats->queries;
   uint64_t min_value = ~0ull;
   const uint64_t accesses_per_probe = overflow_ == nullptr ? 1 : 2;
+  const auto h = family_.Bind(key);
   for (uint32_t i = 0; i < family_.num_functions(); ++i) {
     ++stats->hash_computations;
     stats->memory_accesses += accesses_per_probe;  // CBFV (+ OFV)
-    min_value = std::min(min_value, Combined(family_.Hash(i, key) % m));
+    min_value = std::min(min_value, Combined(h(i) % m));
     if (min_value == 0) return 0;
   }
   return min_value;

@@ -21,8 +21,9 @@ KmBloomFilter::KmBloomFilter(const Params& params)
 
 void KmBloomFilter::Add(std::string_view key) {
   const size_t m = bits_.num_bits();
-  uint64_t h1 = family_.Hash(0, key);
-  uint64_t h2 = family_.Hash(1, key);
+  const auto h = family_.Bind(key);
+  const uint64_t h1 = h(0);
+  const uint64_t h2 = h(1);
   for (uint32_t i = 0; i < num_hashes_; ++i) {
     bits_.SetBit((h1 + static_cast<uint64_t>(i) * h2) % m);
   }
@@ -30,8 +31,9 @@ void KmBloomFilter::Add(std::string_view key) {
 
 bool KmBloomFilter::Contains(std::string_view key) const {
   const size_t m = bits_.num_bits();
-  uint64_t h1 = family_.Hash(0, key);
-  uint64_t h2 = family_.Hash(1, key);
+  const auto h = family_.Bind(key);
+  const uint64_t h1 = h(0);
+  const uint64_t h2 = h(1);
   for (uint32_t i = 0; i < num_hashes_; ++i) {
     if (!bits_.GetBit((h1 + static_cast<uint64_t>(i) * h2) % m)) return false;
   }
@@ -43,8 +45,9 @@ bool KmBloomFilter::ContainsWithStats(std::string_view key,
   const size_t m = bits_.num_bits();
   ++stats->queries;
   stats->hash_computations += 2;  // h1, h2; the probes are arithmetic
-  uint64_t h1 = family_.Hash(0, key);
-  uint64_t h2 = family_.Hash(1, key);
+  const auto h = family_.Bind(key);
+  const uint64_t h1 = h(0);
+  const uint64_t h2 = h(1);
   for (uint32_t i = 0; i < num_hashes_; ++i) {
     ++stats->memory_accesses;
     if (!bits_.GetBit((h1 + static_cast<uint64_t>(i) * h2) % m)) return false;

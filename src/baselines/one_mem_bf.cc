@@ -29,10 +29,11 @@ OneMemBloomFilter::OneMemBloomFilter(const Params& params)
 
 std::pair<size_t, uint64_t> OneMemBloomFilter::WordAndMask(
     std::string_view key) const {
-  size_t word = family_.Hash(0, key) % num_words_;
+  const auto h = family_.Bind(key);
+  size_t word = h(0) % num_words_;
   uint64_t mask = 0;
   for (uint32_t i = 1; i <= num_hashes_; ++i) {
-    mask |= 1ull << (family_.Hash(i, key) & (word_bits_ - 1));
+    mask |= 1ull << (h(i) & (word_bits_ - 1));
   }
   return {word, mask};
 }

@@ -27,9 +27,10 @@ SpectralBloomFilter::SpectralBloomFilter(const Params& params)
 void SpectralBloomFilter::Insert(std::string_view key) {
   const size_t m = counters_.num_counters();
   const uint32_t k = family_.num_functions();
+  const auto h = family_.Bind(key);
   if (policy_ == InsertPolicy::kIncrementAll) {
     for (uint32_t i = 0; i < k; ++i) {
-      counters_.Increment(family_.Hash(i, key) % m);
+      counters_.Increment(h(i) % m);
     }
     return;
   }
@@ -38,7 +39,7 @@ void SpectralBloomFilter::Insert(std::string_view key) {
   size_t indices[64];
   SHBF_CHECK(k <= 64) << "SpectralBF: num_hashes too large";
   for (uint32_t i = 0; i < k; ++i) {
-    indices[i] = family_.Hash(i, key) % m;
+    indices[i] = h(i) % m;
     min_value = std::min(min_value, counters_.Get(indices[i]));
   }
   for (uint32_t i = 0; i < k; ++i) {
@@ -54,16 +55,18 @@ void SpectralBloomFilter::Delete(std::string_view key) {
   SHBF_CHECK(policy_ == InsertPolicy::kIncrementAll)
       << "SpectralBF: deletes are only supported under kIncrementAll (§2.3)";
   const size_t m = counters_.num_counters();
+  const auto h = family_.Bind(key);
   for (uint32_t i = 0; i < family_.num_functions(); ++i) {
-    counters_.Decrement(family_.Hash(i, key) % m);
+    counters_.Decrement(h(i) % m);
   }
 }
 
 uint64_t SpectralBloomFilter::QueryCount(std::string_view key) const {
   const size_t m = counters_.num_counters();
   uint64_t min_value = ~0ull;
+  const auto h = family_.Bind(key);
   for (uint32_t i = 0; i < family_.num_functions(); ++i) {
-    min_value = std::min(min_value, counters_.Get(family_.Hash(i, key) % m));
+    min_value = std::min(min_value, counters_.Get(h(i) % m));
     if (min_value == 0) return 0;  // cannot go lower; early exit
   }
   return min_value;
@@ -74,10 +77,11 @@ uint64_t SpectralBloomFilter::QueryCountWithStats(std::string_view key,
   const size_t m = counters_.num_counters();
   ++stats->queries;
   uint64_t min_value = ~0ull;
+  const auto h = family_.Bind(key);
   for (uint32_t i = 0; i < family_.num_functions(); ++i) {
     ++stats->hash_computations;
     ++stats->memory_accesses;
-    min_value = std::min(min_value, counters_.Get(family_.Hash(i, key) % m));
+    min_value = std::min(min_value, counters_.Get(h(i) % m));
     if (min_value == 0) return 0;
   }
   return min_value;

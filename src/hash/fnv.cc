@@ -1,5 +1,7 @@
 #include "hash/fnv.h"
 
+#include "hash/murmur3.h"
+
 namespace shbf {
 
 uint64_t Fnv1a64(const void* data, size_t len, uint64_t seed) {
@@ -9,12 +11,7 @@ uint64_t Fnv1a64(const void* data, size_t len, uint64_t seed) {
     h ^= bytes[i];
     h *= 0x100000001b3ull;
   }
-  h ^= h >> 33;
-  h *= 0xff51afd7ed558ccdull;
-  h ^= h >> 33;
-  h *= 0xc4ceb9fe1a85ec53ull;
-  h ^= h >> 33;
-  return h;
+  return murmur3_detail::FMix64(h);
 }
 
 }  // namespace shbf

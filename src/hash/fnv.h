@@ -1,4 +1,4 @@
-// FNV-1a 64-bit hash with a SplitMix-style finalizer. Fast for very short
+// FNV-1a 64-bit hash with murmur3's fmix64 finalizer. Fast for very short
 // keys; included to let the hash-strategy ablation contrast a weak-but-cheap
 // hash with the paper's Jenkins hashes.
 

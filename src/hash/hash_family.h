@@ -6,6 +6,12 @@
 // are replayable. The paper drew its functions from Bob Jenkins' collection
 // and kept the 18 that passed a per-bit randomness test (§6.1); the same test
 // lives in hash/randomness.h and runs in the test suite.
+//
+// A filter that evaluates several functions on one key binds the key first
+// (`const auto h = family_.Bind(key);`, then `h(i)`). For murmur3 the key's
+// bytes are mixed once per family and each function pays only a per-seed
+// finish; the paper's cost model (QueryStats) still counts one hash
+// computation per function evaluated.
 
 #ifndef SHBF_HASH_HASH_FAMILY_H_
 #define SHBF_HASH_HASH_FAMILY_H_
@@ -35,6 +41,31 @@ uint32_t HashAlgorithmBits(HashAlgorithm alg);
 
 class HashFamily {
  public:
+  /// One key bound to a family: h(i) == Hash(i, key) bit for bit, evaluated
+  /// on demand so an early-exit probe loop still stops at its first miss.
+  /// For murmur3 the seed-free key pass ran once in Bind and h(i) is one
+  /// finish; lookup3, lookup2 and FNV start from the seed, so h(i) is
+  /// Hash(i, key). Holds a pointer to the key's bytes and to the family:
+  /// both must outlive it.
+  class BoundKey {
+   public:
+    uint64_t operator()(uint32_t i) const {
+      SHBF_DCHECK(i < family_->seeds_.size());
+      if (family_->alg_ == HashAlgorithm::kMurmur3) {
+        return Murmur3Finish(key_, family_->seeds_[i]).first;
+      }
+      return family_->Hash(i, key_.data, key_.len);
+    }
+
+   private:
+    friend class HashFamily;
+    BoundKey(const HashFamily* family, const Murmur3Key& key)
+        : family_(family), key_(key) {}
+
+    const HashFamily* family_;
+    Murmur3Key key_;  // only data and len are read for the other algorithms
+  };
+
   HashFamily(HashAlgorithm alg, uint32_t num_functions, uint64_t master_seed);
 
   uint32_t num_functions() const {
@@ -70,6 +101,18 @@ class HashFamily {
 
   uint64_t Hash(uint32_t i, std::string_view key) const {
     return Hash(i, key.data(), key.size());
+  }
+
+  /// Binds `len` bytes at `data` for evaluation under several functions.
+  BoundKey Bind(const void* data, size_t len) const {
+    if (alg_ == HashAlgorithm::kMurmur3) {
+      return BoundKey(this, Murmur3KeyPass(data, len));
+    }
+    return BoundKey(this, {static_cast<const uint8_t*>(data), len, 0, 0});
+  }
+
+  BoundKey Bind(std::string_view key) const {
+    return Bind(key.data(), key.size());
   }
 
  private:

@@ -1,6 +1,16 @@
 // MurmurHash3 x64-128 (Austin Appleby, public domain algorithm),
 // reimplemented from the published finalization constants. Used as the
 // default high-quality 64-bit hash for the filters.
+//
+// The hash runs in two steps so that a family of k seeded functions pays
+// for the key bytes once:
+//   - Murmur3KeyPass, which no seed enters: it reads the tail words (with
+//     overlapping loads, not a byte-by-byte switch) and mixes them;
+//   - Murmur3Finish, once per seed: the 16-byte block rounds, the tail and
+//     length folds, and the two FMix64s.
+// Murmur3_128(data, len, seed) is Murmur3Finish(Murmur3KeyPass(data, len),
+// seed), bit for bit the published algorithm. This header is the only place
+// murmur3's constants appear.
 
 #ifndef SHBF_HASH_MURMUR3_H_
 #define SHBF_HASH_MURMUR3_H_
@@ -14,6 +24,9 @@
 namespace shbf {
 
 namespace murmur3_detail {
+
+inline constexpr uint64_t kC1 = 0x87c37b91114253d5ull;
+inline constexpr uint64_t kC2 = 0x4cf5ad432745937full;
 
 inline uint64_t Rotl64(uint64_t x, int r) { return (x << r) | (x >> (64 - r)); }
 
@@ -32,66 +45,80 @@ inline uint64_t Load64(const uint8_t* p) {
   return v;
 }
 
+inline uint64_t Load32(const uint8_t* p) {
+  uint32_t v;
+  std::memcpy(&v, p, sizeof(v));
+  return v;
+}
+
+/// The per-word premixes; both map 0 to 0, so an absent tail word mixes to
+/// a no-op XOR.
+inline uint64_t MixK1(uint64_t k1) { return Rotl64(k1 * kC1, 31) * kC2; }
+inline uint64_t MixK2(uint64_t k2) { return Rotl64(k2 * kC2, 33) * kC1; }
+
 }  // namespace murmur3_detail
 
-/// Full 128-bit result as (low, high). Defined inline so the one hash pass
-/// a split-block probe derivation makes folds into its caller — short keys
-/// take the tail switch only, and the call/spill overhead per key is what
-/// the batched split-block paths are bounded by.
-inline std::pair<uint64_t, uint64_t> Murmur3_128(const void* data, size_t len,
-                                                 uint64_t seed) {
-  using murmur3_detail::FMix64;
+/// The seed-free part of one key's murmur3: what every seed's finish reads.
+struct Murmur3Key {
+  const uint8_t* data;  // the key; each finish rereads its 16-byte blocks
+  size_t len;
+  uint64_t fold1;  // mixed tail word k1, XOR the length: folded into h1
+  uint64_t fold2;  // mixed tail word k2, XOR the length: folded into h2
+};
+
+/// Reads the key's tail (the len % 16 bytes after the last whole block) as
+/// the little-endian words k1 (bytes 0–7) and k2 (bytes 8–14), without
+/// touching a byte outside [data, data + len), and premixes them.
+inline Murmur3Key Murmur3KeyPass(const void* data, size_t len) {
+  using murmur3_detail::Load32;
   using murmur3_detail::Load64;
-  using murmur3_detail::Rotl64;
   const uint8_t* bytes = static_cast<const uint8_t*>(data);
-  const size_t nblocks = len / 16;
-
-  uint64_t h1 = seed;
-  uint64_t h2 = seed;
-  const uint64_t c1 = 0x87c37b91114253d5ull;
-  const uint64_t c2 = 0x4cf5ad432745937full;
-
-  for (size_t i = 0; i < nblocks; ++i) {
-    uint64_t k1 = Load64(bytes + i * 16);
-    uint64_t k2 = Load64(bytes + i * 16 + 8);
-
-    k1 *= c1; k1 = Rotl64(k1, 31); k1 *= c2; h1 ^= k1;
-    h1 = Rotl64(h1, 27); h1 += h2; h1 = h1 * 5 + 0x52dce729;
-    k2 *= c2; k2 = Rotl64(k2, 33); k2 *= c1; h2 ^= k2;
-    h2 = Rotl64(h2, 31); h2 += h1; h2 = h2 * 5 + 0x38495ab5;
-  }
-
-  const uint8_t* tail = bytes + nblocks * 16;
+  const uint8_t* tail = bytes + (len & ~size_t{15});
+  const size_t t = len & 15;
   uint64_t k1 = 0;
   uint64_t k2 = 0;
-  switch (len & 15) {
-    case 15: k2 ^= static_cast<uint64_t>(tail[14]) << 48; [[fallthrough]];
-    case 14: k2 ^= static_cast<uint64_t>(tail[13]) << 40; [[fallthrough]];
-    case 13: k2 ^= static_cast<uint64_t>(tail[12]) << 32; [[fallthrough]];
-    case 12: k2 ^= static_cast<uint64_t>(tail[11]) << 24; [[fallthrough]];
-    case 11: k2 ^= static_cast<uint64_t>(tail[10]) << 16; [[fallthrough]];
-    case 10: k2 ^= static_cast<uint64_t>(tail[9]) << 8; [[fallthrough]];
-    case 9:
-      k2 ^= static_cast<uint64_t>(tail[8]);
-      k2 *= c2; k2 = Rotl64(k2, 33); k2 *= c1; h2 ^= k2;
-      [[fallthrough]];
-    case 8: k1 ^= static_cast<uint64_t>(tail[7]) << 56; [[fallthrough]];
-    case 7: k1 ^= static_cast<uint64_t>(tail[6]) << 48; [[fallthrough]];
-    case 6: k1 ^= static_cast<uint64_t>(tail[5]) << 40; [[fallthrough]];
-    case 5: k1 ^= static_cast<uint64_t>(tail[4]) << 32; [[fallthrough]];
-    case 4: k1 ^= static_cast<uint64_t>(tail[3]) << 24; [[fallthrough]];
-    case 3: k1 ^= static_cast<uint64_t>(tail[2]) << 16; [[fallthrough]];
-    case 2: k1 ^= static_cast<uint64_t>(tail[1]) << 8; [[fallthrough]];
-    case 1:
-      k1 ^= static_cast<uint64_t>(tail[0]);
-      k1 *= c1; k1 = Rotl64(k1, 31); k1 *= c2; h1 ^= k1;
-      break;
-    default:
-      break;
+  if (t >= 8) {
+    k1 = Load64(tail);
+    // The last 8 bytes end the key; k2 is their top t − 8 bytes (none at
+    // t = 8). Two shifts keep every count below 64.
+    k2 = (Load64(bytes + len - 8) >> 8) >> (8 * (15 - t));
+  } else if (len >= 16) {
+    // A whole block precedes the tail, so 8 bytes ending at the key's end
+    // are in bounds; k1 is their top t bytes (none at t = 0).
+    k1 = (Load64(bytes + len - 8) >> 8) >> (8 * (7 - t));
+  } else if (t >= 4) {
+    // Two 4-byte loads that overlap when t < 8; the overlap ORs equal bytes.
+    k1 = Load32(tail) | (Load32(tail + t - 4) << (8 * (t - 4)));
+  } else if (t > 0) {
+    k1 = uint64_t{tail[0]} | (uint64_t{tail[t / 2]} << (8 * (t / 2))) |
+         (uint64_t{tail[t - 1]} << (8 * (t - 1)));
   }
+  return {bytes, len,
+          murmur3_detail::MixK1(k1) ^ static_cast<uint64_t>(len),
+          murmur3_detail::MixK2(k2) ^ static_cast<uint64_t>(len)};
+}
 
-  h1 ^= static_cast<uint64_t>(len);
-  h2 ^= static_cast<uint64_t>(len);
+/// One seed's hash of a key that went through Murmur3KeyPass, as
+/// (low, high). Inline so a family's k evaluations and a split-block
+/// probe's single pass fold into their callers.
+inline std::pair<uint64_t, uint64_t> Murmur3Finish(const Murmur3Key& key,
+                                                   uint64_t seed) {
+  using murmur3_detail::FMix64;
+  using murmur3_detail::Load64;
+  using murmur3_detail::MixK1;
+  using murmur3_detail::MixK2;
+  using murmur3_detail::Rotl64;
+  uint64_t h1 = seed;
+  uint64_t h2 = seed;
+  const size_t nblocks = key.len / 16;
+  for (size_t i = 0; i < nblocks; ++i) {
+    h1 ^= MixK1(Load64(key.data + i * 16));
+    h1 = Rotl64(h1, 27); h1 += h2; h1 = h1 * 5 + 0x52dce729;
+    h2 ^= MixK2(Load64(key.data + i * 16 + 8));
+    h2 = Rotl64(h2, 31); h2 += h1; h2 = h2 * 5 + 0x38495ab5;
+  }
+  h1 ^= key.fold1;
+  h2 ^= key.fold2;
   h1 += h2;
   h2 += h1;
   h1 = FMix64(h1);
@@ -99,6 +126,12 @@ inline std::pair<uint64_t, uint64_t> Murmur3_128(const void* data, size_t len,
   h1 += h2;
   h2 += h1;
   return {h1, h2};
+}
+
+/// Full 128-bit result as (low, high).
+inline std::pair<uint64_t, uint64_t> Murmur3_128(const void* data, size_t len,
+                                                 uint64_t seed) {
+  return Murmur3Finish(Murmur3KeyPass(data, len), seed);
 }
 
 /// Low 64 bits of the 128-bit result.

@@ -31,18 +31,17 @@ CountingShbfM::CountingShbfM(const Params& params)
   CheckOk(params.Validate());
 }
 
-uint64_t CountingShbfM::OffsetOf(std::string_view key) const {
-  return family_.Hash(num_hashes_ / 2, key.data(), key.size()) %
-             (max_offset_span_ - 1) +
-         1;
+uint64_t CountingShbfM::Offset(const HashFamily::BoundKey& h) const {
+  return h(num_hashes_ / 2) % (max_offset_span_ - 1) + 1;
 }
 
 void CountingShbfM::Insert(std::string_view key) {
   const size_t m = bits_.num_bits();
   const uint32_t pairs = num_hashes_ / 2;
-  uint64_t offset = OffsetOf(key);
+  const auto h = family_.Bind(key);
+  uint64_t offset = Offset(h);
   for (uint32_t i = 0; i < pairs; ++i) {
-    size_t base = family_.Hash(i, key.data(), key.size()) % m;
+    size_t base = h(i) % m;
     for (size_t pos : {base, base + offset}) {
       counters_.Increment(pos);
       if (counters_.Get(pos) >= 1) bits_.SetBit(pos);
@@ -53,9 +52,10 @@ void CountingShbfM::Insert(std::string_view key) {
 void CountingShbfM::Delete(std::string_view key) {
   const size_t m = bits_.num_bits();
   const uint32_t pairs = num_hashes_ / 2;
-  uint64_t offset = OffsetOf(key);
+  const auto h = family_.Bind(key);
+  uint64_t offset = Offset(h);
   for (uint32_t i = 0; i < pairs; ++i) {
-    size_t base = family_.Hash(i, key.data(), key.size()) % m;
+    size_t base = h(i) % m;
     for (size_t pos : {base, base + offset}) {
       counters_.Decrement(pos);
       if (counters_.Get(pos) == 0) bits_.ClearBit(pos);
@@ -66,10 +66,11 @@ void CountingShbfM::Delete(std::string_view key) {
 bool CountingShbfM::Contains(std::string_view key) const {
   const size_t m = bits_.num_bits();
   const uint32_t pairs = num_hashes_ / 2;
-  uint64_t offset = OffsetOf(key);
+  const auto h = family_.Bind(key);
+  uint64_t offset = Offset(h);
   const uint64_t need = 1ull | (1ull << offset);
   for (uint32_t i = 0; i < pairs; ++i) {
-    size_t base = family_.Hash(i, key.data(), key.size()) % m;
+    size_t base = h(i) % m;
     if ((bits_.LoadWindow(base) & need) != need) return false;
   }
   return true;
@@ -81,12 +82,13 @@ bool CountingShbfM::ContainsWithStats(std::string_view key,
   const uint32_t pairs = num_hashes_ / 2;
   ++stats->queries;
   ++stats->hash_computations;
-  uint64_t offset = OffsetOf(key);
+  const auto h = family_.Bind(key);
+  uint64_t offset = Offset(h);
   const uint64_t need = 1ull | (1ull << offset);
   for (uint32_t i = 0; i < pairs; ++i) {
     ++stats->hash_computations;
     ++stats->memory_accesses;
-    size_t base = family_.Hash(i, key.data(), key.size()) % m;
+    size_t base = h(i) % m;
     if ((bits_.LoadWindow(base) & need) != need) return false;
   }
   return true;

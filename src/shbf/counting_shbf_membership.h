@@ -81,7 +81,7 @@ class CountingShbfM {
                           std::optional<CountingShbfM>* out);
 
  private:
-  uint64_t OffsetOf(std::string_view key) const;
+  uint64_t Offset(const HashFamily::BoundKey& h) const;
 
   HashFamily family_;
   uint32_t num_hashes_;

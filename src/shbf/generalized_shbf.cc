@@ -44,18 +44,19 @@ GeneralizedShbfM::GeneralizedShbfM(const Params& params)
 std::vector<uint64_t> GeneralizedShbfM::OffsetsOf(std::string_view key) const {
   const uint32_t groups = num_groups();
   std::vector<uint64_t> offsets(num_shifts_);
+  const auto h = family_.Bind(key);
   for (uint32_t j = 0; j < num_shifts_; ++j) {
-    uint64_t within = family_.Hash(groups + j, key) % partition_width_ + 1;
+    uint64_t within = h(groups + j) % partition_width_ + 1;
     offsets[j] = static_cast<uint64_t>(j) * partition_width_ + within;
   }
   return offsets;
 }
 
-uint64_t GeneralizedShbfM::NeedMask(std::string_view key) const {
+uint64_t GeneralizedShbfM::NeedMask(const HashFamily::BoundKey& h) const {
   const uint32_t groups = num_groups();
   uint64_t mask = 1ull;  // the base bit
   for (uint32_t j = 0; j < num_shifts_; ++j) {
-    uint64_t within = family_.Hash(groups + j, key) % partition_width_ + 1;
+    uint64_t within = h(groups + j) % partition_width_ + 1;
     mask |= 1ull << (static_cast<uint64_t>(j) * partition_width_ + within);
   }
   return mask;
@@ -64,9 +65,10 @@ uint64_t GeneralizedShbfM::NeedMask(std::string_view key) const {
 void GeneralizedShbfM::Add(std::string_view key) {
   const size_t m = bits_.num_bits();
   const uint32_t groups = num_groups();
-  uint64_t mask = NeedMask(key);
+  const auto h = family_.Bind(key);
+  uint64_t mask = NeedMask(h);
   for (uint32_t i = 0; i < groups; ++i) {
-    size_t base = family_.Hash(i, key) % m;
+    size_t base = h(i) % m;
     uint64_t remaining = mask;
     while (remaining != 0) {
       uint32_t bit = static_cast<uint32_t>(__builtin_ctzll(remaining));
@@ -79,9 +81,10 @@ void GeneralizedShbfM::Add(std::string_view key) {
 bool GeneralizedShbfM::Contains(std::string_view key) const {
   const size_t m = bits_.num_bits();
   const uint32_t groups = num_groups();
-  uint64_t mask = NeedMask(key);
+  const auto h = family_.Bind(key);
+  uint64_t mask = NeedMask(h);
   for (uint32_t i = 0; i < groups; ++i) {
-    size_t base = family_.Hash(i, key) % m;
+    size_t base = h(i) % m;
     if ((bits_.LoadWindow(base) & mask) != mask) return false;
   }
   return true;
@@ -93,11 +96,12 @@ bool GeneralizedShbfM::ContainsWithStats(std::string_view key,
   const uint32_t groups = num_groups();
   ++stats->queries;
   stats->hash_computations += num_shifts_;  // the offset functions
-  uint64_t mask = NeedMask(key);
+  const auto h = family_.Bind(key);
+  uint64_t mask = NeedMask(h);
   for (uint32_t i = 0; i < groups; ++i) {
     ++stats->hash_computations;
     ++stats->memory_accesses;
-    size_t base = family_.Hash(i, key) % m;
+    size_t base = h(i) % m;
     if ((bits_.LoadWindow(base) & mask) != mask) return false;
   }
   return true;

@@ -67,7 +67,7 @@ class GeneralizedShbfM {
 
  private:
   /// Builds the (t+1)-bit window mask {bit 0} ∪ {bit o_j}.
-  uint64_t NeedMask(std::string_view key) const;
+  uint64_t NeedMask(const HashFamily::BoundKey& h) const;
 
   HashFamily family_;  // k/(t+1) base functions, then t offset functions
   uint32_t num_hashes_;

@@ -34,14 +34,15 @@ ScmSketch::ScmSketch(const Params& params)
   CheckOk(params.Validate());
 }
 
-uint64_t ScmSketch::OffsetOf(std::string_view key) const {
-  return family_.Hash(rows_, key) % (offset_span_ - 1) + 1;
+uint64_t ScmSketch::Offset(const HashFamily::BoundKey& h) const {
+  return h(rows_) % (offset_span_ - 1) + 1;
 }
 
 void ScmSketch::Insert(std::string_view key) {
-  uint64_t offset = OffsetOf(key);
+  const auto h = family_.Bind(key);
+  uint64_t offset = Offset(h);
   for (uint32_t row = 0; row < rows_; ++row) {
-    size_t col = family_.Hash(row, key) % row_width_;
+    size_t col = h(row) % row_width_;
     size_t cell = row * row_stride_ + col;
     counters_.Increment(cell);
     counters_.Increment(cell + offset);
@@ -49,10 +50,11 @@ void ScmSketch::Insert(std::string_view key) {
 }
 
 uint64_t ScmSketch::QueryCount(std::string_view key) const {
-  uint64_t offset = OffsetOf(key);
+  const auto h = family_.Bind(key);
+  uint64_t offset = Offset(h);
   uint64_t min_value = ~0ull;
   for (uint32_t row = 0; row < rows_; ++row) {
-    size_t col = family_.Hash(row, key) % row_width_;
+    size_t col = h(row) % row_width_;
     size_t cell = row * row_stride_ + col;
     min_value = std::min({min_value, counters_.Get(cell),
                           counters_.Get(cell + offset)});
@@ -65,12 +67,13 @@ uint64_t ScmSketch::QueryCountWithStats(std::string_view key,
                                         QueryStats* stats) const {
   ++stats->queries;
   ++stats->hash_computations;  // the offset function
-  uint64_t offset = OffsetOf(key);
+  const auto h = family_.Bind(key);
+  uint64_t offset = Offset(h);
   uint64_t min_value = ~0ull;
   for (uint32_t row = 0; row < rows_; ++row) {
     ++stats->hash_computations;
     ++stats->memory_accesses;  // the pair shares one word window (§5.5)
-    size_t col = family_.Hash(row, key) % row_width_;
+    size_t col = h(row) % row_width_;
     size_t cell = row * row_stride_ + col;
     min_value = std::min({min_value, counters_.Get(cell),
                           counters_.Get(cell + offset)});

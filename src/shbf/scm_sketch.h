@@ -66,7 +66,7 @@ class ScmSketch {
                           std::optional<ScmSketch>* out);
 
  private:
-  uint64_t OffsetOf(std::string_view key) const;
+  uint64_t Offset(const HashFamily::BoundKey& h) const;
 
   HashFamily family_;  // d/2 row functions + 1 offset function
   uint32_t rows_;        // d / 2

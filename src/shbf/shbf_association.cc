@@ -45,15 +45,19 @@ ShbfA::ShbfA(const ShbfAParams& params)
 }
 
 ShbfA::Offsets ShbfA::OffsetsOf(std::string_view key) const {
-  uint64_t o1 = family_.Hash(num_hashes_, key) % half_span_ + 1;
-  uint64_t o2 = o1 + family_.Hash(num_hashes_ + 1, key) % half_span_ + 1;
+  return OffsetsFrom(family_.Bind(key));
+}
+
+ShbfA::Offsets ShbfA::OffsetsFrom(const HashFamily::BoundKey& h) const {
+  uint64_t o1 = h(num_hashes_) % half_span_ + 1;
+  uint64_t o2 = o1 + h(num_hashes_ + 1) % half_span_ + 1;
   return {o1, o2};
 }
 
-void ShbfA::AddWithOffset(std::string_view key, uint64_t offset) {
+void ShbfA::AddWithOffset(const HashFamily::BoundKey& h, uint64_t offset) {
   const size_t m = bits_.num_bits();
   for (uint32_t i = 0; i < num_hashes_; ++i) {
-    bits_.SetBit(family_.Hash(i, key) % m + offset);
+    bits_.SetBit(h(i) % m + offset);
   }
 }
 
@@ -67,12 +71,14 @@ void ShbfA::Build(const std::vector<std::string>& s1,
 
   // Elements of S1: offset 0 if exclusive, o1 if shared.
   t1.ForEach([&](std::string_view key, uint64_t) {
-    uint64_t offset = t2.Contains(key) ? OffsetsOf(key).o1 : 0;
-    AddWithOffset(key, offset);
+    const auto h = family_.Bind(key);
+    AddWithOffset(h, t2.Contains(key) ? OffsetsFrom(h).o1 : 0);
   });
   // Elements of S2 \ S1: offset o2. Shared elements are already stored.
   t2.ForEach([&](std::string_view key, uint64_t) {
-    if (!t1.Contains(key)) AddWithOffset(key, OffsetsOf(key).o2);
+    if (t1.Contains(key)) return;
+    const auto h = family_.Bind(key);
+    AddWithOffset(h, OffsetsFrom(h).o2);
   });
 }
 
@@ -90,7 +96,8 @@ AssociationOutcome ShbfA::Decode(bool s1_only, bool both, bool s2_only) {
 
 AssociationOutcome ShbfA::Query(std::string_view key) const {
   const size_t m = bits_.num_bits();
-  Offsets off = OffsetsOf(key);
+  const auto h = family_.Bind(key);
+  Offsets off = OffsetsFrom(h);
   const uint64_t b0 = 1ull;
   const uint64_t b1 = 1ull << off.o1;
   const uint64_t b2 = 1ull << off.o2;
@@ -98,7 +105,7 @@ AssociationOutcome ShbfA::Query(std::string_view key) const {
   bool both = true;
   bool s2_only = true;
   for (uint32_t i = 0; i < num_hashes_; ++i) {
-    uint64_t window = bits_.LoadWindow(family_.Hash(i, key) % m);
+    uint64_t window = bits_.LoadWindow(h(i) % m);
     s1_only = s1_only && (window & b0);
     both = both && (window & b1);
     s2_only = s2_only && (window & b2);
@@ -110,12 +117,13 @@ AssociationOutcome ShbfA::Query(std::string_view key) const {
 void ShbfA::PrepareProbe(std::string_view key, Probe* probe) const {
   const size_t m = bits_.num_bits();
   SHBF_CHECK(num_hashes_ <= kMaxBatchHashes) << "probe path supports k <= 64";
-  Offsets off = OffsetsOf(key);
+  const auto h = family_.Bind(key);
+  Offsets off = OffsetsFrom(h);
   probe->bit_s1 = 1ull;
   probe->bit_both = 1ull << off.o1;
   probe->bit_s2 = 1ull << off.o2;
   for (uint32_t i = 0; i < num_hashes_; ++i) {
-    probe->bases[i] = family_.Hash(i, key) % m;
+    probe->bases[i] = h(i) % m;
   }
 }
 
@@ -142,7 +150,8 @@ AssociationOutcome ShbfA::QueryWithStats(std::string_view key,
   const size_t m = bits_.num_bits();
   ++stats->queries;
   stats->hash_computations += 2;  // o1, o2
-  Offsets off = OffsetsOf(key);
+  const auto h = family_.Bind(key);
+  Offsets off = OffsetsFrom(h);
   const uint64_t b0 = 1ull;
   const uint64_t b1 = 1ull << off.o1;
   const uint64_t b2 = 1ull << off.o2;
@@ -152,7 +161,7 @@ AssociationOutcome ShbfA::QueryWithStats(std::string_view key,
   for (uint32_t i = 0; i < num_hashes_; ++i) {
     ++stats->hash_computations;
     ++stats->memory_accesses;  // all three bits share one window
-    uint64_t window = bits_.LoadWindow(family_.Hash(i, key) % m);
+    uint64_t window = bits_.LoadWindow(h(i) % m);
     s1_only = s1_only && (window & b0);
     both = both && (window & b1);
     s2_only = s2_only && (window & b2);
@@ -222,27 +231,20 @@ CountingShbfA::CountingShbfA(const Params& params)
   CheckOk(params.Validate());
 }
 
-uint64_t CountingShbfA::CurrentOffset(bool in_s1, bool in_s2,
-                                      std::string_view key) const {
-  SHBF_DCHECK(in_s1 || in_s2);
-  if (in_s1 && in_s2) return filter_.OffsetsOf(key).o1;
-  if (in_s1) return 0;
-  return filter_.OffsetsOf(key).o2;
-}
-
-void CountingShbfA::AddCells(std::string_view key, uint64_t offset) {
+void CountingShbfA::AddCells(const HashFamily::BoundKey& h, uint64_t offset) {
   const size_t m = filter_.bits_.num_bits();
   for (uint32_t i = 0; i < filter_.num_hashes_; ++i) {
-    size_t pos = filter_.family_.Hash(i, key) % m + offset;
+    size_t pos = h(i) % m + offset;
     counters_.Increment(pos);
     filter_.bits_.SetBit(pos);
   }
 }
 
-void CountingShbfA::RemoveCells(std::string_view key, uint64_t offset) {
+void CountingShbfA::RemoveCells(const HashFamily::BoundKey& h,
+                                uint64_t offset) {
   const size_t m = filter_.bits_.num_bits();
   for (uint32_t i = 0; i < filter_.num_hashes_; ++i) {
-    size_t pos = filter_.family_.Hash(i, key) % m + offset;
+    size_t pos = h(i) % m + offset;
     counters_.Decrement(pos);
     if (counters_.Get(pos) == 0) filter_.bits_.ClearBit(pos);
   }
@@ -250,39 +252,45 @@ void CountingShbfA::RemoveCells(std::string_view key, uint64_t offset) {
 
 void CountingShbfA::InsertS1(std::string_view key) {
   if (t1_.Contains(key)) return;  // set semantics
+  const auto h = filter_.family_.Bind(key);
+  const ShbfA::Offsets off = filter_.OffsetsFrom(h);
   bool in_s2 = t2_.Contains(key);
   if (in_s2) {
     // S2-only → intersection: migrate o2 → o1.
-    RemoveCells(key, filter_.OffsetsOf(key).o2);
-    AddCells(key, filter_.OffsetsOf(key).o1);
+    RemoveCells(h, off.o2);
+    AddCells(h, off.o1);
   } else {
-    AddCells(key, 0);
+    AddCells(h, 0);
   }
   t1_.Insert(key, 0);
 }
 
 void CountingShbfA::InsertS2(std::string_view key) {
   if (t2_.Contains(key)) return;
+  const auto h = filter_.family_.Bind(key);
+  const ShbfA::Offsets off = filter_.OffsetsFrom(h);
   bool in_s1 = t1_.Contains(key);
   if (in_s1) {
     // S1-only → intersection: migrate 0 → o1.
-    RemoveCells(key, 0);
-    AddCells(key, filter_.OffsetsOf(key).o1);
+    RemoveCells(h, 0);
+    AddCells(h, off.o1);
   } else {
-    AddCells(key, filter_.OffsetsOf(key).o2);
+    AddCells(h, off.o2);
   }
   t2_.Insert(key, 0);
 }
 
 bool CountingShbfA::DeleteS1(std::string_view key) {
   if (!t1_.Contains(key)) return false;
+  const auto h = filter_.family_.Bind(key);
+  const ShbfA::Offsets off = filter_.OffsetsFrom(h);
   bool in_s2 = t2_.Contains(key);
   if (in_s2) {
     // intersection → S2-only: migrate o1 → o2.
-    RemoveCells(key, filter_.OffsetsOf(key).o1);
-    AddCells(key, filter_.OffsetsOf(key).o2);
+    RemoveCells(h, off.o1);
+    AddCells(h, off.o2);
   } else {
-    RemoveCells(key, 0);
+    RemoveCells(h, 0);
   }
   t1_.Erase(key);
   return true;
@@ -290,13 +298,15 @@ bool CountingShbfA::DeleteS1(std::string_view key) {
 
 bool CountingShbfA::DeleteS2(std::string_view key) {
   if (!t2_.Contains(key)) return false;
+  const auto h = filter_.family_.Bind(key);
+  const ShbfA::Offsets off = filter_.OffsetsFrom(h);
   bool in_s1 = t1_.Contains(key);
   if (in_s1) {
     // intersection → S1-only: migrate o1 → 0.
-    RemoveCells(key, filter_.OffsetsOf(key).o1);
-    AddCells(key, 0);
+    RemoveCells(h, off.o1);
+    AddCells(h, 0);
   } else {
-    RemoveCells(key, filter_.OffsetsOf(key).o2);
+    RemoveCells(h, off.o2);
   }
   t2_.Erase(key);
   return true;

@@ -113,8 +113,11 @@ class ShbfA {
  private:
   friend class CountingShbfA;
 
-  /// Sets the k bits of `key` shifted by `offset`.
-  void AddWithOffset(std::string_view key, uint64_t offset);
+  /// o1 and o2 from the key bound to this filter's family.
+  Offsets OffsetsFrom(const HashFamily::BoundKey& h) const;
+
+  /// Sets the k bits of the bound key shifted by `offset`.
+  void AddWithOffset(const HashFamily::BoundKey& h, uint64_t offset);
 
   /// Decodes the three AND-flags into the seven outcomes (§4.2).
   static AssociationOutcome Decode(bool s1_only, bool both, bool s2_only);
@@ -183,11 +186,8 @@ class CountingShbfA {
   }
 
  private:
-  /// Offset under which `key` is currently stored, derived from (inS1, inS2).
-  uint64_t CurrentOffset(bool in_s1, bool in_s2, std::string_view key) const;
-
-  void AddCells(std::string_view key, uint64_t offset);
-  void RemoveCells(std::string_view key, uint64_t offset);
+  void AddCells(const HashFamily::BoundKey& h, uint64_t offset);
+  void RemoveCells(const HashFamily::BoundKey& h, uint64_t offset);
 
   ShbfA filter_;
   PackedCounterArray counters_;

@@ -44,20 +44,22 @@ ShbfM::ShbfM(const Params& params, BitArray bits, size_t num_elements)
 }
 
 uint64_t ShbfM::OffsetOf(std::string_view key) const {
+  return Offset(family_.Bind(key));
+}
+
+uint64_t ShbfM::Offset(const HashFamily::BoundKey& h) const {
   // o(e) = h_{k/2+1}(e) % (w̄ − 1) + 1, never zero (§3.1: o = 0 would merge
   // the pair into one bit and raise the FPR).
-  return family_.Hash(num_hashes_ / 2, key.data(), key.size()) %
-             (max_offset_span_ - 1) +
-         1;
+  return h(num_hashes_ / 2) % (max_offset_span_ - 1) + 1;
 }
 
 void ShbfM::Add(const void* data, size_t len) {
   const size_t m = bits_.num_bits();
   const uint32_t pairs = num_hashes_ / 2;
-  uint64_t offset =
-      family_.Hash(pairs, data, len) % (max_offset_span_ - 1) + 1;
+  const auto h = family_.Bind(data, len);
+  const uint64_t offset = Offset(h);
   for (uint32_t i = 0; i < pairs; ++i) {
-    size_t base = family_.Hash(i, data, len) % m;
+    size_t base = h(i) % m;
     bits_.SetBit(base);
     bits_.SetBit(base + offset);
   }
@@ -67,12 +69,10 @@ void ShbfM::Add(const void* data, size_t len) {
 bool ShbfM::Contains(const void* data, size_t len) const {
   const size_t m = bits_.num_bits();
   const uint32_t pairs = num_hashes_ / 2;
-  uint64_t offset =
-      family_.Hash(pairs, data, len) % (max_offset_span_ - 1) + 1;
-  const uint64_t need = 1ull | (1ull << offset);
+  const auto h = family_.Bind(data, len);
+  const uint64_t need = 1ull | (1ull << Offset(h));
   for (uint32_t i = 0; i < pairs; ++i) {
-    size_t base = family_.Hash(i, data, len) % m;
-    if ((bits_.LoadWindow(base) & need) != need) return false;
+    if ((bits_.LoadWindow(h(i) % m) & need) != need) return false;
   }
   return true;
 }
@@ -82,14 +82,12 @@ bool ShbfM::ContainsWithStats(std::string_view key, QueryStats* stats) const {
   const uint32_t pairs = num_hashes_ / 2;
   ++stats->queries;
   ++stats->hash_computations;  // the offset hash
-  uint64_t offset =
-      family_.Hash(pairs, key.data(), key.size()) % (max_offset_span_ - 1) + 1;
-  const uint64_t need = 1ull | (1ull << offset);
+  const auto h = family_.Bind(key);
+  const uint64_t need = 1ull | (1ull << Offset(h));
   for (uint32_t i = 0; i < pairs; ++i) {
     ++stats->hash_computations;
     ++stats->memory_accesses;  // one unaligned load covers the pair
-    size_t base = family_.Hash(i, key.data(), key.size()) % m;
-    if ((bits_.LoadWindow(base) & need) != need) return false;
+    if ((bits_.LoadWindow(h(i) % m) & need) != need) return false;
   }
   return true;
 }
@@ -118,12 +116,9 @@ void ShbfM::PrepareProbe(std::string_view key, Probe* probe) const {
   const size_t m = bits_.num_bits();
   const uint32_t pairs = num_hashes_ / 2;
   SHBF_DCHECK(pairs <= kMaxBatchPairs);
-  uint64_t offset =
-      family_.Hash(pairs, key.data(), key.size()) % (max_offset_span_ - 1) + 1;
-  probe->need = 1ull | (1ull << offset);
-  for (uint32_t i = 0; i < pairs; ++i) {
-    probe->bases[i] = family_.Hash(i, key.data(), key.size()) % m;
-  }
+  const auto h = family_.Bind(key);
+  probe->need = 1ull | (1ull << Offset(h));
+  for (uint32_t i = 0; i < pairs; ++i) probe->bases[i] = h(i) % m;
 }
 
 std::string ShbfM::ToBytes() const {

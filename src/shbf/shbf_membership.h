@@ -126,6 +126,9 @@ class ShbfM {
   static Status FromBytes(std::string_view bytes, std::optional<ShbfM>* out);
 
  private:
+  /// o(key) from the key bound to this filter's family.
+  uint64_t Offset(const HashFamily::BoundKey& h) const;
+
   HashFamily family_;  // k/2 base functions + 1 offset function
   uint32_t num_hashes_;
   uint32_t max_offset_span_;

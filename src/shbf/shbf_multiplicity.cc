@@ -44,8 +44,9 @@ void ShbfX::InsertWithCount(std::string_view key, uint32_t count) {
       << "count " << count << " outside [1, " << max_count_ << "]";
   const size_t m = bits_.num_bits();
   const uint32_t offset = count - 1;  // o(e) = c(e) − 1 (§5.1)
+  const auto h = family_.Bind(key);
   for (uint32_t i = 0; i < num_hashes_; ++i) {
-    bits_.SetBit(family_.Hash(i, key) % m + offset);
+    bits_.SetBit(h(i) % m + offset);
   }
   ++num_distinct_;
 }
@@ -84,9 +85,9 @@ std::vector<uint32_t> ShbfX::QueryCandidates(std::string_view key) const {
   // Trim the final word to exactly max_count_ valid positions.
   if (max_count_ % 64 != 0) mask[words - 1] = (1ull << (max_count_ % 64)) - 1;
 
+  const auto h = family_.Bind(key);
   for (uint32_t i = 0; i < num_hashes_; ++i) {
-    size_t base = family_.Hash(i, key) % m;
-    GatherWindows(base, mask);
+    GatherWindows(h(i) % m, mask);
     bool any = false;
     for (uint32_t w = 0; w < words; ++w) any = any || (mask[w] != 0);
     if (!any) return {};
@@ -178,10 +179,11 @@ uint32_t ShbfX::QueryCountWithStats(std::string_view key,
                                     MultiplicityReportPolicy policy,
                                     QueryStats* stats) const {
   const size_t m = bits_.num_bits();
+  const auto h = family_.Bind(key);
   return QueryCountImpl(
       [&](uint32_t i) {
         ++stats->hash_computations;
-        return family_.Hash(i, key) % m;
+        return h(i) % m;
       },
       policy, stats);
 }
@@ -189,9 +191,8 @@ uint32_t ShbfX::QueryCountWithStats(std::string_view key,
 void ShbfX::PrepareProbe(std::string_view key, Probe* probe) const {
   const size_t m = bits_.num_bits();
   SHBF_CHECK(num_hashes_ <= kMaxBatchHashes) << "probe path supports k <= 64";
-  for (uint32_t i = 0; i < num_hashes_; ++i) {
-    probe->bases[i] = family_.Hash(i, key) % m;
-  }
+  const auto h = family_.Bind(key);
+  for (uint32_t i = 0; i < num_hashes_; ++i) probe->bases[i] = h(i) % m;
 }
 
 void ShbfX::PrefetchProbe(const Probe& probe) const {
@@ -293,20 +294,22 @@ uint32_t CountingShbfX::CurrentCount(std::string_view key) const {
   return filter_.QueryCount(key, MultiplicityReportPolicy::kLargest);
 }
 
-void CountingShbfX::AddCells(std::string_view key, uint32_t count_offset) {
+void CountingShbfX::AddCells(const HashFamily::BoundKey& h,
+                             uint32_t count_offset) {
   const size_t m = filter_.bits_.num_bits();
   for (uint32_t i = 0; i < filter_.num_hashes_; ++i) {
-    size_t pos = filter_.family_.Hash(i, key) % m + count_offset;
+    size_t pos = h(i) % m + count_offset;
     counters_.Increment(pos);
     filter_.bits_.SetBit(pos);
   }
 }
 
-void CountingShbfX::RemoveCells(std::string_view key, uint32_t count_offset) {
+void CountingShbfX::RemoveCells(const HashFamily::BoundKey& h,
+                                uint32_t count_offset) {
   const size_t m = filter_.bits_.num_bits();
   const bool clamp = mode_ == UpdateMode::kFilterQueried;
   for (uint32_t i = 0; i < filter_.num_hashes_; ++i) {
-    size_t pos = filter_.family_.Hash(i, key) % m + count_offset;
+    size_t pos = h(i) % m + count_offset;
     if (clamp && counters_.Get(pos) == 0) continue;  // FP-driven over-removal
     counters_.Decrement(pos);
     if (counters_.Get(pos) == 0) filter_.bits_.ClearBit(pos);
@@ -325,8 +328,9 @@ void CountingShbfX::Insert(std::string_view key) {
         << "multiplicity would exceed max_count " << filter_.max_count_;
   }
   // §5.3: "delete the z-th multiplicity and insert the (z+1)-th".
-  if (z > 0) RemoveCells(key, z - 1);
-  AddCells(key, z);
+  const auto h = filter_.family_.Bind(key);
+  if (z > 0) RemoveCells(h, z - 1);
+  AddCells(h, z);
   if (mode_ == UpdateMode::kTableBacked) exact_counts_.AddTo(key, 1);
   if (z == 0) ++filter_.num_distinct_;
 }
@@ -334,8 +338,9 @@ void CountingShbfX::Insert(std::string_view key) {
 bool CountingShbfX::Delete(std::string_view key) {
   uint32_t z = CurrentCount(key);
   if (z == 0) return false;
-  RemoveCells(key, z - 1);
-  if (z >= 2) AddCells(key, z - 2);
+  const auto h = filter_.family_.Bind(key);
+  RemoveCells(h, z - 1);
+  if (z >= 2) AddCells(h, z - 2);
   if (mode_ == UpdateMode::kTableBacked) {
     uint64_t* count = exact_counts_.Find(key);
     SHBF_CHECK(count != nullptr);

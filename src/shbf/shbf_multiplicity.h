@@ -203,13 +203,13 @@ class CountingShbfX {
   /// The structure's belief about `key`'s current multiplicity.
   uint32_t CurrentCount(std::string_view key) const;
 
-  void AddCells(std::string_view key, uint32_t count_offset);
+  void AddCells(const HashFamily::BoundKey& h, uint32_t count_offset);
 
   /// Decrements the k cells at `count_offset`. In kFilterQueried mode the
   /// removal may target cells this key never incremented (a false-positive
   /// read of the current count, §5.3.1), so zero cells are skipped instead
   /// of CHECKed — this is precisely how that mode corrupts state.
-  void RemoveCells(std::string_view key, uint32_t count_offset);
+  void RemoveCells(const HashFamily::BoundKey& h, uint32_t count_offset);
 
   ShbfX filter_;
   PackedCounterArray counters_;

@@ -1,7 +1,10 @@
 #include <gtest/gtest.h>
 
+#include <cstring>
+#include <memory>
 #include <set>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "core/rng.h"
@@ -12,6 +15,14 @@
 
 namespace shbf {
 namespace {
+
+/// `bytes` copied into an allocation of exactly its size, so that an
+/// address-sanitized build flags any read past the key's last byte.
+std::unique_ptr<uint8_t[]> ExactCopy(const std::string& bytes) {
+  std::unique_ptr<uint8_t[]> copy(new uint8_t[bytes.size()]);
+  if (!bytes.empty()) std::memcpy(copy.get(), bytes.data(), bytes.size());
+  return copy;
+}
 
 std::vector<std::string> SampleKeys(size_t count, size_t len, uint64_t seed) {
   Rng rng(seed);
@@ -87,6 +98,21 @@ TEST_P(HashAlgorithmTest, FewCollisionsOnDistinctKeys) {
   EXPECT_GE(values.size(), min_distinct);
 }
 
+TEST_P(HashAlgorithmTest, BoundKeyMatchesHashForEveryFunction) {
+  // h(i) == Hash(i, key) bit for bit: filters evaluate their functions
+  // through Bind, and files written through Hash must still answer.
+  HashFamily family(GetParam(), 40, 0xb1d);
+  Rng rng(17);
+  for (size_t len = 0; len <= 150; ++len) {
+    const std::string bytes = rng.NextBytes(len);
+    const auto key = ExactCopy(bytes);
+    const auto h = family.Bind(key.get(), len);
+    for (uint32_t i = 0; i < family.num_functions(); ++i) {
+      ASSERT_EQ(h(i), family.Hash(i, bytes)) << "len " << len << " fn " << i;
+    }
+  }
+}
+
 INSTANTIATE_TEST_SUITE_P(
     Algorithms, HashAlgorithmTest,
     ::testing::Values(HashAlgorithm::kMurmur3, HashAlgorithm::kBobLookup3,
@@ -110,6 +136,88 @@ TEST(HashFamilyTest, MasterSeedExpansionIsStable) {
   EXPECT_EQ(a.Hash(2, "stable"), b.Hash(2, "stable"));
   EXPECT_EQ(a.master_seed(), 42u);
   EXPECT_EQ(a.num_functions(), 3u);
+}
+
+/// Murmur3_128 as this repository wrote it before the seed-free key pass
+/// was split from the per-seed finish: one pass per seed, with the
+/// byte-by-byte tail switch. The reference the split version must match.
+std::pair<uint64_t, uint64_t> ByteSwitchMurmur3_128(const void* data,
+                                                    size_t len, uint64_t seed) {
+  auto rotl = [](uint64_t x, int r) { return (x << r) | (x >> (64 - r)); };
+  auto fmix = [](uint64_t k) {
+    k ^= k >> 33;
+    k *= 0xff51afd7ed558ccdull;
+    k ^= k >> 33;
+    k *= 0xc4ceb9fe1a85ec53ull;
+    k ^= k >> 33;
+    return k;
+  };
+  const uint8_t* bytes = static_cast<const uint8_t*>(data);
+  const size_t nblocks = len / 16;
+  uint64_t h1 = seed;
+  uint64_t h2 = seed;
+  const uint64_t c1 = 0x87c37b91114253d5ull;
+  const uint64_t c2 = 0x4cf5ad432745937full;
+  for (size_t i = 0; i < nblocks; ++i) {
+    uint64_t k1;
+    uint64_t k2;
+    std::memcpy(&k1, bytes + i * 16, 8);
+    std::memcpy(&k2, bytes + i * 16 + 8, 8);
+    k1 *= c1; k1 = rotl(k1, 31); k1 *= c2; h1 ^= k1;
+    h1 = rotl(h1, 27); h1 += h2; h1 = h1 * 5 + 0x52dce729;
+    k2 *= c2; k2 = rotl(k2, 33); k2 *= c1; h2 ^= k2;
+    h2 = rotl(h2, 31); h2 += h1; h2 = h2 * 5 + 0x38495ab5;
+  }
+  const uint8_t* tail = bytes + nblocks * 16;
+  uint64_t k1 = 0;
+  uint64_t k2 = 0;
+  switch (len & 15) {
+    case 15: k2 ^= static_cast<uint64_t>(tail[14]) << 48; [[fallthrough]];
+    case 14: k2 ^= static_cast<uint64_t>(tail[13]) << 40; [[fallthrough]];
+    case 13: k2 ^= static_cast<uint64_t>(tail[12]) << 32; [[fallthrough]];
+    case 12: k2 ^= static_cast<uint64_t>(tail[11]) << 24; [[fallthrough]];
+    case 11: k2 ^= static_cast<uint64_t>(tail[10]) << 16; [[fallthrough]];
+    case 10: k2 ^= static_cast<uint64_t>(tail[9]) << 8; [[fallthrough]];
+    case 9:
+      k2 ^= static_cast<uint64_t>(tail[8]);
+      k2 *= c2; k2 = rotl(k2, 33); k2 *= c1; h2 ^= k2;
+      [[fallthrough]];
+    case 8: k1 ^= static_cast<uint64_t>(tail[7]) << 56; [[fallthrough]];
+    case 7: k1 ^= static_cast<uint64_t>(tail[6]) << 48; [[fallthrough]];
+    case 6: k1 ^= static_cast<uint64_t>(tail[5]) << 40; [[fallthrough]];
+    case 5: k1 ^= static_cast<uint64_t>(tail[4]) << 32; [[fallthrough]];
+    case 4: k1 ^= static_cast<uint64_t>(tail[3]) << 24; [[fallthrough]];
+    case 3: k1 ^= static_cast<uint64_t>(tail[2]) << 16; [[fallthrough]];
+    case 2: k1 ^= static_cast<uint64_t>(tail[1]) << 8; [[fallthrough]];
+    case 1:
+      k1 ^= static_cast<uint64_t>(tail[0]);
+      k1 *= c1; k1 = rotl(k1, 31); k1 *= c2; h1 ^= k1;
+      break;
+    default:
+      break;
+  }
+  h1 ^= static_cast<uint64_t>(len);
+  h2 ^= static_cast<uint64_t>(len);
+  h1 += h2;
+  h2 += h1;
+  h1 = fmix(h1);
+  h2 = fmix(h2);
+  h1 += h2;
+  h2 += h1;
+  return {h1, h2};
+}
+
+TEST(Murmur3Test, MatchesByteSwitchReferenceOverRandomSeeds) {
+  Rng rng(0x5eed);
+  for (int round = 0; round < 16; ++round) {
+    const uint64_t seed = rng.Next();
+    for (size_t len = 0; len <= 150; ++len) {
+      const auto key = ExactCopy(rng.NextBytes(len));
+      ASSERT_EQ(Murmur3_128(key.get(), len, seed),
+                ByteSwitchMurmur3_128(key.get(), len, seed))
+          << "len " << len << " seed " << seed;
+    }
+  }
 }
 
 TEST(Murmur3Test, MatchesReferenceVector) {
@@ -138,8 +246,8 @@ TEST(Murmur3Test, HalvesAreIndependent) {
 }
 
 TEST(Murmur3Test, AllTailLengthsChangeTheHash) {
-  // The 15-way tail switch: appending one byte must change the result for
-  // every residue of len mod 16.
+  // Appending one byte must change the result for every residue of
+  // len mod 16: every tail length is read.
   std::string key;
   uint64_t prev = Murmur3_64(key.data(), key.size(), 1);
   for (int i = 1; i <= 33; ++i) {

@@ -7,13 +7,16 @@
 
 #include <cstdio>
 #include <cstring>
+#include <map>
 #include <memory>
+#include <set>
 #include <string>
 #include <vector>
 
 #include "api/filter_registry.h"
 #include "api/set_catalog.h"
 #include "core/file_io.h"
+#include "core/rng.h"
 #include "storage/filter_image.h"
 #include "trace/trace_generator.h"
 
@@ -328,6 +331,129 @@ TEST(RegistrySerdeTest, WrapperEnvelopesRoundTripThroughTheRegistry) {
           << "answer drift on probe key";
     }
   }
+}
+
+// --- on-disk bytes pinned across versions ------------------------------------
+
+/// FNV-1a over `bytes`: a digest that shares no code with the hashes under
+/// test.
+uint64_t Digest(std::string_view bytes) {
+  uint64_t h = 0xcbf29ce484222325ull;
+  for (unsigned char c : bytes) {
+    h ^= c;
+    h *= 0x100000001b3ull;
+  }
+  return h;
+}
+
+/// 20 distinct keys of every length 0–47 (one of length 0), so murmur3's
+/// block loop and every tail length run.
+std::vector<std::string> GoldenKeys() {
+  Rng rng(0x901d);
+  std::vector<std::string> keys;
+  std::set<std::string> seen;
+  for (size_t len = 0; len < 48; ++len) {
+    for (int i = 0; i < 20; ++i) {
+      std::string key = rng.NextBytes(len);
+      if (seen.insert(key).second) keys.push_back(std::move(key));
+    }
+  }
+  return keys;
+}
+
+struct GoldenCase {
+  std::string name;
+  uint32_t num_hashes;
+};
+
+std::vector<GoldenCase> GoldenCases() {
+  std::vector<GoldenCase> cases;
+  for (const auto& name : FilterRegistry::Global().Names()) {
+    cases.push_back({name, 8});
+  }
+  cases.push_back({"bloom", 72});
+  cases.push_back({"shbf_m", 72});
+  return cases;
+}
+
+std::unique_ptr<MembershipFilter> BuildGolden(
+    const GoldenCase& c, const std::vector<std::string>& keys) {
+  FilterSpec spec = TestSpec();
+  spec.num_hashes = c.num_hashes;
+  std::unique_ptr<MembershipFilter> filter;
+  const auto& registry = FilterRegistry::Global();
+  Status s = registry.Create(c.name, spec, &filter);
+  EXPECT_TRUE(s.ok()) << s.ToString();
+  if (filter != nullptr) Populate(*registry.Find(c.name), filter.get(), keys);
+  return filter;
+}
+
+TEST(RegistrySerdeTest, SerializedBytesMatchPinnedDigests) {
+  // Hash values, bit positions and the envelope are a file format: a file
+  // written by an earlier build must open and answer identically. These
+  // digests of Serialize() were recorded from the build that wrote the
+  // hashes byte by byte; any change to a hash or a layout moves them.
+  const std::map<std::string, uint64_t> expected = {
+      {"bloom/k8", 0x02e7f5f23305fba6ull},
+      {"cm/k8", 0x4e5e429a0f036e5bull},
+      {"counting_bloom/k8", 0xef1b3e523f675027ull},
+      {"counting_shbf_a/k8", 0x2c5e645c2ea9bfbcull},
+      {"counting_shbf_m/k8", 0x31cc539dcb57181dull},
+      {"counting_shbf_x/k8", 0xc47460969d697b08ull},
+      {"cuckoo/k8", 0x94ca799f2cb8a2a8ull},
+      {"dynamic_count/k8", 0xe73c447ee8e93e30ull},
+      {"ibf/k8", 0xb712f0ca58a8283dull},
+      {"km_bloom/k8", 0x05b38c899d760e9eull},
+      {"one_mem_bf/k8", 0x7109146a24fb6ac8ull},
+      {"scm/k8", 0x81a6eab61cc9e870ull},
+      {"shbf_a/k8", 0x7ab5ff006ac8b5e7ull},
+      {"shbf_g/k8", 0xe2e4f931b7ec1ffeull},
+      {"shbf_m/k8", 0xdbb25ba5379d8215ull},
+      {"shbf_x/k8", 0xa52d14b83fd332a1ull},
+      {"spectral/k8", 0xca84edd97718a0e3ull},
+      {"split_block_bloom/k8", 0x152f222932bcf8bcull},
+      {"split_block_shbf_m/k8", 0x636d0dd7538c5628ull},
+      {"bloom/k72", 0x48423ec83707cc19ull},
+      {"shbf_m/k72", 0xec84e1ad2fa03a4cull},
+  };
+  const auto keys = GoldenKeys();
+  for (const GoldenCase& c : GoldenCases()) {
+    const std::string label = c.name + "/k" + std::to_string(c.num_hashes);
+    SCOPED_TRACE(label);
+    auto filter = BuildGolden(c, keys);
+    ASSERT_NE(filter, nullptr);
+    const auto it = expected.find(label);
+    ASSERT_NE(it, expected.end()) << "no pinned digest";
+    const uint64_t digest = Digest(FilterRegistry::Serialize(*filter));
+    EXPECT_EQ(digest, it->second) << std::hex << "0x" << digest;
+  }
+}
+
+TEST(RegistrySerdeTest, MappedImagesMatchPinnedDigests) {
+  // The same pin for SaveMapped images, which also covers the header
+  // page's murmur3 checksum.
+  const std::map<std::string, uint64_t> expected = {
+      {"bloom", 0x7624d3a59d58938eull},
+      {"shbf_m", 0x6248d107a42fd609ull},
+      {"split_block_bloom", 0x12568e4019abf054ull},
+      {"split_block_shbf_m", 0x1d2377e98e1a273cull},
+  };
+  const auto keys = GoldenKeys();
+  const std::string path = ::testing::TempDir() + "/golden_image.shbi";
+  for (const char* name :
+       {"bloom", "shbf_m", "split_block_bloom", "split_block_shbf_m"}) {
+    SCOPED_TRACE(name);
+    auto filter = BuildGolden({name, 8}, keys);
+    ASSERT_NE(filter, nullptr);
+    Status s = FilterRegistry::Global().SaveMapped(*filter, path);
+    ASSERT_TRUE(s.ok()) << s.ToString();
+    std::string image;
+    s = ReadFileToString(path, &image);
+    ASSERT_TRUE(s.ok()) << s.ToString();
+    const uint64_t digest = Digest(image);
+    EXPECT_EQ(digest, expected.at(name)) << std::hex << "0x" << digest;
+  }
+  std::remove(path.c_str());
 }
 
 TEST(RegistrySerdeTest, EnvelopeNamesUnknownFilter) {

@@ -195,10 +195,12 @@ int Build(const std::string& keys_path, const std::string& filter_path,
     std::fprintf(stderr, "error: %s\n", s.ToString().c_str());
     return 1;
   }
-  std::printf("built %s filter: %zu keys, %zu bytes in memory -> %s "
-              "(%zu bytes on disk)\n",
-              std::string(filter->name()).c_str(), keys.size(),
-              filter->memory_bytes(), filter_path.c_str(), blob.size());
+  // Summaries go to stderr: the output path may be /dev/stdout.
+  std::fprintf(stderr,
+               "built %s filter: %zu keys, %zu bytes in memory -> %s "
+               "(%zu bytes on disk)\n",
+               std::string(filter->name()).c_str(), keys.size(),
+               filter->memory_bytes(), filter_path.c_str(), blob.size());
   return 0;
 }
 
@@ -492,8 +494,8 @@ int MultisetBuild(const std::string& catalog_path,
       std::fprintf(stderr, "error: %s\n", s.ToString().c_str());
       return 1;
     }
-    std::printf("set %-3u %-24s %zu keys\n", id, set_name.c_str(),
-                keys.size());
+    std::fprintf(stderr, "set %-3u %-24s %zu keys\n", id, set_name.c_str(),
+                 keys.size());
   }
   const std::string blob = catalog.Serialize();
   Status s = WriteStringToFile(catalog_path, blob);
@@ -501,10 +503,11 @@ int MultisetBuild(const std::string& catalog_path,
     std::fprintf(stderr, "error: %s\n", s.ToString().c_str());
     return 1;
   }
-  std::printf("built catalog: %zu set(s), %zu bytes in memory -> %s "
-              "(%zu bytes on disk)\n",
-              catalog.size(), catalog.memory_bytes(), catalog_path.c_str(),
-              blob.size());
+  std::fprintf(stderr,
+               "built catalog: %zu set(s), %zu bytes in memory -> %s "
+               "(%zu bytes on disk)\n",
+               catalog.size(), catalog.memory_bytes(), catalog_path.c_str(),
+               blob.size());
   return 0;
 }
 
