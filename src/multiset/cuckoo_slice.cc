@@ -109,7 +109,7 @@ uint64_t CuckooSlice::Hits(const uint8_t* row1, const uint8_t* row2,
 }
 
 void CuckooSlice::WhichSets(std::span<const std::string_view> keys,
-                            size_t group_size, SetIdBitmap* answers) const {
+                            size_t group_size, SetIdRows* answers) const {
   if (keys.empty()) return;
   group_size = std::max<size_t>(group_size, 1);
   const auto* rows = reinterpret_cast<const uint8_t*>(table_->words());
@@ -127,21 +127,22 @@ void CuckooSlice::WhichSets(std::span<const std::string_view> keys,
       const uint8_t* row1 = rows + probe.i1 * row_bytes_;
       const uint8_t* row2 = rows + probe.i2 * row_bytes_;
       const uint64_t pattern = probe.fingerprint * lane_ones_;
-      SetIdBitmap& answer = answers[start + g];
       for (size_t w = 0; w < live_.size(); ++w) {
         uint64_t hits =
             Hits(row1, row2, 64 * w, std::min<size_t>(64, lanes - 64 * w),
                  pattern) &
             live_[w];
         for (; hits != 0; hits &= hits - 1) {
-          answer.Set(lane_ids_[64 * w + __builtin_ctzll(hits)]);
+          answers->Set(start + g, lane_ids_[64 * w + __builtin_ctzll(hits)]);
         }
       }
     }
   }
   for (uint32_t lane : exceptions_) {
     for (size_t i = 0; i < keys.size(); ++i) {
-      if (adapters_[lane]->Contains(keys[i])) answers[i].Set(lane_ids_[lane]);
+      if (adapters_[lane]->Contains(keys[i])) {
+        answers->Set(i, lane_ids_[lane]);
+      }
     }
   }
 }

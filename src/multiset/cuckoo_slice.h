@@ -74,12 +74,12 @@ class CuckooSlice {
   /// Live lanes whose set WhichSets also asks through Contains.
   size_t exception_lanes() const { return exceptions_.size(); }
 
-  /// Sets, in answers[i], the id of every live member that (possibly)
-  /// holds keys[i]: each key's probe is prepared once, both its rows are
-  /// prefetched in groups of `group_size` keys, then every lane's two
-  /// buckets are tested.
+  /// Sets, in row i of `answers`, the id of every live member that
+  /// (possibly) holds keys[i]: each key's probe is prepared once, both its
+  /// rows are prefetched in groups of `group_size` keys, then every lane's
+  /// two buckets are tested.
   void WhichSets(std::span<const std::string_view> keys, size_t group_size,
-                 SetIdBitmap* answers) const;
+                 SetIdRows* answers) const;
 
   /// Clears `lane`'s live bit and forgets its adapter: WhichSets stops
   /// reporting it. Its slots stay, and the lane is never reused.

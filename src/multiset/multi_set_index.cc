@@ -126,31 +126,20 @@ Status MultiSetIndex::SliceCuckooSets(
   return Status::Ok();
 }
 
-void MultiSetIndex::WhichSets(std::string_view key, SetIdBitmap* out) const {
-  std::vector<SetIdBitmap> answers;
-  WhichSetsBatch(std::vector<std::string_view>{key}, &answers);
-  *out = std::move(answers.front());
-}
-
-void MultiSetIndex::WhichSetsBatch(const std::vector<std::string>& keys,
-                                   std::vector<SetIdBitmap>* out) const {
-  WhichSetsBatch(std::vector<std::string_view>(keys.begin(), keys.end()), out);
-}
-
 void MultiSetIndex::WhichSetsBatch(const std::vector<std::string_view>& keys,
-                                   std::vector<SetIdBitmap>* out) const {
-  out->assign(keys.size(), SetIdBitmap(id_bound_));
+                                   SetIdRows* out) const {
+  out->Reset(keys.size(), id_bound_);
   if (keys.empty()) return;
   const size_t n = keys.size();
   uint64_t probes = 0;  // Stats::probes
   for (const auto& slice : slices_) {
     if (slice->live_slots() == 0) continue;
-    slice->WhichSets(keys, engine_.batch_size(), out->data());
+    slice->WhichSets(keys, engine_.batch_size(), out);
     probes += n;
   }
   for (const auto& slice : cuckoo_slices_) {
     if (slice->live_lanes() == 0) continue;
-    slice->WhichSets(keys, engine_.batch_size(), out->data());
+    slice->WhichSets(keys, engine_.batch_size(), out);
     probes += n * (1 + slice->exception_lanes());
   }
   std::vector<uint8_t> results;
@@ -158,7 +147,7 @@ void MultiSetIndex::WhichSetsBatch(const std::vector<std::string_view>& keys,
     engine_.ContainsBatch(*set.filter, keys, &results);
     probes += n;
     for (size_t i = 0; i < n; ++i) {
-      if (results[i] != 0) (*out)[i].Set(set.set_id);
+      if (results[i] != 0) out->Set(i, set.set_id);
     }
   }
   probes_.fetch_add(probes, std::memory_order_relaxed);
@@ -167,6 +156,30 @@ void MultiSetIndex::WhichSetsBatch(const std::vector<std::string_view>& keys,
         obs::MetricsRegistry::Global().GetCounter("multiset.probes_total");
     probes_total->Increment(probes);
   }
+}
+
+void MultiSetIndex::WhichSetsBatch(const std::vector<std::string>& keys,
+                                   SetIdRows* out) const {
+  WhichSetsBatch(std::vector<std::string_view>(keys.begin(), keys.end()), out);
+}
+
+void MultiSetIndex::WhichSetsBatch(const std::vector<std::string_view>& keys,
+                                   std::vector<SetIdBitmap>* out) const {
+  SetIdRows rows;
+  WhichSetsBatch(keys, &rows);
+  out->resize(keys.size());
+  for (size_t i = 0; i < keys.size(); ++i) (*out)[i].AssignRow(rows, i);
+}
+
+void MultiSetIndex::WhichSetsBatch(const std::vector<std::string>& keys,
+                                   std::vector<SetIdBitmap>* out) const {
+  WhichSetsBatch(std::vector<std::string_view>(keys.begin(), keys.end()), out);
+}
+
+void MultiSetIndex::WhichSets(std::string_view key, SetIdBitmap* out) const {
+  SetIdRows rows;
+  WhichSetsBatch(std::vector<std::string_view>{key}, &rows);
+  out->AssignRow(rows, 0);
 }
 
 Status MultiSetIndex::AddKey(uint32_t set_id, std::string_view key) {

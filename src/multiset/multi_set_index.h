@@ -84,26 +84,29 @@ class MultiSetIndex {
   static Status Build(SetCatalog* catalog, const MultiSetIndexOptions& options,
                       std::unique_ptr<MultiSetIndex>* out);
 
-  /// The SetIdBitmap universe (catalog->id_bound() at build time).
+  /// The answers' universe (catalog->id_bound() at build time).
   size_t id_bound() const { return id_bound_; }
 
-  /// Sets bit s in `*out` iff set s (possibly) contains `key` — exactly the
-  /// bits a brute-force Contains loop over the live sets would set (no
-  /// false negatives; the same false positives as the member filters).
-  /// A one-key WhichSetsBatch.
-  void WhichSets(std::string_view key, SetIdBitmap* out) const;
+  /// The served form. `out` is reset to keys.size() zero rows of id_bound()
+  /// ids, and row i receives bit s iff set s (possibly) contains keys[i] —
+  /// exactly the bits a brute-force Contains loop over the live sets would
+  /// set (no false negatives; the same false positives as the member
+  /// filters). Each slice, then each scan set, answers the whole batch. The
+  /// views must stay valid for the duration of the call.
+  void WhichSetsBatch(const std::vector<std::string_view>& keys,
+                      SetIdRows* out) const;
+  void WhichSetsBatch(const std::vector<std::string>& keys,
+                      SetIdRows* out) const;
 
-  /// Batched WhichSets: `out` is resized to keys.size(); entry i receives
-  /// WhichSets(keys[i]). Each slice, then each scan set, answers the whole
-  /// batch.
+  /// The same answers one bitmap per key: `out` is resized to keys.size()
+  /// and entry i receives row i, reusing the bitmaps' storage.
+  void WhichSetsBatch(const std::vector<std::string_view>& keys,
+                      std::vector<SetIdBitmap>* out) const;
   void WhichSetsBatch(const std::vector<std::string>& keys,
                       std::vector<SetIdBitmap>* out) const;
 
-  /// View-indexed overload for callers that do not own contiguous
-  /// std::strings (e.g. keys parsed in place from a request buffer). The
-  /// views must stay valid for the duration of the call.
-  void WhichSetsBatch(const std::vector<std::string_view>& keys,
-                      std::vector<SetIdBitmap>* out) const;
+  /// A one-key WhichSetsBatch.
+  void WhichSets(std::string_view key, SetIdBitmap* out) const;
 
   /// Incremental maintenance: adds `key` to set `set_id`'s filter; for a
   /// sliced set, the view sets the key's k bits in its slot, and a cuckoo

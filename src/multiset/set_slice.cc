@@ -200,7 +200,7 @@ void SetSlice::Positions(std::string_view key, size_t* positions) const {
 template <typename Impl>
 void SetSlice::WhichSetsImpl(const Impl& impl,
                              std::span<const std::string_view> keys,
-                             size_t group_size, SetIdBitmap* answers) const {
+                             size_t group_size, SetIdRows* answers) const {
   const size_t k = probes_per_key_;
   const size_t words = live_.size();
   size_t positions[kMaxPositions];
@@ -218,14 +218,13 @@ void SetSlice::WhichSetsImpl(const Impl& impl,
     }
     for (size_t g = 0; g < group; ++g) {
       const uint8_t* const* key_columns = &columns[g * k];
-      SetIdBitmap& answer = answers[start + g];
       for (size_t w = 0; w < words; ++w) {
         uint64_t hits = live_[w];
         for (size_t j = 0; j < k; ++j) {
           hits &= LoadWord(key_columns[j] + 8 * w);
         }
         for (; hits != 0; hits &= hits - 1) {
-          answer.Set(slot_ids_[64 * w + __builtin_ctzll(hits)]);
+          answers->Set(start + g, slot_ids_[64 * w + __builtin_ctzll(hits)]);
         }
       }
     }
@@ -233,7 +232,7 @@ void SetSlice::WhichSetsImpl(const Impl& impl,
 }
 
 void SetSlice::WhichSets(std::span<const std::string_view> keys,
-                         size_t group_size, SetIdBitmap* answers) const {
+                         size_t group_size, SetIdRows* answers) const {
   if (keys.empty()) return;
   VisitProbe([&](const auto& impl) {
     WhichSetsImpl(impl, keys, std::max<size_t>(group_size, 1), answers);

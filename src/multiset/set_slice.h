@@ -80,12 +80,12 @@ class SetSlice {
   /// Slots not dropped.
   size_t live_slots() const;
 
-  /// Sets, in answers[i], the id of every live member that (possibly)
-  /// holds keys[i]: each key's probe is prepared once with the template,
-  /// its k columns are prefetched in groups of `group_size` keys, then
-  /// ANDed.
+  /// Sets, in row i of `answers`, the id of every live member that
+  /// (possibly) holds keys[i]: each key's probe is prepared once with the
+  /// template, its k columns are prefetched in groups of `group_size` keys,
+  /// then ANDed.
   void WhichSets(std::span<const std::string_view> keys, size_t group_size,
-                 SetIdBitmap* answers) const;
+                 SetIdRows* answers) const;
 
   /// Clears `slot`'s live bit: WhichSets stops reporting it. Its column
   /// bits stay, and the slot is never reused.
@@ -109,7 +109,7 @@ class SetSlice {
 
   template <typename Impl>
   void WhichSetsImpl(const Impl& impl, std::span<const std::string_view> keys,
-                     size_t group_size, SetIdBitmap* answers) const;
+                     size_t group_size, SetIdRows* answers) const;
 
   /// Writes `key`'s k probe positions to `positions`.
   void Positions(std::string_view key, size_t* positions) const;

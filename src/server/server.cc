@@ -769,20 +769,21 @@ ShbfServer::Response ShbfServer::HandleWhichSets(ByteReader* reader) {
   Response error;
   std::vector<std::string> keys;
   if (!ReadFrameKeys(reader, "WHICH_SETS", &keys, &error)) return error;
-  std::vector<SetIdBitmap> answers;
+  SetIdRows answers;
   {
     std::shared_lock<std::shared_mutex> lock(multiset_mu_);
     if (multiset_ == nullptr) {
       return Error(wire::WireStatus::kUnsupported,
                    "WHICH_SETS: no multiset catalog is served");
     }
-    // Scratch for this opcode scales with keys × id_bound (one bitmap per
-    // key), which the per-frame KEY limit alone does not bound: against a
-    // 2^20-id catalog, a maximal frame would allocate >100 GiB before the
-    // response-size guard below could run. Budget the product up front.
+    // The answer block scales with keys × id_bound (one row per key),
+    // which the per-frame KEY limit alone does not bound: against a
+    // 2^20-id catalog, a maximal frame would allocate 128 GiB before the
+    // response-size guard below could run. Budget the block's real size
+    // up front.
     constexpr size_t kMaxScratchBytes = size_t{256} << 20;  // 256 MiB
-    const size_t bitmap_bytes = (multiset_->id_bound() + 7) / 8;
-    if (bitmap_bytes != 0 && keys.size() > kMaxScratchBytes / bitmap_bytes) {
+    const size_t row_bytes = SetIdRows::RowBytes(multiset_->id_bound());
+    if (row_bytes != 0 && keys.size() > kMaxScratchBytes / row_bytes) {
       return Error(wire::WireStatus::kTooLarge,
                    "WHICH_SETS: " + std::to_string(keys.size()) +
                        " keys against a " +
@@ -798,10 +799,10 @@ ShbfServer::Response ShbfServer::HandleWhichSets(ByteReader* reader) {
   // the peer must reject — and past 4 GiB, one whose u32 length prefix
   // silently wraps.
   ByteWriter writer;
-  writer.PutU64(answers.size());
-  for (const SetIdBitmap& bitmap : answers) {
-    writer.PutU32(static_cast<uint32_t>(bitmap.Count()));
-    bitmap.ForEachId([&](uint32_t id) { writer.PutU32(id); });
+  writer.PutU64(answers.rows());
+  for (size_t i = 0; i < answers.rows(); ++i) {
+    writer.PutU32(static_cast<uint32_t>(answers.Count(i)));
+    answers.ForEachId(i, [&](uint32_t id) { writer.PutU32(id); });
     if (writer.size() + 1 > options_.max_frame_bytes) {  // +1: status byte
       return Error(wire::WireStatus::kTooLarge,
                    "WHICH_SETS: response exceeds the frame limit; send "

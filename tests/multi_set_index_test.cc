@@ -8,9 +8,11 @@
 
 #include "multiset/multi_set_index.h"
 
+#include <algorithm>
 #include <functional>
 #include <memory>
 #include <string>
+#include <string_view>
 #include <tuple>
 #include <vector>
 
@@ -738,6 +740,156 @@ TEST(MultiSetIndexTest, ManyProbeGeometriesMatchBruteForce) {
   ASSERT_TRUE(MultiSetIndex::Build(&scanned, scan_options, &scan).ok());
   EXPECT_EQ(scan->stats().scan_sets, 66u);
   ExpectMatchesBruteForce(*scan, reference, queries);
+}
+
+std::string EdgeKey(size_t id, size_t k) {
+  return "set-" + std::to_string(id) + "-key-" + std::to_string(k);
+}
+
+/// A catalog with id_bound() == `bound`; set i is "set-<i>". From bound 5
+/// up, the top three ids are a shbf_x set (scanned), a tiny cuckoo set with
+/// 4 keys and one filled until its victim stash is used (the two lanes of a
+/// CuckooSlice, the second an exception lane); every other set is a
+/// shbf_m set of one geometry (the SetSlice). Deterministic, so two calls
+/// build twins.
+SetCatalog MakeEdgeCatalog(size_t bound) {
+  const FilterSpec tiny = FilterSpec::ForKeys(16, 64.0, 4);
+  SetCatalog catalog;
+  for (size_t id = 0; id < bound; ++id) {
+    const size_t from_top = bound - 1 - id;
+    const bool stashed = bound >= 5 && from_top == 0;
+    std::unique_ptr<MembershipFilter> filter;
+    size_t adds = 20;
+    if (bound < 5 || from_top > 2) {
+      filter = MakeFilter("shbf_m", 20);
+    } else if (from_top == 2) {
+      filter = MakeFilter("shbf_x", 20);
+    } else {
+      CheckOk(FilterRegistry::Global().Create("cuckoo", tiny, &filter));
+      adds = stashed ? 200 : 4;
+    }
+    for (size_t k = 0; k < adds; ++k) {
+      if (stashed &&
+          static_cast<const CuckooAdapter*>(filter.get())->impl().HasVictim()) {
+        break;  // the stash is used
+      }
+      filter->Add(EdgeKey(id, k));
+    }
+    CheckOk(catalog.AddSet("set-" + std::to_string(id), std::move(filter)));
+  }
+  return catalog;
+}
+
+/// Runs `keys` through `index` in frames of `frame_keys` keys (one empty
+/// frame for 0): the rows, both bitmap adapters and, for one key,
+/// WhichSets must equal BruteForce over `reference`'s live sets, with
+/// padding bits and dropped ids clear.
+void ExpectRowsMatchBruteForce(const MultiSetIndex& index,
+                               const SetCatalog& reference,
+                               const std::vector<std::string>& keys,
+                               size_t frame_keys) {
+  std::vector<std::vector<std::string>> frames;
+  if (frame_keys == 0) frames.emplace_back();
+  for (size_t begin = 0; frame_keys != 0 && begin < keys.size();
+       begin += frame_keys) {
+    frames.emplace_back(keys.begin() + begin,
+                        keys.begin() + std::min(begin + frame_keys,
+                                                keys.size()));
+  }
+  SetIdRows rows;
+  std::vector<SetIdBitmap> bitmaps;
+  std::vector<SetIdBitmap> view_bitmaps(3);  // the adapter must resize it
+  for (const std::vector<std::string>& frame : frames) {
+    const std::vector<std::string_view> views(frame.begin(), frame.end());
+    index.WhichSetsBatch(views, &rows);
+    index.WhichSetsBatch(frame, &bitmaps);
+    index.WhichSetsBatch(views, &view_bitmaps);
+    ASSERT_EQ(rows.rows(), frame.size());
+    ASSERT_EQ(rows.universe(), index.id_bound());
+    ASSERT_EQ(bitmaps.size(), frame.size());
+    ASSERT_EQ(view_bitmaps.size(), frame.size());
+    for (size_t i = 0; i < frame.size(); ++i) {
+      SCOPED_TRACE(frame[i]);
+      const SetIdBitmap want = BruteForce(reference, frame[i]);
+      ASSERT_EQ(rows.RowWords(i).size(), (index.id_bound() + 63) / 64);
+      std::vector<uint32_t> ids;
+      rows.ForEachId(i, [&](uint32_t id) { ids.push_back(id); });
+      ASSERT_EQ(ids, want.ToIds()) << "a padding or dropped bit is set";
+      ASSERT_EQ(rows.Count(i), want.Count());
+      for (uint32_t id = 0; id < index.id_bound() + 64; ++id) {
+        ASSERT_EQ(rows.Test(i, id), want.Test(id)) << "id " << id;
+      }
+      SetIdBitmap copied;
+      copied.AssignRow(rows, i);
+      ASSERT_EQ(copied, want);
+      ASSERT_EQ(bitmaps[i], want);
+      ASSERT_EQ(view_bitmaps[i], want);
+      if (frame.size() == 1) {
+        SetIdBitmap single;
+        index.WhichSets(frame[i], &single);
+        ASSERT_EQ(single, want);
+      }
+    }
+  }
+}
+
+TEST(MultiSetIndexTest, AnswerRowsAtWordEdgesMatchBruteForce) {
+  for (size_t bound : {1, 63, 64, 65, 129}) {
+    SCOPED_TRACE("id_bound " + std::to_string(bound));
+    SetCatalog catalog = MakeEdgeCatalog(bound);
+    SetCatalog reference = MakeEdgeCatalog(bound);
+    std::unique_ptr<MultiSetIndex> index;
+    ASSERT_TRUE(MultiSetIndex::Build(&catalog, {}, &index).ok());
+    ASSERT_EQ(index->id_bound(), bound);
+    const MultiSetIndex::Stats stats = index->stats();
+    if (bound >= 5) {
+      ASSERT_TRUE(static_cast<const CuckooAdapter*>(
+                      reference.FindById(bound - 1)->filter.get())
+                      ->impl()
+                      .HasVictim());
+      EXPECT_EQ(stats.slices, 2u);
+      EXPECT_EQ(stats.cuckoo_slices, 1u);
+      EXPECT_EQ(stats.scan_sets, 1u);
+      // One probe per key each for the SetSlice, the CuckooSlice, its
+      // exception lane and the scan set.
+      SetIdRows rows;
+      index->WhichSetsBatch(std::vector<std::string>{"probe"}, &rows);
+      EXPECT_EQ(index->stats().probes - stats.probes, 4u);
+    } else {
+      EXPECT_EQ(stats.scan_sets, 1u) << "a one-set catalog scans";
+    }
+
+    // Each set's 20 candidate keys (members, or absent from the 4-key
+    // cuckoo set past its fourth), the stashed set's 200 (its victim is
+    // one of them), and absent keys.
+    std::vector<std::string> keys;
+    for (size_t id = 0; id < bound; ++id) {
+      const size_t candidates = bound >= 5 && id + 1 == bound ? 200 : 20;
+      for (size_t k = 0; k < candidates; ++k) keys.push_back(EdgeKey(id, k));
+    }
+    for (int i = 0; i < 40; ++i) keys.push_back("absent-" + std::to_string(i));
+    for (size_t frame_keys : {0, 1, 33}) {
+      SCOPED_TRACE(std::to_string(frame_keys) + "-key frames");
+      ExpectRowsMatchBruteForce(*index, reference, keys, frame_keys);
+    }
+
+    // Dropping a set leaves id_bound above the live sets; its bit must
+    // stay clear. Id 63 is a word's top bit: the stashed cuckoo lane at
+    // bounds 63 and 64, the other cuckoo lane at 65 and a SetSlice slot at
+    // 129.
+    const auto dropped = static_cast<uint32_t>(std::min<size_t>(63, bound - 1));
+    const std::string name = "set-" + std::to_string(dropped);
+    ASSERT_TRUE(index->RemoveSet(dropped).ok());
+    ASSERT_TRUE(catalog.DropSet(name).ok());
+    ASSERT_TRUE(reference.DropSet(name).ok());
+    index->PrepareForConstReads();
+    EXPECT_EQ(index->id_bound(), bound);
+    for (size_t frame_keys : {0, 1, 33}) {
+      SCOPED_TRACE("after the drop, " + std::to_string(frame_keys) +
+                   "-key frames");
+      ExpectRowsMatchBruteForce(*index, reference, keys, frame_keys);
+    }
+  }
 }
 
 TEST(MultiSetIndexTest, BuildRejectsAnEmptyCatalog) {

@@ -7,6 +7,7 @@
 #include "server/server.h"
 
 #include <gtest/gtest.h>
+#include <sys/resource.h>
 
 #include <algorithm>
 #include <atomic>
@@ -556,6 +557,108 @@ TEST(MultisetServerTest, WhichSetsBitIdenticalToLocalBruteForce) {
   EXPECT_GT(info.summary_memory_bytes, 0u);
   EXPECT_EQ(info.sets[0].name, "s0");
   EXPECT_EQ(info.sets[0].elements, 60u);
+}
+
+/// Sends HELLO then `frame` on a fresh connection and returns the response
+/// body (status byte and payload); empty if the server closed instead.
+std::string ExchangeRaw(uint16_t port, const std::string& frame) {
+  Status status;
+  const int fd = net::ConnectTcp("127.0.0.1", port, &status);
+  EXPECT_GE(fd, 0) << status.ToString();
+  if (fd < 0) return "";
+  std::string response;
+  const std::string hello = wire::BuildHello();
+  if (!net::SendAll(fd, hello.data(), hello.size()) ||
+      net::ReadFrame(fd, wire::kMaxFrameBytes, &response) !=
+          net::FrameRead::kOk ||
+      !net::SendAll(fd, frame.data(), frame.size()) ||
+      net::ReadFrame(fd, wire::kMaxFrameBytes, &response) !=
+          net::FrameRead::kOk) {
+    response.clear();
+  }
+  net::CloseFd(fd);
+  return response;
+}
+
+TEST(MultisetServerTest, WhichSetsBytesEqualInProcessRowsPastOneWord) {
+  // 70 sets, so each answer row spans two words: the cuckoo sets reach id
+  // 63, a word's top bit, and shbf_m sets hold ids 64-69.
+  ShbfServer server;
+  ASSERT_TRUE(server.ServeCatalog(BuildTestCatalog(70, 20)).ok());
+  ASSERT_TRUE(server.Start().ok());
+  SetCatalog local = BuildTestCatalog(70, 20);
+  std::unique_ptr<MultiSetIndex> index;
+  ASSERT_TRUE(MultiSetIndex::Build(&local, {}, &index).ok());
+  ASSERT_EQ(index->id_bound(), 70u);
+
+  std::vector<std::string> keys;
+  for (size_t i = 0; i < 70; ++i) {
+    keys.push_back("s" + std::to_string(i) + "-k" + std::to_string(i % 20));
+  }
+  for (int i = 0; i < 100; ++i) keys.push_back("absent-" + std::to_string(i));
+  SetIdRows rows;
+  index->WhichSetsBatch(keys, &rows);
+  ASSERT_TRUE(rows.Test(63, 63) && rows.Test(64, 64) && rows.Test(69, 69));
+  ByteWriter answer;
+  answer.PutU64(rows.rows());
+  for (size_t i = 0; i < rows.rows(); ++i) {
+    answer.PutU32(static_cast<uint32_t>(rows.Count(i)));
+    rows.ForEachId(i, [&](uint32_t id) { answer.PutU32(id); });
+  }
+  EXPECT_EQ(ExchangeRaw(server.port(), wire::BuildWhichSets(keys)),
+            wire::BuildOk(answer.Take()).substr(4));
+  server.Stop();
+}
+
+TEST(MultisetServerTest, WhichSetsAnswerBudgetRefusesBeforeAllocating) {
+  // A catalog whose next_id is forged to the 2^20 id limit, which
+  // Deserialize accepts, makes each answer row 2^14 words (128 KiB). 4096
+  // keys would need 512 MiB of rows, over the 256 MiB per-frame budget:
+  // TOO_LARGE, before any row is allocated. 16 keys (2 MiB) answer OK.
+  std::string blob = BuildTestCatalog(4, 20).Serialize();
+  constexpr uint32_t kBound = uint32_t{1} << 20;
+  for (int b = 0; b < 4; ++b) {  // the u32 after the magic and the version
+    blob[5 + b] = static_cast<char>((kBound >> (8 * b)) & 0xff);
+  }
+  SetCatalog catalog;
+  ASSERT_TRUE(
+      SetCatalog::Deserialize(blob, FilterRegistry::Global(), &catalog).ok());
+  ASSERT_EQ(catalog.id_bound(), kBound);
+  ShbfServer server;
+  ASSERT_TRUE(server.ServeCatalog(std::move(catalog)).ok());
+  ASSERT_TRUE(server.Start().ok());
+
+  std::vector<std::string> keys;
+  for (int i = 0; i < 4096; ++i) {
+    keys.push_back("s" + std::to_string(i % 4) + "-k" +
+                   std::to_string(i % 20));
+  }
+  rusage before{};
+  ASSERT_EQ(getrusage(RUSAGE_SELF, &before), 0);
+  ShbfClient client;
+  ASSERT_TRUE(client.Connect("127.0.0.1", server.port()).ok());
+  std::vector<std::vector<uint32_t>> which;
+  EXPECT_EQ(client.WhichSets(keys, &which).code(), Status::Code::kOutOfRange);
+  rusage after{};
+  ASSERT_EQ(getrusage(RUSAGE_SELF, &after), 0);
+  // ru_maxrss is in KiB. Zero-filled rows would raise the peak by about
+  // 512 MiB.
+  EXPECT_LT(after.ru_maxrss - before.ru_maxrss, 128 * 1024)
+      << "the refused frame's rows were allocated";
+
+  // TOO_LARGE closes its connection; the server keeps serving.
+  ShbfClient again;
+  ASSERT_TRUE(again.Connect("127.0.0.1", server.port()).ok());
+  keys.resize(16);
+  ASSERT_TRUE(again.WhichSets(keys, &which).ok());
+  ASSERT_EQ(which.size(), keys.size());
+  for (size_t i = 0; i < keys.size(); ++i) {
+    const auto set = static_cast<uint32_t>(i % 4);
+    EXPECT_NE(std::find(which[i].begin(), which[i].end(), set),
+              which[i].end())
+        << keys[i];
+  }
+  server.Stop();
 }
 
 TEST(MultisetServerTest, IndexAddAndDropMaintainTheIndexIncrementally) {

@@ -541,15 +541,15 @@ int MultisetQuery(const std::string& catalog_path,
     std::fprintf(stderr, "error: %s\n", s.ToString().c_str());
     return 1;
   }
-  std::vector<SetIdBitmap> answers;
+  SetIdRows answers;
   index->WhichSetsBatch(keys, &answers);
   size_t hits = 0;
   for (size_t i = 0; i < keys.size(); ++i) {
     std::string names;
-    for (uint32_t id : answers[i].ToIds()) {
+    answers.ForEachId(i, [&](uint32_t id) {
       if (!names.empty()) names += ',';
       names += catalog.FindById(id)->name;
-    }
+    });
     hits += names.empty() ? 0 : 1;
     std::printf("%s\t%s\n", keys[i].c_str(),
                 names.empty() ? "-" : names.c_str());
