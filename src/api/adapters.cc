@@ -128,9 +128,9 @@ using serde::WriteKeyList;
 // ------------------------------------------------------------------------
 
 /// bloom, shbf_m and the two split-block filters: bit arrays the batch
-/// engine probes natively (`kKind` names the wrapped type to it), whose Add
-/// only sets bits, so a same-geometry sibling merges in by OR.
-template <typename Impl, BatchFastPath::Kind kKind>
+/// engine probes natively, whose Add only sets bits, so a same-geometry
+/// sibling merges in by OR.
+template <typename Impl>
 class ProbeAdapter : public AdapterCore<MembershipFilter, Impl> {
   using Core = AdapterCore<MembershipFilter, Impl>;
   using Core::adds_;
@@ -150,7 +150,7 @@ class ProbeAdapter : public AdapterCore<MembershipFilter, Impl> {
                          QueryStats* stats) const override {
     return impl_.ContainsWithStats(key, stats);
   }
-  BatchFastPath batch_fast_path() const override { return {kKind, &impl_}; }
+  BatchFastPath batch_fast_path() const override { return &impl_; }
   uint32_t capabilities() const override {
     return kIncrementalAdd | kMergeable;
   }
@@ -170,12 +170,10 @@ class ProbeAdapter : public AdapterCore<MembershipFilter, Impl> {
   }
 };
 
-using BloomAdapter = ProbeAdapter<BloomFilter, BatchFastPath::Kind::kBloom>;
-using ShbfMAdapter = ProbeAdapter<ShbfM, BatchFastPath::Kind::kShbfM>;
-using SplitBlockBloomAdapter =
-    ProbeAdapter<SplitBlockBloomFilter, BatchFastPath::Kind::kSplitBlockBloom>;
-using SplitBlockShbfMAdapter =
-    ProbeAdapter<SplitBlockShbfM, BatchFastPath::Kind::kSplitBlockShbfM>;
+using BloomAdapter = ProbeAdapter<BloomFilter>;
+using ShbfMAdapter = ProbeAdapter<ShbfM>;
+using SplitBlockBloomAdapter = ProbeAdapter<SplitBlockBloomFilter>;
+using SplitBlockShbfMAdapter = ProbeAdapter<SplitBlockShbfM>;
 
 /// km_bloom, one_mem_bf, shbf_g: bit arrays the engine answers per key.
 template <typename Impl>
@@ -404,7 +402,7 @@ class ShbfXLazyAdapter : public MultiplicityFilter {
   }
   BatchFastPath batch_fast_path() const override {
     EnsureBuilt();  // the engine resolves against the finished build
-    return {BatchFastPath::Kind::kShbfX, &impl_};
+    return &impl_;
   }
   void PrepareForConstReads() override { EnsureBuilt(); }
   Status Remove(std::string_view key) override {
@@ -497,7 +495,7 @@ class ShbfALazyAdapter : public AssociationFilter {
   }
   BatchFastPath batch_fast_path() const override {
     EnsureBuilt();  // the engine resolves against the finished build
-    return {BatchFastPath::Kind::kShbfA, &impl_};
+    return &impl_;
   }
   void PrepareForConstReads() override { EnsureBuilt(); }
   Status Remove(std::string_view key) override {

@@ -44,7 +44,7 @@ class CuckooAdapter final : public MembershipFilter {
   // offered only while the side table holds nothing the engine would miss.
   BatchFastPath batch_fast_path() const override {
     if (!overfull_.empty()) return {};
-    return {BatchFastPath::Kind::kCuckoo, &impl_};
+    return &impl_;
   }
   Status Remove(std::string_view key) override;
   uint32_t capabilities() const override { return kIncrementalAdd | kRemove; }

@@ -22,6 +22,7 @@
 #include <cstdint>
 #include <string>
 #include <string_view>
+#include <variant>
 #include <vector>
 
 #include "core/query_stats.h"
@@ -30,29 +31,26 @@
 
 namespace shbf {
 
-/// Tagged, type-erased pointer to a wrapped concrete filter for which the
-/// batch engine (src/engine/batch_query_engine.h) has a specialized
-/// non-virtual path: hash pre-compute, software prefetch, two-pass resolve.
+class BloomFilter;
+class CuckooFilter;
+class ShbfA;
+class ShbfM;
+class ShbfX;
+class SplitBlockBloomFilter;
+class SplitBlockShbfM;
+
+/// The wrapped concrete filter for which the batch engine
+/// (src/engine/batch_query_engine.h) has a specialized non-virtual path:
+/// hash pre-compute, software prefetch, two-pass resolve.
 ///
-/// Adapters whose wrapped class exposes the Probe protocol (ShbfM, Bloom-
-/// Filter, ShbfX, ShbfA, CuckooFilter, ...) return their concrete impl here;
-/// everything else returns the default `kNone` and the engine falls back to
-/// the virtual per-key interface. `impl` points at an instance of the class
-/// named by `kind` and is only valid while the owning filter is alive.
-struct BatchFastPath {
-  enum class Kind : uint8_t {
-    kNone = 0,   ///< no specialized path; use the virtual interface
-    kShbfM = 1,  ///< `impl` is a `const ShbfM*`
-    kBloom = 2,  ///< `impl` is a `const BloomFilter*`
-    kShbfX = 3,  ///< `impl` is a `const ShbfX*`
-    kShbfA = 4,  ///< `impl` is a `const ShbfA*`
-    kSplitBlockBloom = 7,  ///< `impl` is a `const SplitBlockBloomFilter*`
-    kSplitBlockShbfM = 8,  ///< `impl` is a `const SplitBlockShbfM*`
-    kCuckoo = 9,           ///< `impl` is a `const CuckooFilter*`
-  };
-  Kind kind = Kind::kNone;
-  const void* impl = nullptr;
-};
+/// Adapters whose wrapped class exposes the Probe protocol return a pointer
+/// to it; everything else returns monostate and the engine falls back to
+/// the virtual per-key interface. The pointer is only valid while the
+/// owning filter is alive.
+using BatchFastPath =
+    std::variant<std::monostate, const ShbfM*, const BloomFilter*,
+                 const ShbfX*, const ShbfA*, const SplitBlockBloomFilter*,
+                 const SplitBlockShbfM*, const CuckooFilter*>;
 
 /// Capability bits a MembershipFilter advertises through capabilities().
 /// The registry surfaces the same bits statically per entry
@@ -185,7 +183,7 @@ class MembershipFilter : public SetQueryFilter {
   virtual void PrepareForConstReads() {}
 
   /// Escape hatch for the batch engine: adapters wrapping a concrete class
-  /// with a Probe protocol return a tagged pointer to it. Called once per
+  /// with a Probe protocol return a typed pointer to it. Called once per
   /// batch (not per key), so lazily-built adapters use it to force a rebuild
   /// before handing out the pointer. Default: no fast path.
   virtual BatchFastPath batch_fast_path() const { return {}; }

@@ -87,8 +87,9 @@ bool AutoScalingFilter::Contains(std::string_view key) const {
   return false;
 }
 
-void AutoScalingFilter::ContainsBatch(const std::vector<std::string>& keys,
-                                      std::vector<uint8_t>* results) const {
+template <typename Keys>
+void AutoScalingFilter::ContainsBatchAnyKeys(
+    const Keys& keys, std::vector<uint8_t>* results) const {
   // Through the engine, so each generation keeps its prefetching path.
   const BatchQueryEngine engine;
   engine.ContainsBatch(*generations_.back().filter, keys, results);
@@ -99,6 +100,17 @@ void AutoScalingFilter::ContainsBatch(const std::vector<std::string>& keys,
       (*results)[i] |= partial[i];
     }
   }
+}
+
+void AutoScalingFilter::ContainsBatch(const std::vector<std::string>& keys,
+                                      std::vector<uint8_t>* results) const {
+  ContainsBatchAnyKeys(keys, results);
+}
+
+void AutoScalingFilter::ContainsBatch(
+    const std::vector<std::string_view>& keys,
+    std::vector<uint8_t>* results) const {
+  ContainsBatchAnyKeys(keys, results);
 }
 
 Status AutoScalingFilter::Remove(std::string_view key) {

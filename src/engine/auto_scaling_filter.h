@@ -65,6 +65,8 @@ class AutoScalingFilter : public MembershipFilter {
   bool Contains(std::string_view key) const override;
   void ContainsBatch(const std::vector<std::string>& keys,
                      std::vector<uint8_t>* results) const override;
+  void ContainsBatch(const std::vector<std::string_view>& keys,
+                     std::vector<uint8_t>* results) const override;
 
   /// Removes from the first generation (newest first) that Contains `key`.
   /// Requires the base scheme to advertise kRemove.
@@ -112,6 +114,11 @@ class AutoScalingFilter : public MembershipFilter {
                             std::unique_ptr<MembershipFilter>* out);
 
  private:
+  /// Both ContainsBatch forms: the OR of every generation's engine batch.
+  template <typename Keys>
+  void ContainsBatchAnyKeys(const Keys& keys,
+                            std::vector<uint8_t>* results) const;
+
   struct Generation {
     std::unique_ptr<MembershipFilter> filter;
     size_t adds = 0;

@@ -1,6 +1,8 @@
 #include "engine/batch_query_engine.h"
 
 #include <algorithm>
+#include <type_traits>
+#include <variant>
 
 #include "baselines/bloom_filter.h"
 #include "baselines/cuckoo_filter.h"
@@ -85,37 +87,6 @@ void SplitBlockContains(const Impl& impl, const Keys& keys, size_t batch_size,
   }
 }
 
-// The probe protocol bounds k; a spec-built filter can exceed the bound, in
-// which case the engine must decline the fast path rather than trip the
-// implementation's CHECK.
-bool FastPathSupported(BatchFastPath::Kind kind, const void* impl) {
-  switch (kind) {
-    case BatchFastPath::Kind::kShbfM:
-      return static_cast<const ShbfM*>(impl)->num_hashes() / 2 <=
-             ShbfM::kMaxBatchPairs;
-    case BatchFastPath::Kind::kBloom:
-      return static_cast<const BloomFilter*>(impl)->num_hashes() <=
-             BloomFilter::kMaxBatchHashes;
-    case BatchFastPath::Kind::kShbfX:
-      return static_cast<const ShbfX*>(impl)->num_hashes() <=
-             ShbfX::kMaxBatchHashes;
-    case BatchFastPath::Kind::kShbfA:
-      return static_cast<const ShbfA*>(impl)->num_hashes() <=
-             ShbfA::kMaxBatchHashes;
-    case BatchFastPath::Kind::kCuckoo:  // three hashes, whatever the geometry
-      return true;
-    case BatchFastPath::Kind::kSplitBlockBloom:
-      return static_cast<const SplitBlockBloomFilter*>(impl)->num_hashes() <=
-             SplitBlockBloomFilter::kMaxBatchHashes;
-    case BatchFastPath::Kind::kSplitBlockShbfM:
-      return static_cast<const SplitBlockShbfM*>(impl)->num_pairs() <=
-             SplitBlockShbfM::kMaxBatchPairs;
-    case BatchFastPath::Kind::kNone:
-      return false;
-  }
-  return false;
-}
-
 // Handles into the process-global registry, resolved once. The fastpath /
 // virtual split is the number ops people tune first: a filter that silently
 // fell off its fast path (unsupported k, wrong impl) shows up here as
@@ -151,22 +122,26 @@ inline bool RecordBatchEntry(size_t num_keys) {
   return true;
 }
 
-// shbf_m, bloom and cuckoo: the kinds whose probe a multiset slice can
-// share, and whose whole answer is the plain two-pass loop. Calls fn(impl)
-// on the concrete filter and returns what fn returns; false for any other
-// kind or an unsupported fast path.
-template <typename Fn>
-bool VisitShareable(const BatchFastPath& fp, Fn&& fn) {
-  if (!FastPathSupported(fp.kind, fp.impl)) return false;
-  switch (fp.kind) {
-    case BatchFastPath::Kind::kShbfM:
-      return fn(*static_cast<const ShbfM*>(fp.impl));
-    case BatchFastPath::Kind::kBloom:
-      return fn(*static_cast<const BloomFilter*>(fp.impl));
-    case BatchFastPath::Kind::kCuckoo:
-      return fn(*static_cast<const CuckooFilter*>(fp.impl));
-    default:
-      return false;
+// A resolved probe as a membership answer: ShbfX's multiplicity view is
+// count > 0 and ShbfA's association view any outcome but kNotFound, the
+// same answers their adapters' Contains derive.
+bool IsMember(bool hit) { return hit; }
+bool IsMember(uint32_t count) { return count > 0; }
+bool IsMember(AssociationOutcome outcome) {
+  return outcome != AssociationOutcome::kNotFound;
+}
+
+// Runs `impl`'s probe protocol over the whole batch.
+template <typename Impl, typename Keys>
+void FastContains(const Impl& impl, const Keys& keys, size_t batch_size,
+                  std::vector<uint8_t>* results) {
+  if constexpr (std::is_same_v<Impl, SplitBlockBloomFilter> ||
+                std::is_same_v<Impl, SplitBlockShbfM>) {
+    SplitBlockContains(impl, keys, batch_size, results);
+  } else {
+    TwoPassLoop(impl, keys, batch_size, [&](size_t i, const auto& probe) {
+      (*results)[i] = IsMember(impl.ResolveProbe(probe)) ? 1 : 0;
+    });
   }
 }
 
@@ -178,68 +153,22 @@ void ContainsBatchImpl(const MembershipFilter& filter, const Keys& keys,
   results->resize(keys.size());
   if (keys.empty()) return;
   const bool record = RecordBatchEntry(keys.size());
-  const BatchFastPath fp = filter.batch_fast_path();
-  if (FastPathSupported(fp.kind, fp.impl)) {
-    if (record) EngineMetrics::Get().fastpath_batches->Increment();
-    switch (fp.kind) {
-      case BatchFastPath::Kind::kShbfM:
-      case BatchFastPath::Kind::kBloom:
-      case BatchFastPath::Kind::kCuckoo:
-        VisitShareable(fp, [&](const auto& impl) {
-          TwoPassLoop(impl, keys, batch_size,
-                      [&](size_t i, const auto& probe) {
-                        (*results)[i] = impl.ResolveProbe(probe) ? 1 : 0;
-                      });
+  const bool fast = std::visit(
+      [&](auto impl) {
+        if constexpr (std::is_same_v<decltype(impl), std::monostate>) {
+          return false;
+        } else {
+          if (!ProbeFits(*impl)) return false;
+          FastContains(*impl, keys, batch_size, results);
           return true;
-        });
-        return;
-      case BatchFastPath::Kind::kShbfX: {
-        // The multiplicity view of membership: count > 0 (same answer the
-        // adapter's Contains derives from QueryCount).
-        const auto* impl = static_cast<const ShbfX*>(fp.impl);
-        TwoPassLoop(*impl, keys, batch_size,
-                    [&](size_t i, const ShbfX::Probe& probe) {
-                      (*results)[i] = impl->ResolveProbe(probe) > 0 ? 1 : 0;
-                    });
-        return;
-      }
-      case BatchFastPath::Kind::kShbfA: {
-        // The association view of membership: any outcome but kNotFound.
-        const auto* impl = static_cast<const ShbfA*>(fp.impl);
-        TwoPassLoop(*impl, keys, batch_size,
-                    [&](size_t i, const ShbfA::Probe& probe) {
-                      (*results)[i] = impl->ResolveProbe(probe) !=
-                                              AssociationOutcome::kNotFound
-                                          ? 1
-                                          : 0;
-                    });
-        return;
-      }
-      case BatchFastPath::Kind::kSplitBlockBloom:
-        SplitBlockContains(
-            *static_cast<const SplitBlockBloomFilter*>(fp.impl), keys,
-            batch_size, results);
-        return;
-      case BatchFastPath::Kind::kSplitBlockShbfM:
-        SplitBlockContains(*static_cast<const SplitBlockShbfM*>(fp.impl),
-                           keys, batch_size, results);
-        return;
-      case BatchFastPath::Kind::kNone:
-        break;
-    }
+        }
+      },
+      filter.batch_fast_path());
+  if (record) {
+    const EngineMetrics& m = EngineMetrics::Get();
+    (fast ? m.fastpath_batches : m.virtual_batches)->Increment();
   }
-  if (record) EngineMetrics::Get().virtual_batches->Increment();
-  filter.ContainsBatch(keys, results);
-}
-
-ProbeGeometry ShareableProbeGeometry(const ShbfM& f) {
-  return {BatchFastPath::Kind::kShbfM, f.hash_algorithm(), f.seed(),
-          {f.num_bits(), f.num_hashes(), f.max_offset_span()}};
-}
-
-ProbeGeometry ShareableProbeGeometry(const BloomFilter& f) {
-  return {BatchFastPath::Kind::kBloom, f.hash_algorithm(), f.seed(),
-          {f.num_bits(), f.num_hashes(), 0}};
+  if (!fast) filter.ContainsBatch(keys, results);
 }
 
 }  // namespace
@@ -265,11 +194,8 @@ void BatchQueryEngine::QueryCountBatch(const MultiplicityFilter& filter,
   counts->resize(keys.size());
   if (keys.empty()) return;
   const bool record = RecordBatchEntry(keys.size());
-  const BatchFastPath fp = filter.batch_fast_path();
-  if (fp.kind == BatchFastPath::Kind::kShbfX &&
-      FastPathSupported(fp.kind, fp.impl)) {
+  if (const ShbfX* impl = FastPathTo<ShbfX>(filter)) {
     if (record) EngineMetrics::Get().fastpath_batches->Increment();
-    const auto* impl = static_cast<const ShbfX*>(fp.impl);
     TwoPassLoop(*impl, keys, batch_size_,
                 [&](size_t i, const ShbfX::Probe& probe) {
                   (*counts)[i] = impl->ResolveProbe(probe);
@@ -288,11 +214,8 @@ void BatchQueryEngine::QueryBatch(
   outcomes->resize(keys.size());
   if (keys.empty()) return;
   const bool record = RecordBatchEntry(keys.size());
-  const BatchFastPath fp = filter.batch_fast_path();
-  if (fp.kind == BatchFastPath::Kind::kShbfA &&
-      FastPathSupported(fp.kind, fp.impl)) {
+  if (const ShbfA* impl = FastPathTo<ShbfA>(filter)) {
     if (record) EngineMetrics::Get().fastpath_batches->Increment();
-    const auto* impl = static_cast<const ShbfA*>(fp.impl);
     TwoPassLoop(*impl, keys, batch_size_,
                 [&](size_t i, const ShbfA::Probe& probe) {
                   (*outcomes)[i] = impl->ResolveProbe(probe);
@@ -311,7 +234,7 @@ void BatchQueryEngine::QueryCountBatch(const ShbfX& filter,
                                        std::vector<uint32_t>* counts) const {
   counts->resize(keys.size());
   if (keys.empty()) return;
-  if (filter.num_hashes() > ShbfX::kMaxBatchHashes) {
+  if (!ProbeFits(filter)) {
     for (size_t i = 0; i < keys.size(); ++i) {
       (*counts)[i] = filter.QueryCount(keys[i], policy);
     }
@@ -321,21 +244,6 @@ void BatchQueryEngine::QueryCountBatch(const ShbfX& filter,
               [&](size_t i, const ShbfX::Probe& probe) {
                 (*counts)[i] = filter.ResolveProbe(probe, policy);
               });
-}
-
-std::optional<ProbeGeometry> ShareableProbeGeometry(
-    const MembershipFilter& filter) {
-  std::optional<ProbeGeometry> geometry;
-  VisitShareable(filter.batch_fast_path(), [&](const auto& impl) {
-    geometry = ShareableProbeGeometry(impl);
-    return true;
-  });
-  return geometry;
-}
-
-ProbeGeometry ShareableProbeGeometry(const CuckooFilter& f) {
-  return {BatchFastPath::Kind::kCuckoo, f.hash_algorithm(), f.seed(),
-          {f.num_buckets(), f.fingerprint_bits(), f.bucket_size()}};
 }
 
 }  // namespace shbf

@@ -32,22 +32,18 @@
 #ifndef SHBF_ENGINE_BATCH_QUERY_ENGINE_H_
 #define SHBF_ENGINE_BATCH_QUERY_ENGINE_H_
 
-#include <compare>
 #include <cstddef>
 #include <cstdint>
-#include <optional>
 #include <string>
 #include <string_view>
+#include <type_traits>
 #include <vector>
 
 #include "api/set_query_filter.h"
 #include "core/set_query_types.h"
-#include "hash/hash_family.h"
 #include "shbf/shbf_multiplicity.h"
 
 namespace shbf {
-
-class CuckooFilter;
 
 /// Tuning knobs for BatchQueryEngine (FilterSpec::batch_size feeds this).
 struct BatchOptions {
@@ -109,26 +105,31 @@ class BatchQueryEngine {
   size_t batch_size_;
 };
 
-/// Everything a probe depends on besides the key: two filters with equal
-/// geometries prepare bit-identical probes for every key. A cuckoo
-/// geometry also carries the bucket size, so equal geometries lay their
-/// buckets out alike. The multiset index groups the sets it slices by it.
-struct ProbeGeometry {
-  BatchFastPath::Kind kind;
-  HashAlgorithm algorithm;
-  uint64_t seed;
-  uint64_t shape[3];
+/// True iff `impl`'s probe protocol holds its k: each class sizes its
+/// Probe for at most kMaxBatchPairs pairs or kMaxBatchHashes hashes, and a
+/// cuckoo probe is three hashes whatever the geometry. A spec-built filter
+/// can exceed the bound; the engine then declines the fast path rather than
+/// trip the implementation's CHECK.
+template <typename Impl>
+bool ProbeFits(const Impl& impl) {
+  if constexpr (requires { Impl::kMaxBatchPairs; }) {
+    return impl.num_pairs() <= Impl::kMaxBatchPairs;
+  } else if constexpr (requires { Impl::kMaxBatchHashes; }) {
+    return impl.num_hashes() <= Impl::kMaxBatchHashes;
+  } else {
+    static_assert(std::is_same_v<Impl, CuckooFilter>);
+    return true;
+  }
+}
 
-  auto operator<=>(const ProbeGeometry&) const = default;
-};
-
-/// The geometry of `filter`'s probe if a multiset slice can share it
-/// (shbf_m, bloom and cuckoo on a supported fast path), nullopt otherwise.
-std::optional<ProbeGeometry> ShareableProbeGeometry(
-    const MembershipFilter& filter);
-
-/// A cuckoo filter's geometry, whatever its adapter's side table holds.
-ProbeGeometry ShareableProbeGeometry(const CuckooFilter& filter);
+/// The `Impl` behind `filter`'s fast path if the engine runs its probe
+/// protocol, null otherwise.
+template <typename Impl>
+const Impl* FastPathTo(const MembershipFilter& filter) {
+  const BatchFastPath fast_path = filter.batch_fast_path();
+  const Impl* const* impl = std::get_if<const Impl*>(&fast_path);
+  return impl != nullptr && ProbeFits(**impl) ? *impl : nullptr;
+}
 
 }  // namespace shbf
 

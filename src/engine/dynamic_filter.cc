@@ -101,14 +101,25 @@ bool DynamicFilter::Contains(std::string_view key) const {
   return (delta_in_use() && delta_.Contains(key)) || active_->Contains(key);
 }
 
-void DynamicFilter::ContainsBatch(const std::vector<std::string>& keys,
-                                  std::vector<uint8_t>* results) const {
+template <typename Keys>
+void DynamicFilter::ContainsBatchAnyKeys(const Keys& keys,
+                                         std::vector<uint8_t>* results) const {
   // Through the engine, so the active filter keeps its prefetching path.
   BatchQueryEngine().ContainsBatch(*active_, keys, results);
   if (!delta_in_use()) return;
   for (size_t i = 0; i < keys.size(); ++i) {
     if (!(*results)[i] && delta_.Contains(keys[i])) (*results)[i] = 1;
   }
+}
+
+void DynamicFilter::ContainsBatch(const std::vector<std::string>& keys,
+                                  std::vector<uint8_t>* results) const {
+  ContainsBatchAnyKeys(keys, results);
+}
+
+void DynamicFilter::ContainsBatch(const std::vector<std::string_view>& keys,
+                                  std::vector<uint8_t>* results) const {
+  ContainsBatchAnyKeys(keys, results);
 }
 
 size_t DynamicFilter::num_elements() const {

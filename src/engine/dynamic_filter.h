@@ -87,6 +87,8 @@ class DynamicFilter : public MembershipFilter {
 
   void ContainsBatch(const std::vector<std::string>& keys,
                      std::vector<uint8_t>* results) const override;
+  void ContainsBatch(const std::vector<std::string_view>& keys,
+                     std::vector<uint8_t>* results) const override;
 
   /// The active filter's fast path is only the whole answer when the delta
   /// holds no bits at all (cancelled pending adds leave residual bits until
@@ -141,6 +143,12 @@ class DynamicFilter : public MembershipFilter {
                             std::unique_ptr<MembershipFilter>* out);
 
  private:
+  /// Both ContainsBatch forms: the active filter through the engine, then
+  /// the delta for the keys it does not hold.
+  template <typename Keys>
+  void ContainsBatchAnyKeys(const Keys& keys,
+                            std::vector<uint8_t>* results) const;
+
   void Fold();
   void MaybeFold() {
     // Cancelled adds spend delta bits too, so they consume epoch budget.

@@ -5,8 +5,6 @@
 #include <cstring>
 #include <utility>
 
-#include "engine/batch_query_engine.h"
-
 namespace shbf {
 namespace {
 
@@ -25,6 +23,11 @@ uint64_t LoadWord(const uint8_t* bytes) {
 }
 
 }  // namespace
+
+CuckooSlice::Geometry CuckooSlice::Geometry::Of(const CuckooFilter& filter) {
+  return {filter.hash_algorithm(), filter.seed(), filter.num_buckets(),
+          filter.fingerprint_bits(), filter.bucket_size()};
+}
 
 bool CuckooSlice::Sliceable(const CuckooFilter& filter) {
   const size_t bucket_bits =
@@ -57,8 +60,7 @@ Status CuckooSlice::Build(const std::vector<Member>& members,
   const CuckooFilter& first = members.front().adapter->impl();
   for (const Member& member : members) {
     const CuckooFilter& filter = member.adapter->impl();
-    if (!Sliceable(filter) ||
-        ShareableProbeGeometry(filter) != ShareableProbeGeometry(first)) {
+    if (!Sliceable(filter) || Geometry::Of(filter) != Geometry::Of(first)) {
       return Status::FailedPrecondition(
           "CuckooSlice: the sets are not standalone filters of one "
           "sliceable geometry");

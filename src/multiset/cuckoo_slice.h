@@ -32,6 +32,7 @@
 #ifndef SHBF_MULTISET_CUCKOO_SLICE_H_
 #define SHBF_MULTISET_CUCKOO_SLICE_H_
 
+#include <compare>
 #include <cstddef>
 #include <cstdint>
 #include <memory>
@@ -54,12 +55,26 @@ class CuckooSlice {
     CuckooAdapter* adapter = nullptr;  ///< the catalog's; must outlive use
   };
 
+  /// What the lanes of one slice share: filters of equal geometry compute
+  /// the same two buckets and fingerprint for every key, and lay their
+  /// buckets out alike. MultiSetIndex groups cuckoo sets by it.
+  struct Geometry {
+    HashAlgorithm algorithm;
+    uint64_t seed;
+    size_t num_buckets;
+    uint32_t fingerprint_bits;
+    uint32_t bucket_size;
+
+    static Geometry Of(const CuckooFilter& filter);
+    auto operator<=>(const Geometry&) const = default;
+  };
+
   /// True iff `filter` can join a slice: it is standalone (lane 0 of 1)
   /// and its bucket, b·f bits, is a whole number of bytes, at most 7.
   static bool Sliceable(const CuckooFilter& filter);
 
-  /// Moves `members` (two or more Sliceable filters of one
-  /// ShareableProbeGeometry) into a new slice, member i in lane i.
+  /// Moves `members` (two or more Sliceable filters of one Geometry) into
+  /// a new slice, member i in lane i.
   static Status Build(const std::vector<Member>& members,
                       std::unique_ptr<CuckooSlice>* slice);
 

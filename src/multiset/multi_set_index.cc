@@ -29,13 +29,14 @@ Status MultiSetIndex::Build(SetCatalog* catalog,
 Status MultiSetIndex::SliceCatalog(SetCatalog* catalog) {
   struct Group {
     const FilterRegistry::Entry* entry = nullptr;
-    storage::ImageGeometry geometry;  ///< the first member's
     std::vector<SetSlice::Member> members;
   };
-  // Keyed by registry name and probe geometry. Entries() is id-ordered, so
-  // slots follow ids within a slice.
-  std::map<std::pair<std::string, ProbeGeometry>, Group> groups;
-  std::map<ProbeGeometry, std::vector<CuckooSlice::Member>> cuckoo_groups;
+  // Keyed by registry name and image geometry (num_elements cleared): one
+  // size and one hash family per slice. Entries() is id-ordered, so slots
+  // follow ids within a slice.
+  std::map<std::pair<std::string, storage::ImageGeometry>, Group> groups;
+  std::map<CuckooSlice::Geometry, std::vector<CuckooSlice::Member>>
+      cuckoo_groups;
   const FilterRegistry& registry = FilterRegistry::Global();
   for (const SetCatalog::SetEntry* entry : catalog->Entries()) {
     MembershipFilter* filter = catalog->MutableFilter(entry->id);
@@ -45,21 +46,16 @@ Status MultiSetIndex::SliceCatalog(SetCatalog* catalog) {
     // side table holds keys has no fast path but slices all the same.
     if (auto* cuckoo = dynamic_cast<CuckooAdapter*>(filter)) {
       if (CuckooSlice::Sliceable(cuckoo->impl())) {
-        cuckoo_groups[ShareableProbeGeometry(cuckoo->impl())].push_back(
+        cuckoo_groups[CuckooSlice::Geometry::Of(cuckoo->impl())].push_back(
             {entry->id, cuckoo});
       }
       continue;
     }
-    const auto geometry = ShareableProbeGeometry(*filter);
-    if (!geometry.has_value() ||
-        (geometry->kind != BatchFastPath::Kind::kShbfM &&
-         geometry->kind != BatchFastPath::Kind::kBloom)) {
-      continue;
-    }
-    // A shared probe geometry is not enough: dynamic/shbf_m forwards its
-    // active filter's fast path but keeps a delta beside it. Only an
-    // unwrapped adapter, which its entry's mapped saver accepts, has one
-    // flat row that is the whole set.
+    if (!SetSlice::Sliceable(*filter)) continue;
+    // A sliceable probe is not enough: dynamic/shbf_m forwards its active
+    // filter's fast path but keeps a delta beside it. Only an unwrapped
+    // adapter, which its entry's mapped saver accepts, has one flat row
+    // that is the whole set.
     const FilterRegistry::Entry* registered = registry.Find(filter->name());
     if (registered == nullptr || registered->mapped_saver == nullptr) {
       continue;
@@ -70,11 +66,9 @@ Status MultiSetIndex::SliceCatalog(SetCatalog* catalog) {
         payloads.size() != 1) {
       continue;
     }
-    Group& group = groups[{registered->name, *geometry}];
-    if (group.members.empty()) {
-      group.entry = registered;
-      group.geometry = header.geometry;
-    }
+    header.geometry.num_elements = 0;
+    Group& group = groups[{registered->name, header.geometry}];
+    group.entry = registered;
     group.members.push_back(
         {entry->id, payloads.front().data, filter->num_elements()});
   }
@@ -82,7 +76,7 @@ Status MultiSetIndex::SliceCatalog(SetCatalog* catalog) {
     if (group.members.size() < 2) continue;  // a one-set slice is a scan
     std::shared_ptr<SetSlice> slice;
     std::vector<std::unique_ptr<MembershipFilter>> views;
-    if (!SetSlice::Build(*group.entry, group.geometry, group.members, &slice,
+    if (!SetSlice::Build(*group.entry, key.second, group.members, &slice,
                          &views)
              .ok()) {
       continue;  // the sets stay rows, on the scan
@@ -110,7 +104,8 @@ Status MultiSetIndex::SliceCatalog(SetCatalog* catalog) {
 }
 
 Status MultiSetIndex::SliceCuckooSets(
-    const std::map<ProbeGeometry, std::vector<CuckooSlice::Member>>& groups) {
+    const std::map<CuckooSlice::Geometry, std::vector<CuckooSlice::Member>>&
+        groups) {
   for (const auto& [geometry, group] : groups) {
     if (group.size() < 2) continue;  // a one-set slice is a scan
     std::unique_ptr<CuckooSlice> slice;

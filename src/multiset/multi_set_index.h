@@ -5,18 +5,19 @@
 // Every layer below answers questions about ONE set at a time; a
 // deployment holding hundreds of named filters would pay N probes per key
 // for the multi-set question. Build groups the catalog's unwrapped sets by
-// probe geometry, and every group of two or more becomes one slice:
+// geometry, and every group of two or more becomes one slice:
 //
-//   * `shbf_m` and `bloom` sets form a SetSlice (set_slice.h), Flat-Bloofi
-//     (Crainiceanu & Lemire, PAPERS.md): bit p of all its members in one
-//     column, so a key's answer for the group is the AND of its k columns.
-//     The slice owns those bits; Build swaps each sliced set's catalog
-//     filter for a view over its slot.
-//   * `cuckoo` sets whose bucket is a whole number of bytes form a
-//     CuckooSlice (cuckoo_slice.h): bucket i of every member side by side,
-//     so a key's answer for the group comes from two rows. Build moves each
-//     member's slots into its lane; the catalog keeps the same adapters,
-//     now running over their lanes.
+//   * `shbf_m` and `bloom` sets of k <= 64, grouped by registry name and
+//     the image geometry their mapped saver fills, form a SetSlice
+//     (set_slice.h), Flat-Bloofi (Crainiceanu & Lemire, PAPERS.md): bit p
+//     of all its members in one column, so a key's answer for the group is
+//     the AND of its k columns. The slice owns those bits; Build swaps each
+//     sliced set's catalog filter for a view over its slot.
+//   * `cuckoo` sets whose bucket is a whole number of bytes, grouped by
+//     CuckooSlice::Geometry, form a CuckooSlice (cuckoo_slice.h): bucket i
+//     of every member side by side, so a key's answer for the group comes
+//     from two rows. Build moves each member's slots into its lane; the
+//     catalog keeps the same adapters, now running over their lanes.
 //
 // Either way memory is not doubled and the catalog (Contains, Serialize,
 // INDEX_ADD, num_elements) behaves as before.
@@ -171,7 +172,8 @@ class MultiSetIndex {
   /// Moves each group of two or more sliceable cuckoo sets into a
   /// CuckooSlice.
   Status SliceCuckooSets(
-      const std::map<ProbeGeometry, std::vector<CuckooSlice::Member>>& groups);
+      const std::map<CuckooSlice::Geometry, std::vector<CuckooSlice::Member>>&
+          groups);
 
   MultiSetIndexOptions options_;
   BatchQueryEngine engine_{BatchOptions{}};

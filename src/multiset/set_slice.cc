@@ -5,6 +5,7 @@
 #include <utility>
 
 #include "baselines/bloom_filter.h"
+#include "engine/batch_query_engine.h"
 #include "shbf/shbf_membership.h"
 
 namespace shbf {
@@ -87,6 +88,11 @@ class SetSlice::View final : public MembershipFilter {
   size_t adds_;
 };
 
+bool SetSlice::Sliceable(const MembershipFilter& filter) {
+  return FastPathTo<ShbfM>(filter) != nullptr ||
+         FastPathTo<BloomFilter>(filter) != nullptr;
+}
+
 SetSlice::SetSlice(const FilterRegistry::Entry& entry,
                    const storage::ImageGeometry& geometry, size_t num_slots)
     : name_(entry.name),
@@ -124,16 +130,14 @@ Status SetSlice::Build(const FilterRegistry::Entry& entry,
       {{built->template_row_.data(), built->template_row_.PayloadBytes()}},
       &built->template_);
   if (!s.ok()) return s;
-  built->probe_ = built->template_->batch_fast_path();
-  if (built->probe_.kind == BatchFastPath::Kind::kShbfM) {
-    built->probes_per_key_ =
-        2 * static_cast<const ShbfM*>(built->probe_.impl)->num_pairs();
-  } else if (built->probe_.kind == BatchFastPath::Kind::kBloom) {
-    built->probes_per_key_ =
-        static_cast<const BloomFilter*>(built->probe_.impl)->num_hashes();
-  }
-  if (built->probes_per_key_ == 0 ||
-      built->probes_per_key_ > kMaxPositions) {
+  if (const ShbfM* shbf_m = FastPathTo<ShbfM>(*built->template_)) {
+    built->probe_ = shbf_m;
+    built->probes_per_key_ = 2 * shbf_m->num_pairs();
+  } else if (const BloomFilter* bloom =
+                 FastPathTo<BloomFilter>(*built->template_)) {
+    built->probe_ = bloom;
+    built->probes_per_key_ = bloom->num_hashes();
+  } else {
     return Status::FailedPrecondition("SetSlice: '" + entry.name +
                                       "' has no shbf_m or bloom probe of "
                                       "k <= 64");
@@ -184,17 +188,9 @@ void SetSlice::Transpose(const std::vector<Member>& members) {
   }
 }
 
-template <typename Fn>
-void SetSlice::VisitProbe(Fn&& fn) const {
-  if (probe_.kind == BatchFastPath::Kind::kShbfM) {
-    fn(*static_cast<const ShbfM*>(probe_.impl));
-  } else {
-    fn(*static_cast<const BloomFilter*>(probe_.impl));
-  }
-}
-
 void SetSlice::Positions(std::string_view key, size_t* positions) const {
-  VisitProbe([&](const auto& impl) { ProbePositions(impl, key, positions); });
+  std::visit([&](const auto* impl) { ProbePositions(*impl, key, positions); },
+             probe_);
 }
 
 template <typename Impl>
@@ -234,9 +230,11 @@ void SetSlice::WhichSetsImpl(const Impl& impl,
 void SetSlice::WhichSets(std::span<const std::string_view> keys,
                          size_t group_size, SetIdRows* answers) const {
   if (keys.empty()) return;
-  VisitProbe([&](const auto& impl) {
-    WhichSetsImpl(impl, keys, std::max<size_t>(group_size, 1), answers);
-  });
+  std::visit(
+      [&](const auto* impl) {
+        WhichSetsImpl(*impl, keys, std::max<size_t>(group_size, 1), answers);
+      },
+      probe_);
 }
 
 size_t SetSlice::live_slots() const {

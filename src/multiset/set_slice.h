@@ -40,6 +40,7 @@
 #include <span>
 #include <string>
 #include <string_view>
+#include <variant>
 #include <vector>
 
 #include "api/filter_registry.h"
@@ -60,6 +61,11 @@ class SetSlice {
     const uint8_t* row = nullptr;
     size_t num_elements = 0;
   };
+
+  /// True iff `filter`'s fast path is a ShbfM or BloomFilter whose probe
+  /// the engine runs (k <= 64): a set a slice can hold, if it is also an
+  /// unwrapped adapter.
+  static bool Sliceable(const MembershipFilter& filter);
 
   /// Transposes `members` (all of `geometry`, as filled by `entry`'s
   /// mapped_saver) into a new slice. `*views` receives one filter per
@@ -103,10 +109,6 @@ class SetSlice {
   /// Copies the members' rows into the columns.
   void Transpose(const std::vector<Member>& members);
 
-  /// Calls fn with the template's concrete ShbfM or BloomFilter.
-  template <typename Fn>
-  void VisitProbe(Fn&& fn) const;
-
   template <typename Impl>
   void WhichSetsImpl(const Impl& impl, std::span<const std::string_view> keys,
                      size_t group_size, SetIdRows* answers) const;
@@ -134,7 +136,8 @@ class SetSlice {
   /// The probe template: a row filter over one zero row (never written).
   BitArray template_row_;
   std::unique_ptr<MembershipFilter> template_;
-  BatchFastPath probe_;  ///< the template's concrete filter
+  /// The template's concrete filter.
+  std::variant<const ShbfM*, const BloomFilter*> probe_;
 };
 
 }  // namespace shbf

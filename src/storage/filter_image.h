@@ -29,6 +29,7 @@
 #ifndef SHBF_STORAGE_FILTER_IMAGE_H_
 #define SHBF_STORAGE_FILTER_IMAGE_H_
 
+#include <compare>
 #include <cstddef>
 #include <cstdint>
 #include <string>
@@ -80,6 +81,8 @@ struct ImageGeometry {
   uint64_t seed = 0;             ///< the hash family's master seed
   uint64_t num_elements = 0;     ///< adds observed by the saved filter
   uint64_t array_total_bits = 0; ///< num_bits + slack: what region 0 spans
+
+  auto operator<=>(const ImageGeometry&) const = default;
 };
 
 /// Everything page 0 carries (minus the checksum, which EncodeImageHeader

@@ -13,6 +13,9 @@
 #include <memory>
 #include <string>
 #include <string_view>
+#include <type_traits>
+#include <utility>
+#include <variant>
 #include <vector>
 
 #include "api/filter_registry.h"
@@ -20,7 +23,11 @@
 #include "engine/auto_scaling_filter.h"
 #include "engine/batch_query_engine.h"
 #include "engine/dynamic_filter.h"
+#include "baselines/bloom_filter.h"
 #include "multiset/multi_set_index.h"
+#include "obs/metrics.h"
+#include "shbf/shbf_association.h"
+#include "shbf/shbf_membership.h"
 #include "shbf/shbf_multiplicity.h"
 #include "trace/trace_generator.h"
 
@@ -166,27 +173,46 @@ TEST(BatchEngineTest, StringViewBatchOverloadsMatchStringPaths) {
   }
 }
 
+// The index of fast-path alternative `Impl`.
+template <typename Impl>
+size_t AlternativeIndex() {
+  return BatchFastPath(std::in_place_type<const Impl*>).index();
+}
+
+// The pointer `fp` holds; null for monostate.
+const void* HeldPointer(const BatchFastPath& fp) {
+  return std::visit(
+      [](auto impl) -> const void* {
+        if constexpr (std::is_pointer_v<decltype(impl)>) {
+          return impl;
+        } else {
+          return nullptr;
+        }
+      },
+      fp);
+}
+
 TEST(BatchEngineTest, ProbeProtocolFiltersExposeTheirFastPath) {
   const auto& registry = FilterRegistry::Global();
   const struct {
     const char* name;
-    BatchFastPath::Kind kind;
+    size_t index;
   } expected[] = {
-      {"shbf_m", BatchFastPath::Kind::kShbfM},
-      {"bloom", BatchFastPath::Kind::kBloom},
-      {"shbf_x", BatchFastPath::Kind::kShbfX},
-      {"shbf_a", BatchFastPath::Kind::kShbfA},
-      {"split_block_bloom", BatchFastPath::Kind::kSplitBlockBloom},
-      {"split_block_shbf_m", BatchFastPath::Kind::kSplitBlockShbfM},
-      {"cuckoo", BatchFastPath::Kind::kCuckoo},
+      {"shbf_m", AlternativeIndex<ShbfM>()},
+      {"bloom", AlternativeIndex<BloomFilter>()},
+      {"shbf_x", AlternativeIndex<ShbfX>()},
+      {"shbf_a", AlternativeIndex<ShbfA>()},
+      {"split_block_bloom", AlternativeIndex<SplitBlockBloomFilter>()},
+      {"split_block_shbf_m", AlternativeIndex<SplitBlockShbfM>()},
+      {"cuckoo", AlternativeIndex<CuckooFilter>()},
   };
-  for (const auto& [name, kind] : expected) {
+  for (const auto& [name, index] : expected) {
     SCOPED_TRACE(name);
     std::unique_ptr<MembershipFilter> filter;
     ASSERT_TRUE(registry.Create(name, EngineSpec(1), &filter).ok());
     const BatchFastPath fp = filter->batch_fast_path();
-    EXPECT_EQ(fp.kind, kind);
-    EXPECT_NE(fp.impl, nullptr);
+    EXPECT_EQ(fp.index(), index);
+    EXPECT_NE(HeldPointer(fp), nullptr);
   }
 
   // A cuckoo adapter whose exact overfull side table holds keys answers
@@ -196,12 +222,155 @@ TEST(BatchEngineTest, ProbeProtocolFiltersExposeTheirFastPath) {
   ASSERT_TRUE(registry.Create("cuckoo", tiny, &cuckoo).ok());
   const auto keys = Universe(0xf011);
   for (size_t i = 0; i < 200; ++i) cuckoo->Add(keys[i]);
-  EXPECT_EQ(cuckoo->batch_fast_path().kind, BatchFastPath::Kind::kNone);
+  EXPECT_TRUE(
+      std::holds_alternative<std::monostate>(cuckoo->batch_fast_path()));
   BatchQueryEngine engine;
   std::vector<uint8_t> batched;
   engine.ContainsBatch(*cuckoo, keys, &batched);
   for (size_t i = 0; i < keys.size(); ++i) {
     ASSERT_EQ(batched[i] != 0, cuckoo->Contains(keys[i])) << "key " << i;
+  }
+}
+
+// The engine's two path counters.
+struct PathCounts {
+  uint64_t fast = 0;      ///< engine.fastpath_batches_total
+  uint64_t fallback = 0;  ///< engine.virtual_batches_total
+};
+
+PathCounts ReadPathCounts() {
+  auto& registry = obs::MetricsRegistry::Global();
+  return {registry.GetCounter("engine.fastpath_batches_total")->Value(),
+          registry.GetCounter("engine.virtual_batches_total")->Value()};
+}
+
+// What running `batch` adds to the path counters.
+template <typename Fn>
+PathCounts CountPaths(Fn&& batch) {
+  const PathCounts before = ReadPathCounts();
+  batch();
+  const PathCounts after = ReadPathCounts();
+  return {after.fast - before.fast, after.fallback - before.fallback};
+}
+
+// The k of the ShbfM, BloomFilter, ShbfX or ShbfA behind `fp`.
+uint32_t FastPathHashes(const BatchFastPath& fp) {
+  return std::visit(
+      [](auto impl) -> uint32_t {
+        if constexpr (requires { impl->num_hashes(); }) {
+          return impl->num_hashes();
+        } else {
+          return 0;
+        }
+      },
+      fp);
+}
+
+// One batch of each form the filter serves must take the fast path iff
+// `fast`, and answer like the per-key calls.
+void ExpectBatchPaths(const MembershipFilter& filter,
+                      const std::vector<std::string>& keys, bool fast) {
+  const BatchQueryEngine engine;
+  const uint64_t want_fast = fast ? 1 : 0;
+  std::vector<uint8_t> contains;
+  PathCounts paths =
+      CountPaths([&] { engine.ContainsBatch(filter, keys, &contains); });
+  EXPECT_EQ(paths.fast, want_fast) << "ContainsBatch";
+  EXPECT_EQ(paths.fallback, 1 - want_fast) << "ContainsBatch";
+  for (size_t i = 0; i < keys.size(); ++i) {
+    ASSERT_EQ(contains[i] != 0, filter.Contains(keys[i])) << "key " << i;
+  }
+  if (const auto* multiplicity =
+          dynamic_cast<const MultiplicityFilter*>(&filter)) {
+    std::vector<uint64_t> counts;
+    paths = CountPaths(
+        [&] { engine.QueryCountBatch(*multiplicity, keys, &counts); });
+    EXPECT_EQ(paths.fast, want_fast) << "QueryCountBatch";
+    EXPECT_EQ(paths.fallback, 1 - want_fast) << "QueryCountBatch";
+    for (size_t i = 0; i < keys.size(); ++i) {
+      ASSERT_EQ(counts[i], multiplicity->QueryCount(keys[i])) << "key " << i;
+    }
+  }
+  if (const auto* association =
+          dynamic_cast<const AssociationFilter*>(&filter)) {
+    std::vector<AssociationOutcome> outcomes;
+    paths = CountPaths(
+        [&] { engine.QueryBatch(*association, keys, &outcomes); });
+    EXPECT_EQ(paths.fast, want_fast) << "QueryBatch";
+    EXPECT_EQ(paths.fallback, 1 - want_fast) << "QueryBatch";
+    for (size_t i = 0; i < keys.size(); ++i) {
+      ASSERT_EQ(outcomes[i], association->Query(keys[i])) << "key " << i;
+    }
+  }
+}
+
+// Which path a batch takes is the engine's one decision: at the largest k
+// a filter's probe holds, the probe answers; one k past it, the virtual
+// interface does.
+TEST(BatchEngineTest, FastPathRunsUpToTheProbeBoundAndNotPastIt) {
+  if (!obs::kCompiledIn || !obs::Enabled()) GTEST_SKIP() << "no metrics";
+  const auto universe = Universe(0xed9e);
+  const auto& registry = FilterRegistry::Global();
+  const struct {
+    const char* name;
+    uint32_t bound;  ///< the largest k the probe holds
+    uint32_t past;   ///< the next k the registry builds
+  } cases[] = {
+      {"shbf_m", 64, 66},  // the registry rounds k up to even
+      {"bloom", 64, 65},
+      {"shbf_x", 64, 65},
+      {"shbf_a", 64, 65},
+  };
+  for (const auto& c : cases) {
+    for (const uint32_t k : {c.bound, c.past}) {
+      SCOPED_TRACE(std::string(c.name) + " k=" + std::to_string(k));
+      std::unique_ptr<MembershipFilter> filter;
+      ASSERT_TRUE(
+          registry.Create(c.name, EngineSpec(0xed9e, k), &filter).ok());
+      for (size_t i = 0; i < kNumKeys; ++i) filter->Add(universe[i]);
+      ASSERT_EQ(FastPathHashes(filter->batch_fast_path()), k);
+      ExpectBatchPaths(*filter, universe, k == c.bound);
+    }
+  }
+
+  // The split-block factories clamp k to their probe's bound, and a cuckoo
+  // probe is three hashes: these take the probe at every k.
+  for (const char* name :
+       {"split_block_bloom", "split_block_shbf_m", "cuckoo"}) {
+    for (const uint32_t k : {1u, 8u, 64u, 65u, 72u, 200u}) {
+      SCOPED_TRACE(std::string(name) + " k=" + std::to_string(k));
+      std::unique_ptr<MembershipFilter> filter;
+      ASSERT_TRUE(registry.Create(name, EngineSpec(0xed9e, k), &filter).ok());
+      for (size_t i = 0; i < kNumKeys; ++i) filter->Add(universe[i]);
+      ExpectBatchPaths(*filter, universe, true);
+    }
+  }
+}
+
+// DynamicFilter and AutoScalingFilter serve both ContainsBatch forms
+// through the engine: a view batch reaches the inner filters' probe path
+// exactly as a string batch does.
+TEST(BatchEngineTest, WrappersSendViewBatchesThroughTheEngine) {
+  if (!obs::kCompiledIn || !obs::Enabled()) GTEST_SKIP() << "no metrics";
+  const auto universe = Universe(0x5e11);
+  const std::vector<std::string_view> views(universe.begin(), universe.end());
+  const BatchQueryEngine engine;
+  for (const auto& c : EngineCases(0x5e11, 8)) {
+    if (c.label == c.name) continue;  // not a wrapper
+    SCOPED_TRACE(c.label);
+    std::unique_ptr<MembershipFilter> filter;
+    ASSERT_TRUE(
+        FilterRegistry::Global().Create(c.name, c.spec, &filter).ok());
+    for (size_t i = 0; i < kNumKeys; ++i) filter->Add(universe[i]);
+    std::vector<uint8_t> by_string, by_view;
+    const PathCounts string_paths =
+        CountPaths([&] { engine.ContainsBatch(*filter, universe, &by_string); });
+    const PathCounts view_paths =
+        CountPaths([&] { engine.ContainsBatch(*filter, views, &by_view); });
+    EXPECT_GE(string_paths.fast, 1u);
+    EXPECT_EQ(view_paths.fast, string_paths.fast);
+    EXPECT_EQ(view_paths.fallback, string_paths.fallback);
+    EXPECT_EQ(by_view, by_string);
   }
 }
 

@@ -6,6 +6,7 @@
 #include <string>
 #include <tuple>
 #include <utility>
+#include <variant>
 #include <vector>
 
 #include "api/filter_registry.h"
@@ -287,7 +288,7 @@ TEST(CuckooFilterTest, AdapterMemoryCountsTheOverfullSideTable) {
     return "a-rather-long-overfull-key-" + std::to_string(k);
   };
   size_t k = 0;
-  while (cuckoo->batch_fast_path().kind != BatchFastPath::Kind::kNone) {
+  while (!std::holds_alternative<std::monostate>(cuckoo->batch_fast_path())) {
     ASSERT_LT(k, 200u) << "200 adds never overflowed a tiny cuckoo";
     cuckoo->Add(key(k++));
   }
@@ -336,7 +337,8 @@ TEST_P(CuckooGeometryTest, FilledToFailureAnswersMembersAndBoundsFpr) {
     if (!cf.Insert(key)) break;
   }
   ASSERT_TRUE(cf.HasVictim()) << "never filled " << slots << " slots";
-  ASSERT_EQ(served->batch_fast_path().kind, BatchFastPath::Kind::kCuckoo)
+  ASSERT_TRUE(
+      std::holds_alternative<const CuckooFilter*>(served->batch_fast_path()))
       << "the engine would bypass the probe protocol";
 
   BatchQueryEngine engine;

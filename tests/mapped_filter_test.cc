@@ -14,6 +14,7 @@
 #include <cstdio>
 #include <memory>
 #include <string>
+#include <variant>
 #include <vector>
 
 #include "api/filter_registry.h"
@@ -141,9 +142,10 @@ TEST(MappedFilterTest, EngineFastPathKindSurvivesTheMapping) {
     ASSERT_TRUE(FilterRegistry::Global().SaveMapped(*original, path).ok());
     std::unique_ptr<MembershipFilter> mapped;
     ASSERT_TRUE(FilterRegistry::Global().OpenMapped(path, &mapped).ok());
-    EXPECT_EQ(static_cast<int>(mapped->batch_fast_path().kind),
-              static_cast<int>(original->batch_fast_path().kind));
-    EXPECT_NE(mapped->batch_fast_path().kind, BatchFastPath::Kind::kNone);
+    EXPECT_EQ(mapped->batch_fast_path().index(),
+              original->batch_fast_path().index());
+    EXPECT_FALSE(
+        std::holds_alternative<std::monostate>(mapped->batch_fast_path()));
     std::remove(path.c_str());
   }
 }

@@ -14,6 +14,7 @@
 #include <string>
 #include <string_view>
 #include <tuple>
+#include <variant>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -327,8 +328,8 @@ TEST(MultiSetIndexTest, WrappedSetsAreNotSliced) {
   SetCatalog catalog = build();
   SetCatalog reference = build();
   ASSERT_EQ(catalog.FindById(1)->filter->name(), "dynamic/shbf_m");
-  ASSERT_EQ(catalog.FindById(1)->filter->batch_fast_path().kind,
-            BatchFastPath::Kind::kShbfM);
+  ASSERT_TRUE(std::holds_alternative<const ShbfM*>(
+      catalog.FindById(1)->filter->batch_fast_path()));
   ASSERT_EQ(catalog.FindById(2)->filter->name(), "sharded/shbf_m");
   std::unique_ptr<MultiSetIndex> index;
   ASSERT_TRUE(MultiSetIndex::Build(&catalog, {}, &index).ok());
@@ -519,7 +520,7 @@ TEST(MultiSetIndexTest, CuckooSetsFilledToFailureMatchBruteForce) {
   auto growing = fill(0);
   for (size_t k = 0; k < 200 && first_failure == 0; ++k) {
     growing->Add(key(k));
-    if (growing->batch_fast_path().kind == BatchFastPath::Kind::kNone) {
+    if (std::holds_alternative<std::monostate>(growing->batch_fast_path())) {
       first_failure = k;  // add k overflowed: add k - 1 failed
     }
   }
@@ -530,8 +531,10 @@ TEST(MultiSetIndexTest, CuckooSetsFilledToFailureMatchBruteForce) {
     auto stashed = fill(first_failure);
     auto overfull = fill(first_failure + 40);
     auto late = fill(first_failure - 1);
-    EXPECT_EQ(stashed->batch_fast_path().kind, BatchFastPath::Kind::kCuckoo);
-    EXPECT_EQ(overfull->batch_fast_path().kind, BatchFastPath::Kind::kNone);
+    EXPECT_TRUE(std::holds_alternative<const CuckooFilter*>(
+        stashed->batch_fast_path()));
+    EXPECT_TRUE(
+        std::holds_alternative<std::monostate>(overfull->batch_fast_path()));
     EXPECT_TRUE(
         static_cast<const CuckooAdapter*>(stashed.get())->impl().HasVictim());
     EXPECT_FALSE(
@@ -696,6 +699,34 @@ INSTANTIATE_TEST_SUITE_P(
       return "b" + std::to_string(std::get<0>(info.param)) + "_f" +
              std::to_string(std::get<1>(info.param));
     });
+
+TEST(MultiSetIndexTest, SetsPastTheProbeBoundStayOnTheScan) {
+  // A slice holds 64 probe positions, as the engine's shbf_m and bloom
+  // probes do: at k = 64 the sets slice, and at k = 72 every set is
+  // scanned, with the same answers.
+  for (const uint32_t k : {64u, 72u}) {
+    SCOPED_TRACE("k=" + std::to_string(k));
+    auto build = [&] {
+      SetCatalog catalog;
+      for (size_t i = 0; i < 6; ++i) {
+        auto filter = MakeFilter(i % 2 ? "bloom" : "shbf_m", 100, 64.0, k);
+        for (size_t key = 0; key < 100; ++key) {
+          filter->Add("set-" + std::to_string(i) + "-key-" +
+                      std::to_string(key));
+        }
+        CheckOk(catalog.AddSet("set-" + std::to_string(i), std::move(filter)));
+      }
+      return catalog;
+    };
+    SetCatalog catalog = build();
+    const SetCatalog reference = build();
+    std::unique_ptr<MultiSetIndex> index;
+    ASSERT_TRUE(MultiSetIndex::Build(&catalog, {}, &index).ok());
+    EXPECT_EQ(index->stats().slices, k == 64 ? 2u : 0u);
+    EXPECT_EQ(index->stats().scan_sets, k == 64 ? 0u : 6u);
+    ExpectMatchesBruteForce(*index, reference, MakeQueries(6, 100));
+  }
+}
 
 TEST(MultiSetIndexTest, ManyProbeGeometriesMatchBruteForce) {
   // Sized per set, as `shbf_cli multiset build` sizes them: 48 shbf_m sets
