@@ -127,9 +127,9 @@ using serde::WriteKeyList;
 // Membership adapters
 // ------------------------------------------------------------------------
 
-/// bloom, shbf_m and the two split-block filters: bit arrays the batch
-/// engine probes natively, whose Add only sets bits, so a same-geometry
-/// sibling merges in by OR.
+/// bloom, shbf_m, shbf_g and the two split-block filters: the two cores'
+/// names, which the batch engine probes natively and whose Add only sets
+/// bits, so a same-name, same-geometry sibling merges in by OR.
 template <typename Impl>
 class ProbeAdapter : public AdapterCore<MembershipFilter, Impl> {
   using Core = AdapterCore<MembershipFilter, Impl>;
@@ -164,7 +164,6 @@ class ProbeAdapter : public AdapterCore<MembershipFilter, Impl> {
     if (s.ok()) adds_ += peer->adds_;
     return s;
   }
-  size_t num_elements() const override { return impl_.num_elements(); }
   size_t memory_bytes() const override {
     return impl_.bits().allocated_bytes();
   }
@@ -172,10 +171,11 @@ class ProbeAdapter : public AdapterCore<MembershipFilter, Impl> {
 
 using BloomAdapter = ProbeAdapter<BloomFilter>;
 using ShbfMAdapter = ProbeAdapter<ShbfM>;
+using ShbfGAdapter = ProbeAdapter<GeneralizedShbfM>;
 using SplitBlockBloomAdapter = ProbeAdapter<SplitBlockBloomFilter>;
 using SplitBlockShbfMAdapter = ProbeAdapter<SplitBlockShbfM>;
 
-/// km_bloom, one_mem_bf, shbf_g: bit arrays the engine answers per key.
+/// km_bloom, one_mem_bf: bit arrays the engine answers per key.
 template <typename Impl>
 class BitArrayAdapter : public AdapterCore<MembershipFilter, Impl> {
   using Core = AdapterCore<MembershipFilter, Impl>;
@@ -969,7 +969,7 @@ Status RegisterAll(FilterRegistry* r) {
              const uint32_t k = std::min(
                  RoundUpToMultiple(spec.num_hashes < 2 ? 2 : spec.num_hashes,
                                    2),
-                 2 * SplitBlockShbfM::kMaxBatchPairs);
+                 SplitBlockShbfM::kMaxBatchHashes);
              const uint32_t pairs = k / 2;
              const uint32_t sub =
                  spec.sub_block_bits < 16 ? 16 : spec.sub_block_bits;
@@ -1034,27 +1034,31 @@ Status RegisterAll(FilterRegistry* r) {
   if (!s.ok()) return s;
 
   // shbf_g: t = num_shifts (must divide 56); k rounded up to a multiple of
-  // t + 1.
+  // t + 1. t is range-checked first: the rounding divides by t + 1.
   s = r->Register(
       {.name = "shbf_g",
        .family = FilterFamily::kMembership,
        .description =
            "generalized shifting Bloom filter, t shifts (paper §3.6)",
+       .capabilities = kIncrementalAdd | kMergeable,
        .factory =
            [](const FilterSpec& spec, std::unique_ptr<MembershipFilter>* out) {
-             uint32_t t = spec.num_shifts;
-             uint32_t k = RoundUpToMultiple(spec.num_hashes, t + 1);
-             return MakeAdapter<BitArrayAdapter<GeneralizedShbfM>>(
+             const uint32_t t = spec.num_shifts;
+             if (t < 1 || t > kDefaultMaxOffsetSpan - 1) {
+               return Status::InvalidArgument(
+                   "shbf_g: num_shifts must be in [1, 56]");
+             }
+             return MakeAdapter<ShbfGAdapter>(
                  "shbf_g",
-                 GeneralizedShbfM::Params{.num_bits = spec.num_cells,
-                                          .num_hashes = k,
-                                          .num_shifts = t,
-                                          .hash_algorithm = spec.hash_algorithm,
-                                          .seed = spec.seed},
+                 GeneralizedShbfM::Params{
+                     .num_bits = spec.num_cells,
+                     .num_hashes = RoundUpToMultiple(spec.num_hashes, t + 1),
+                     .num_shifts = t,
+                     .hash_algorithm = spec.hash_algorithm,
+                     .seed = spec.seed},
                  out);
            },
-       .deserializer =
-           NativeDeserializer<BitArrayAdapter<GeneralizedShbfM>>("shbf_g")});
+       .deserializer = NativeDeserializer<ShbfGAdapter>("shbf_g")});
   if (!s.ok()) return s;
 
   // counting_shbf_m: same geometry as shbf_m plus counter_bits counters.

@@ -11,10 +11,13 @@
 //          └─ AssociationFilter    — AddToS1/S2, Query; Contains == in union
 //
 // Virtual dispatch costs a few ns per query, which the hot-path benches must
-// not pay: the concrete classes (ShbfM, BloomFilter, ...) remain intact and
-// fully usable with inlined calls; the adapters in adapters.cc wrap them
-// thinly for registry-driven code. Both views share the same underlying
-// filter state.
+// not pay: the concrete classes remain intact and fully usable with inlined
+// calls; the adapters in adapters.cc wrap them thinly for registry-driven
+// code. Both views share the same underlying filter state. Five registry
+// names sit on two cores: `bloom`, `shbf_m` and `shbf_g` are the t = 0, 1
+// and t members of WindowedFilter (shbf/windowed_filter.h), and
+// `split_block_bloom` and `split_block_shbf_m` the single-bit and pair
+// layouts of SplitBlockFilter (shbf/split_block_filter.h).
 
 #ifndef SHBF_API_SET_QUERY_FILTER_H_
 #define SHBF_API_SET_QUERY_FILTER_H_
@@ -31,26 +34,23 @@
 
 namespace shbf {
 
-class BloomFilter;
 class CuckooFilter;
 class ShbfA;
-class ShbfM;
 class ShbfX;
-class SplitBlockBloomFilter;
-class SplitBlockShbfM;
+class SplitBlockFilter;
+class WindowedFilter;
 
 /// The wrapped concrete filter for which the batch engine
 /// (src/engine/batch_query_engine.h) has a specialized non-virtual path:
 /// hash pre-compute, software prefetch, two-pass resolve.
 ///
 /// Adapters whose wrapped class exposes the Probe protocol return a pointer
-/// to it; everything else returns monostate and the engine falls back to
-/// the virtual per-key interface. The pointer is only valid while the
-/// owning filter is alive.
+/// to it (a named class converts to its core); everything else returns
+/// monostate and the engine falls back to the virtual per-key interface.
+/// The pointer is only valid while the owning filter is alive.
 using BatchFastPath =
-    std::variant<std::monostate, const ShbfM*, const BloomFilter*,
-                 const ShbfX*, const ShbfA*, const SplitBlockBloomFilter*,
-                 const SplitBlockShbfM*, const CuckooFilter*>;
+    std::variant<std::monostate, const WindowedFilter*, const ShbfX*,
+                 const ShbfA*, const SplitBlockFilter*, const CuckooFilter*>;
 
 /// Capability bits a MembershipFilter advertises through capabilities().
 /// The registry surfaces the same bits statically per entry

@@ -78,6 +78,19 @@ class BitArray {
     data_[pos >> 3] |= static_cast<uint8_t>(1u << (pos & 7));
   }
 
+  /// Sets bit pos + i for every set bit i of `mask` (mask < 2^kWindowBits,
+  /// pos + i < total_bits()) with one unaligned 8-byte read-modify-write:
+  /// the write side of LoadWindow. The other bits of those bytes keep their
+  /// values.
+  void OrWindow(size_t pos, uint64_t mask) {
+    SHBF_DCHECK(pos < total_bits_ && (mask >> kWindowBits) == 0);
+    SHBF_DCHECK(!is_view_);
+    uint64_t word;
+    std::memcpy(&word, data_ + (pos >> 3), sizeof(word));
+    word |= mask << (pos & 7);
+    std::memcpy(data_ + (pos >> 3), &word, sizeof(word));
+  }
+
   /// Clears the bit at `pos`.
   void ClearBit(size_t pos) {
     SHBF_DCHECK(pos < total_bits_);

@@ -4,13 +4,11 @@
 #include <type_traits>
 #include <variant>
 
-#include "baselines/bloom_filter.h"
 #include "baselines/cuckoo_filter.h"
-#include "baselines/split_block_bloom_filter.h"
 #include "obs/metrics.h"
 #include "shbf/shbf_association.h"
-#include "shbf/shbf_membership.h"
-#include "shbf/split_block_shbf_membership.h"
+#include "shbf/split_block_filter.h"
+#include "shbf/windowed_filter.h"
 
 namespace shbf {
 namespace {
@@ -58,7 +56,7 @@ void TwoPassLoop(const Impl& impl, const Keys& keys, size_t group_size,
   }
 }
 
-// Both split-block kinds, at every k: like TwoPassLoop, but without a
+// The split-block core, at every k: like TwoPassLoop, but without a
 // prefetch pass — the split filters' PrepareProbe issues the block prefetch
 // the moment the block index exists (before the mask build), so a second
 // prefetch per key would be pure instruction overhead. A key's whole answer
@@ -67,14 +65,14 @@ void TwoPassLoop(const Impl& impl, const Keys& keys, size_t group_size,
 // filters run groups of at most kSplitBlockGroupCap keys; cache-resident
 // ones run group size 1, the straight hash → mask → test loop (staging
 // overhead loses).
-template <typename Impl, typename Keys>
-void SplitBlockContains(const Impl& impl, const Keys& keys, size_t batch_size,
-                        std::vector<uint8_t>* results) {
+template <typename Keys>
+void SplitBlockContains(const SplitBlockFilter& impl, const Keys& keys,
+                        size_t batch_size, std::vector<uint8_t>* results) {
   const size_t group_size =
       impl.bits().allocated_bytes() <= kCacheResidentBytes
           ? 1
           : std::min(batch_size, kSplitBlockGroupCap);
-  std::vector<typename Impl::Probe> probes(
+  std::vector<SplitBlockFilter::Probe> probes(
       std::min(group_size, keys.size()));
   for (size_t start = 0; start < keys.size(); start += group_size) {
     const size_t group = std::min(group_size, keys.size() - start);
@@ -135,8 +133,7 @@ bool IsMember(AssociationOutcome outcome) {
 template <typename Impl, typename Keys>
 void FastContains(const Impl& impl, const Keys& keys, size_t batch_size,
                   std::vector<uint8_t>* results) {
-  if constexpr (std::is_same_v<Impl, SplitBlockBloomFilter> ||
-                std::is_same_v<Impl, SplitBlockShbfM>) {
+  if constexpr (std::is_same_v<Impl, SplitBlockFilter>) {
     SplitBlockContains(impl, keys, batch_size, results);
   } else {
     TwoPassLoop(impl, keys, batch_size, [&](size_t i, const auto& probe) {

@@ -12,12 +12,12 @@
 //
 // The protocol is implemented natively — without virtual dispatch — by the
 // structures whose query is a pure read of a few precomputable locations
-// (ShbfM §3, ShbfA §4, ShbfX §5, the classic Bloom filter, the split-block
-// variants, and the cuckoo filter); the engine discovers them through
-// MembershipFilter::batch_fast_path(). Every other registered filter, and
-// any filter whose k exceeds its probe protocol's bound, is served through
-// its virtual ContainsBatch, so the engine answers for all schemes and is
-// bit-identical to the per-key path in every case
+// (the windowed core behind bloom, ShbfM §3 and its generalization, ShbfA
+// §4, ShbfX §5, the split-block core, and the cuckoo filter); the engine
+// discovers them through MembershipFilter::batch_fast_path(). Every other
+// registered filter, and any filter whose k exceeds its probe protocol's
+// bound, is served through its virtual ContainsBatch, so the engine answers
+// for all schemes and is bit-identical to the per-key path in every case
 // (tests/batch_engine_test.cc enforces this).
 //
 // The engine is the only loop that batches membership queries: no concrete
@@ -105,20 +105,17 @@ class BatchQueryEngine {
   size_t batch_size_;
 };
 
-/// True iff `impl`'s probe protocol holds its k: each class sizes its
-/// Probe for at most kMaxBatchPairs pairs or kMaxBatchHashes hashes, and a
-/// cuckoo probe is three hashes whatever the geometry. A spec-built filter
-/// can exceed the bound; the engine then declines the fast path rather than
-/// trip the implementation's CHECK.
+/// True iff `impl`'s probe protocol holds its k: each class sizes its Probe
+/// for at most kMaxBatchHashes hashes, and a cuckoo probe is three hashes
+/// whatever the geometry. A spec-built filter can exceed the bound; the
+/// engine then declines the fast path rather than trip the implementation's
+/// CHECK.
 template <typename Impl>
 bool ProbeFits(const Impl& impl) {
-  if constexpr (requires { Impl::kMaxBatchPairs; }) {
-    return impl.num_pairs() <= Impl::kMaxBatchPairs;
-  } else if constexpr (requires { Impl::kMaxBatchHashes; }) {
-    return impl.num_hashes() <= Impl::kMaxBatchHashes;
-  } else {
-    static_assert(std::is_same_v<Impl, CuckooFilter>);
+  if constexpr (std::is_same_v<Impl, CuckooFilter>) {
     return true;
+  } else {
+    return impl.num_hashes() <= Impl::kMaxBatchHashes;
   }
 }
 

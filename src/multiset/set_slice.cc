@@ -4,17 +4,14 @@
 #include <cstring>
 #include <utility>
 
-#include "baselines/bloom_filter.h"
 #include "engine/batch_query_engine.h"
-#include "shbf/shbf_membership.h"
+#include "shbf/windowed_filter.h"
 
 namespace shbf {
 namespace {
 
-/// Most probe positions a key can have: k <= 64 for both kinds.
-constexpr size_t kMaxPositions = 64;
-static_assert(2 * ShbfM::kMaxBatchPairs <= kMaxPositions);
-static_assert(BloomFilter::kMaxBatchHashes <= kMaxPositions);
+/// Most probe positions a key can have: the probe's k.
+constexpr size_t kMaxPositions = WindowedFilter::kMaxBatchHashes;
 
 /// In-place transpose of a 64 x 64 bit matrix, bit j of m[i] being element
 /// (i, j): afterwards bit j of m[i] holds what bit i of m[j] held. Six
@@ -37,23 +34,17 @@ uint64_t LoadWord(const uint8_t* bytes) {
   return word;
 }
 
-/// ShBF_M probes h_i(e) and h_i(e) + o(e) for each pair.
-void ProbePositions(const ShbfM& impl, std::string_view key,
+/// A windowed filter probes h_i(e) + b for each base h_i(e) and each bit b
+/// of the need mask: the base itself and its t offsets.
+void ProbePositions(const WindowedFilter& impl, std::string_view key,
                     size_t* positions) {
-  ShbfM::Probe probe;
+  WindowedFilter::Probe probe;
   impl.PrepareProbe(key, &probe);
-  const size_t offset = 63 - __builtin_clzll(probe.need);  // 1 | 1 << o(e)
-  for (uint32_t i = 0; i < impl.num_pairs(); ++i) {
-    positions[2 * i] = probe.bases[i];
-    positions[2 * i + 1] = probe.bases[i] + offset;
+  for (uint32_t i = 0; i < impl.num_groups(); ++i) {
+    for (uint64_t rest = probe.need; rest != 0; rest &= rest - 1) {
+      *positions++ = probe.bases[i] + __builtin_ctzll(rest);
+    }
   }
-}
-
-void ProbePositions(const BloomFilter& impl, std::string_view key,
-                    size_t* positions) {
-  BloomFilter::Probe probe;
-  impl.PrepareProbe(key, &probe);
-  std::copy_n(probe.positions, impl.num_hashes(), positions);
 }
 
 }  // namespace
@@ -89,8 +80,7 @@ class SetSlice::View final : public MembershipFilter {
 };
 
 bool SetSlice::Sliceable(const MembershipFilter& filter) {
-  return FastPathTo<ShbfM>(filter) != nullptr ||
-         FastPathTo<BloomFilter>(filter) != nullptr;
+  return FastPathTo<WindowedFilter>(filter) != nullptr;
 }
 
 SetSlice::SetSlice(const FilterRegistry::Entry& entry,
@@ -130,17 +120,10 @@ Status SetSlice::Build(const FilterRegistry::Entry& entry,
       {{built->template_row_.data(), built->template_row_.PayloadBytes()}},
       &built->template_);
   if (!s.ok()) return s;
-  if (const ShbfM* shbf_m = FastPathTo<ShbfM>(*built->template_)) {
-    built->probe_ = shbf_m;
-    built->probes_per_key_ = 2 * shbf_m->num_pairs();
-  } else if (const BloomFilter* bloom =
-                 FastPathTo<BloomFilter>(*built->template_)) {
-    built->probe_ = bloom;
-    built->probes_per_key_ = bloom->num_hashes();
-  } else {
+  built->probe_ = FastPathTo<WindowedFilter>(*built->template_);
+  if (built->probe_ == nullptr) {
     return Status::FailedPrecondition("SetSlice: '" + entry.name +
-                                      "' has no shbf_m or bloom probe of "
-                                      "k <= 64");
+                                      "' has no windowed probe of k <= 64");
   }
   built->slot_ids_.reserve(members.size());
   for (const Member& member : members) {
@@ -188,23 +171,18 @@ void SetSlice::Transpose(const std::vector<Member>& members) {
   }
 }
 
-void SetSlice::Positions(std::string_view key, size_t* positions) const {
-  std::visit([&](const auto* impl) { ProbePositions(*impl, key, positions); },
-             probe_);
-}
-
-template <typename Impl>
-void SetSlice::WhichSetsImpl(const Impl& impl,
-                             std::span<const std::string_view> keys,
-                             size_t group_size, SetIdRows* answers) const {
-  const size_t k = probes_per_key_;
+void SetSlice::WhichSets(std::span<const std::string_view> keys,
+                         size_t group_size, SetIdRows* answers) const {
+  if (keys.empty()) return;
+  group_size = std::max<size_t>(group_size, 1);
+  const size_t k = probe_->num_hashes();
   const size_t words = live_.size();
   size_t positions[kMaxPositions];
   std::vector<const uint8_t*> columns(std::min(group_size, keys.size()) * k);
   for (size_t start = 0; start < keys.size(); start += group_size) {
     const size_t group = std::min(group_size, keys.size() - start);
     for (size_t g = 0; g < group; ++g) {
-      ProbePositions(impl, keys[start + g], positions);
+      ProbePositions(*probe_, keys[start + g], positions);
       const uint8_t** key_columns = &columns[g * k];
       for (size_t j = 0; j < k; ++j) {
         key_columns[j] = columns_.data() + positions[j] * column_bytes_;
@@ -227,16 +205,6 @@ void SetSlice::WhichSetsImpl(const Impl& impl,
   }
 }
 
-void SetSlice::WhichSets(std::span<const std::string_view> keys,
-                         size_t group_size, SetIdRows* answers) const {
-  if (keys.empty()) return;
-  std::visit(
-      [&](const auto* impl) {
-        WhichSetsImpl(*impl, keys, std::max<size_t>(group_size, 1), answers);
-      },
-      probe_);
-}
-
 size_t SetSlice::live_slots() const {
   size_t live = 0;
   for (uint64_t word : live_) live += __builtin_popcountll(word);
@@ -255,18 +223,18 @@ size_t SetSlice::memory_bytes() const {
 
 void SetSlice::SetKey(size_t slot, std::string_view key) {
   size_t positions[kMaxPositions];
-  Positions(key, positions);
+  ProbePositions(*probe_, key, positions);
   const uint8_t bit = static_cast<uint8_t>(1u << (slot % 8));
-  for (size_t j = 0; j < probes_per_key_; ++j) {
+  for (size_t j = 0; j < probe_->num_hashes(); ++j) {
     columns_[positions[j] * column_bytes_ + slot / 8] |= bit;
   }
 }
 
 bool SetSlice::TestKey(size_t slot, std::string_view key) const {
   size_t positions[kMaxPositions];
-  Positions(key, positions);
+  ProbePositions(*probe_, key, positions);
   const uint8_t bit = static_cast<uint8_t>(1u << (slot % 8));
-  for (size_t j = 0; j < probes_per_key_; ++j) {
+  for (size_t j = 0; j < probe_->num_hashes(); ++j) {
     if ((columns_[positions[j] * column_bytes_ + slot / 8] & bit) == 0) {
       return false;
     }

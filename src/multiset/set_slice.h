@@ -2,8 +2,8 @@
 // of one bit-array geometry stored bit-sliced. Bit p of every member sits in
 // one ⌈N/8⌉-byte column, so one column read tests all N sets at position p,
 // and a key's answer for the whole group is the AND of the columns at its k
-// probe positions (for ShBF_M: h_i(e) and h_i(e) + o(e) for each pair),
-// masked by a live mask. The slice is a transpose of the members' bit
+// probe positions (for a windowed filter: each base h_i(e) and its shifts
+// h_i(e) + o_j(e); for ShBF_M one o(e) per pair), masked by a live mask. The slice is a transpose of the members' bit
 // arrays, so its answers equal a per-member probe bit for bit and the FPR
 // does not change. A union summary saturates as it fills; a column does not.
 //
@@ -15,13 +15,13 @@
 // view offers no MergeFrom) and ToBytes() bytes. Its memory_bytes() is 0:
 // the bits are the slice's, and memory_bytes() below counts them once.
 //
-// Members are unwrapped `shbf_m` or `bloom` adapters. The registry entry's
-// mapped-image hooks give Build each member's geometry and row
-// (mapped_saver, called by MultiSetIndex::Build), and rebuild a row filter
-// over a 64-byte-aligned buffer (mapped_opener): over a zero row for the
-// probe template whose PrepareProbe the slice calls, and over an
-// un-transposed slot for a view's ToBytes. So the adapter payload format
-// stays in adapters.cc alone.
+// Members are unwrapped adapters over the windowed core (WindowedFilter)
+// whose entry has mapped-image hooks: `shbf_m` or `bloom`. Those hooks give
+// Build each member's geometry and row (mapped_saver, called by
+// MultiSetIndex::Build), and rebuild a row filter over a 64-byte-aligned
+// buffer (mapped_opener): over a zero row for the probe template whose
+// PrepareProbe the slice calls, and over an un-transposed slot for a view's
+// ToBytes. So the adapter payload format stays in adapters.cc alone.
 //
 // Lifetime: the index and every view share the slice (std::shared_ptr), so
 // the catalog and the index may be destroyed in either order.
@@ -40,7 +40,6 @@
 #include <span>
 #include <string>
 #include <string_view>
-#include <variant>
 #include <vector>
 
 #include "api/filter_registry.h"
@@ -62,16 +61,16 @@ class SetSlice {
     size_t num_elements = 0;
   };
 
-  /// True iff `filter`'s fast path is a ShbfM or BloomFilter whose probe
-  /// the engine runs (k <= 64): a set a slice can hold, if it is also an
-  /// unwrapped adapter.
+  /// True iff `filter`'s fast path is a WindowedFilter whose probe the
+  /// engine runs (k <= 64): a set a slice can hold, if it is also an
+  /// unwrapped adapter whose entry has mapped-image hooks.
   static bool Sliceable(const MembershipFilter& filter);
 
   /// Transposes `members` (all of `geometry`, as filled by `entry`'s
   /// mapped_saver) into a new slice. `*views` receives one filter per
   /// member, in member order; member i owns slot i. The rows are only read
   /// during the call. Fails when `entry` has no mapped_opener, rejects the
-  /// geometry, or builds no shbf_m or bloom probe.
+  /// geometry, or builds no windowed probe.
   static Status Build(const FilterRegistry::Entry& entry,
                       const storage::ImageGeometry& geometry,
                       const std::vector<Member>& members,
@@ -109,13 +108,6 @@ class SetSlice {
   /// Copies the members' rows into the columns.
   void Transpose(const std::vector<Member>& members);
 
-  template <typename Impl>
-  void WhichSetsImpl(const Impl& impl, std::span<const std::string_view> keys,
-                     size_t group_size, SetIdRows* answers) const;
-
-  /// Writes `key`'s k probe positions to `positions`.
-  void Positions(std::string_view key, size_t* positions) const;
-
   // The view's operations on its slot.
   void SetKey(size_t slot, std::string_view key);
   bool TestKey(size_t slot, std::string_view key) const;
@@ -127,7 +119,6 @@ class SetSlice {
   storage::ImageGeometry geometry_;  ///< num_elements left 0
   size_t positions_ = 0;     ///< P = array_total_bits: columns
   size_t column_bytes_ = 0;  ///< ⌈N/8⌉
-  size_t probes_per_key_ = 0;  ///< k columns ANDed per key
   /// P columns of column_bytes_, plus 8 guard bytes: the last word read of
   /// the last column may run past it (the live mask zeroes those bits).
   std::vector<uint8_t> columns_;
@@ -136,8 +127,9 @@ class SetSlice {
   /// The probe template: a row filter over one zero row (never written).
   BitArray template_row_;
   std::unique_ptr<MembershipFilter> template_;
-  /// The template's concrete filter.
-  std::variant<const ShbfM*, const BloomFilter*> probe_;
+  /// The template's core: its k probe positions are the k columns ANDed
+  /// per key.
+  const WindowedFilter* probe_ = nullptr;
 };
 
 }  // namespace shbf

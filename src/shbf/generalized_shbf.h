@@ -8,6 +8,9 @@
 // disjoint ranges. Hash computations drop to k/(t+1) + t and memory accesses
 // to k/(t+1) per query, at the cost of the FPR drift quantified by
 // Eq (11)/(12) (implemented in analysis/generalized_theory.h).
+//
+// The core is shbf/windowed_filter.h; this class adds its Params and serde,
+// whose layout carries t and no element count.
 
 #ifndef SHBF_SHBF_GENERALIZED_SHBF_H_
 #define SHBF_SHBF_GENERALIZED_SHBF_H_
@@ -15,48 +18,36 @@
 #include <optional>
 #include <string>
 #include <string_view>
-#include <vector>
 
-#include "core/bit_array.h"
-#include "core/bits.h"
-#include "core/query_stats.h"
-#include "core/serde.h"
-#include "core/status.h"
-#include "hash/hash_family.h"
+#include "shbf/windowed_filter.h"
 
 namespace shbf {
 
-class GeneralizedShbfM {
+class GeneralizedShbfM : public WindowedFilter {
  public:
   struct Params {
     size_t num_bits = 0;      ///< m
-    uint32_t num_hashes = 0;  ///< k total bits per element
-    uint32_t num_shifts = 1;  ///< t; k must be divisible by t + 1
+    uint32_t num_hashes = 0;  ///< k total bits per element, at most m
+    uint32_t num_shifts = 1;  ///< t in [1, 56]; k must be divisible by t + 1
     /// w̄; (w̄ − 1) must be divisible by t so the partitions are equal.
     /// With the default 57: t ∈ {1, 2, 4, 7, 8, 14, 28, 56}.
     uint32_t max_offset_span = kDefaultMaxOffsetSpan;
     HashAlgorithm hash_algorithm = HashAlgorithm::kMurmur3;
     uint64_t seed = 0x5eed5eed5eed5eedull;
 
+    Layout layout() const {
+      return {.num_bits = num_bits,
+              .num_hashes = num_hashes,
+              .num_shifts = num_shifts,
+              .max_offset_span = max_offset_span,
+              .hash_algorithm = hash_algorithm,
+              .seed = seed};
+    }
     Status Validate() const;
   };
 
-  explicit GeneralizedShbfM(const Params& params);
-
-  void Add(std::string_view key);
-
-  /// Membership query; no false negatives. k/(t+1) window loads worst case.
-  bool Contains(std::string_view key) const;
-  bool ContainsWithStats(std::string_view key, QueryStats* stats) const;
-
-  /// The t offsets for `key` (test hook). offsets[j] lies in partition j.
-  std::vector<uint64_t> OffsetsOf(std::string_view key) const;
-
-  size_t num_bits() const { return bits_.num_bits(); }
-  uint32_t num_hashes() const { return num_hashes_; }
-  uint32_t num_shifts() const { return num_shifts_; }
-  uint32_t num_groups() const { return num_hashes_ / (num_shifts_ + 1); }
-  void Clear() { bits_.Clear(); }
+  explicit GeneralizedShbfM(const Params& params)
+      : WindowedFilter(params.layout()) {}
 
   /// Serializes parameters + bit payload to a versioned byte blob.
   std::string ToBytes() const;
@@ -64,17 +55,6 @@ class GeneralizedShbfM {
   /// Reconstructs a filter that answers identically to the serialized one.
   static Status FromBytes(std::string_view bytes,
                           std::optional<GeneralizedShbfM>* out);
-
- private:
-  /// Builds the (t+1)-bit window mask {bit 0} ∪ {bit o_j}.
-  uint64_t NeedMask(const HashFamily::BoundKey& h) const;
-
-  HashFamily family_;  // k/(t+1) base functions, then t offset functions
-  uint32_t num_hashes_;
-  uint32_t num_shifts_;
-  uint32_t max_offset_span_;
-  uint32_t partition_width_;  // (w̄ − 1) / t
-  BitArray bits_;
 };
 
 }  // namespace shbf

@@ -81,7 +81,7 @@ class ShbfA {
   static constexpr uint32_t kMaxBatchHashes = 64;
 
   /// Precomputed query state for one key (hashes only, no filter memory
-  /// touched); see ShbfM::Probe for the two-pass batch protocol.
+  /// touched); see WindowedFilter::Probe for the two-pass batch protocol.
   struct Probe {
     uint64_t bit_s1;                ///< 1: the S1-only offset pattern
     uint64_t bit_both;              ///< 1 << o1(e)

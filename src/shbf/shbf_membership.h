@@ -10,6 +10,9 @@
 //   * memory accesses drop from k to k/2,
 // while the FPR stays within noise of a standard k-hash Bloom filter
 // (Eq (1) vs Eq (8); minimum 0.6204^{m/n} vs 0.6185^{m/n}).
+//
+// It is the t = 1 member of the shifting family (shbf/windowed_filter.h).
+// This class adds its Params and serde.
 
 #ifndef SHBF_SHBF_SHBF_MEMBERSHIP_H_
 #define SHBF_SHBF_SHBF_MEMBERSHIP_H_
@@ -18,20 +21,15 @@
 #include <string>
 #include <string_view>
 
-#include "core/bit_array.h"
-#include "core/bits.h"
-#include "core/query_stats.h"
-#include "core/serde.h"
-#include "core/status.h"
-#include "hash/hash_family.h"
+#include "shbf/windowed_filter.h"
 
 namespace shbf {
 
-class ShbfM {
+class ShbfM : public WindowedFilter {
  public:
   struct Params {
     size_t num_bits = 0;      ///< m
-    uint32_t num_hashes = 0;  ///< k; must be even (k/2 pairs), >= 2
+    uint32_t num_hashes = 0;  ///< k; must be even (k/2 pairs), >= 2, <= m
     /// w̄: offsets lie in [1, max_offset_span − 1]. The default 57 (= w − 7)
     /// guarantees one-access pairs on 64-bit machines and is large enough
     /// that the FPR penalty vs BF is negligible (Fig 3: w̄ > 20 suffices).
@@ -39,101 +37,33 @@ class ShbfM {
     HashAlgorithm hash_algorithm = HashAlgorithm::kMurmur3;
     uint64_t seed = 0x5eed5eed5eed5eedull;
 
-    Status Validate() const;
-  };
-
-  explicit ShbfM(const Params& params);
-
-  /// Wraps externally stored bits (a BitArray::View into an mmap'd image
-  /// region) without copying: geometry from `params`, storage from `bits`.
-  /// The view's num_bits/slack must match the owning layout (slack ==
-  /// max_offset_span); the registry's mapped opener validates the on-disk
-  /// geometry before constructing. Read-only usage.
-  ShbfM(const Params& params, BitArray bits, size_t num_elements);
-
-  /// Inserts `key`: k/2 + 1 hash computations, k bits set.
-  void Add(std::string_view key) { Add(key.data(), key.size()); }
-  void Add(const void* data, size_t len);
-
-  /// Membership query; no false negatives. k/2 window loads worst case,
-  /// early exit on the first failing pair.
-  bool Contains(std::string_view key) const {
-    return Contains(key.data(), key.size());
-  }
-  bool Contains(const void* data, size_t len) const;
-
-  /// Query under the paper's cost model: one memory access per PAIR probed
-  /// (both bits share a window), one hash per function actually evaluated.
-  bool ContainsWithStats(std::string_view key, QueryStats* stats) const;
-
-  /// Largest k/2 the probe protocol supports (k <= 64).
-  static constexpr uint32_t kMaxBatchPairs = 32;
-
-  /// Precomputed query state for one key: every hash evaluated, no filter
-  /// memory touched yet. The engine's two-pass batch loop fills a group of
-  /// these (PrepareProbe), prefetches their windows (PrefetchProbe), and
-  /// only then resolves (ResolveProbe) — by which point the cache lines are
-  /// resident or in flight.
-  struct Probe {
-    uint64_t need;                 ///< bit 0 | bit o(e): the pair pattern
-    size_t bases[kMaxBatchPairs];  ///< h_i(e) % m for i < num_pairs()
-  };
-
-  /// Computes `key`'s k/2 base positions and pair pattern (hashes only;
-  /// no memory access). Requires num_pairs() <= kMaxBatchPairs.
-  void PrepareProbe(std::string_view key, Probe* probe) const;
-
-  /// Hints the cache to fetch every window `probe` will load.
-  void PrefetchProbe(const Probe& probe) const {
-    const uint32_t pairs = num_hashes_ / 2;
-    for (uint32_t i = 0; i < pairs; ++i) bits_.Prefetch(probe.bases[i]);
-  }
-
-  /// Resolves a prepared probe; identical answer to Contains(key).
-  bool ResolveProbe(const Probe& probe) const {
-    const uint32_t pairs = num_hashes_ / 2;
-    for (uint32_t i = 0; i < pairs; ++i) {
-      if ((bits_.LoadWindow(probe.bases[i]) & probe.need) != probe.need) {
-        return false;
-      }
+    Layout layout() const {
+      return {.num_bits = num_bits,
+              .num_hashes = num_hashes,
+              .num_shifts = 1,
+              .max_offset_span = max_offset_span,
+              .hash_algorithm = hash_algorithm,
+              .seed = seed};
     }
-    return true;
-  }
+    Status Validate() const { return layout().Validate("ShbfM"); }
+  };
+
+  explicit ShbfM(const Params& params) : WindowedFilter(params.layout()) {}
+
+  /// Wraps the bits of a mapped image; see WindowedFilter.
+  ShbfM(const Params& params, BitArray bits, size_t num_elements)
+      : WindowedFilter(params.layout(), std::move(bits), num_elements) {}
 
   /// The offset o(key) ∈ [1, max_offset_span − 1]; exposed for tests.
-  uint64_t OffsetOf(std::string_view key) const;
+  uint64_t OffsetOf(std::string_view key) const { return OffsetsOf(key)[0]; }
 
-  size_t num_bits() const { return bits_.num_bits(); }
-  uint32_t num_hashes() const { return num_hashes_; }
-  uint32_t num_pairs() const { return num_hashes_ / 2; }
-  uint32_t max_offset_span() const { return max_offset_span_; }
-  HashAlgorithm hash_algorithm() const { return family_.algorithm(); }
-  uint64_t seed() const { return family_.master_seed(); }
-  size_t num_elements() const { return num_elements_; }
-  const BitArray& bits() const { return bits_; }
-
-  void Clear();
-
-  /// Set-union: ORs `other`'s bit array into this one (Add only ever sets
-  /// bits, so the OR answers exactly like inserting both key sets). Both
-  /// filters must share geometry, hash family, seed and offset span.
-  Status MergeFrom(const ShbfM& other);
+  uint32_t num_pairs() const { return num_groups(); }
 
   /// Serializes parameters + bit payload to a versioned byte blob.
   std::string ToBytes() const;
 
   /// Reconstructs a filter that answers identically to the serialized one.
   static Status FromBytes(std::string_view bytes, std::optional<ShbfM>* out);
-
- private:
-  /// o(key) from the key bound to this filter's family.
-  uint64_t Offset(const HashFamily::BoundKey& h) const;
-
-  HashFamily family_;  // k/2 base functions + 1 offset function
-  uint32_t num_hashes_;
-  uint32_t max_offset_span_;
-  BitArray bits_;
-  size_t num_elements_ = 0;
 };
 
 }  // namespace shbf

@@ -86,7 +86,7 @@ class ShbfX {
   static constexpr uint32_t kMaxBatchHashes = 64;
 
   /// Precomputed query state for one key (hashes only, no filter memory
-  /// touched); see ShbfM::Probe for the two-pass batch protocol.
+  /// touched); see WindowedFilter::Probe for the two-pass batch protocol.
   struct Probe {
     size_t bases[kMaxBatchHashes];  ///< h_i(e) % m for i < num_hashes()
   };

@@ -23,12 +23,12 @@
 #include "engine/auto_scaling_filter.h"
 #include "engine/batch_query_engine.h"
 #include "engine/dynamic_filter.h"
-#include "baselines/bloom_filter.h"
 #include "multiset/multi_set_index.h"
 #include "obs/metrics.h"
 #include "shbf/shbf_association.h"
-#include "shbf/shbf_membership.h"
 #include "shbf/shbf_multiplicity.h"
+#include "shbf/split_block_filter.h"
+#include "shbf/windowed_filter.h"
 #include "trace/trace_generator.h"
 
 namespace shbf {
@@ -36,7 +36,8 @@ namespace {
 
 constexpr size_t kNumKeys = 3000;
 
-// k = 72 is above BloomFilter's and ShbfM's 64-hash probe bound.
+// k = 72 is above the windowed core's 64-hash probe bound (bloom, shbf_m,
+// shbf_g).
 constexpr uint32_t kHashCounts[] = {8, 72};
 
 FilterSpec EngineSpec(uint64_t seed, uint32_t num_hashes = 8) {
@@ -198,12 +199,13 @@ TEST(BatchEngineTest, ProbeProtocolFiltersExposeTheirFastPath) {
     const char* name;
     size_t index;
   } expected[] = {
-      {"shbf_m", AlternativeIndex<ShbfM>()},
-      {"bloom", AlternativeIndex<BloomFilter>()},
+      {"shbf_m", AlternativeIndex<WindowedFilter>()},
+      {"bloom", AlternativeIndex<WindowedFilter>()},
+      {"shbf_g", AlternativeIndex<WindowedFilter>()},
       {"shbf_x", AlternativeIndex<ShbfX>()},
       {"shbf_a", AlternativeIndex<ShbfA>()},
-      {"split_block_bloom", AlternativeIndex<SplitBlockBloomFilter>()},
-      {"split_block_shbf_m", AlternativeIndex<SplitBlockShbfM>()},
+      {"split_block_bloom", AlternativeIndex<SplitBlockFilter>()},
+      {"split_block_shbf_m", AlternativeIndex<SplitBlockFilter>()},
       {"cuckoo", AlternativeIndex<CuckooFilter>()},
   };
   for (const auto& [name, index] : expected) {
@@ -253,7 +255,7 @@ PathCounts CountPaths(Fn&& batch) {
   return {after.fast - before.fast, after.fallback - before.fallback};
 }
 
-// The k of the ShbfM, BloomFilter, ShbfX or ShbfA behind `fp`.
+// The k of the WindowedFilter, ShbfX or ShbfA behind `fp`.
 uint32_t FastPathHashes(const BatchFastPath& fp) {
   return std::visit(
       [](auto impl) -> uint32_t {
@@ -318,6 +320,7 @@ TEST(BatchEngineTest, FastPathRunsUpToTheProbeBoundAndNotPastIt) {
   } cases[] = {
       {"shbf_m", 64, 66},  // the registry rounds k up to even
       {"bloom", 64, 65},
+      {"shbf_g", 63, 66},  // t = 2: k rounds up to a multiple of 3
       {"shbf_x", 64, 65},
       {"shbf_a", 64, 65},
   };

@@ -567,7 +567,7 @@ TEST(WrapperCompositionTest, StripWrapperPrefixesPeelsAllLayers) {
 
 TEST(MergeTest, MergeableFiltersUnionTheirKeySets) {
   const auto& registry = FilterRegistry::Global();
-  for (const char* name : {"bloom", "shbf_m"}) {
+  for (const char* name : {"bloom", "shbf_m", "shbf_g"}) {
     SCOPED_TRACE(name);
     std::unique_ptr<MembershipFilter> left;
     std::unique_ptr<MembershipFilter> right;
@@ -598,6 +598,17 @@ TEST(MergeTest, MergeableFiltersUnionTheirKeySets) {
                     .ok());
     EXPECT_FALSE(left->MergeFrom(*alien).ok());
   }
+
+  // shbf_g at t = 1 lays its bits out exactly like shbf_m, but a merge only
+  // joins two instances of one registry name.
+  FilterSpec t1 = BaseSpec();
+  t1.num_shifts = 1;
+  std::unique_ptr<MembershipFilter> shbf_g;
+  std::unique_ptr<MembershipFilter> shbf_m;
+  ASSERT_TRUE(registry.Create("shbf_g", t1, &shbf_g).ok());
+  ASSERT_TRUE(registry.Create("shbf_m", t1, &shbf_m).ok());
+  EXPECT_FALSE(shbf_g->MergeFrom(*shbf_m).ok());
+  EXPECT_FALSE(shbf_m->MergeFrom(*shbf_g).ok());
 }
 
 }  // namespace

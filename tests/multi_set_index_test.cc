@@ -328,7 +328,7 @@ TEST(MultiSetIndexTest, WrappedSetsAreNotSliced) {
   SetCatalog catalog = build();
   SetCatalog reference = build();
   ASSERT_EQ(catalog.FindById(1)->filter->name(), "dynamic/shbf_m");
-  ASSERT_TRUE(std::holds_alternative<const ShbfM*>(
+  ASSERT_TRUE(std::holds_alternative<const WindowedFilter*>(
       catalog.FindById(1)->filter->batch_fast_path()));
   ASSERT_EQ(catalog.FindById(2)->filter->name(), "sharded/shbf_m");
   std::unique_ptr<MultiSetIndex> index;

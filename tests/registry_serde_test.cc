@@ -4,6 +4,7 @@
 // multiplicity entries, outcomes for association entries.
 
 #include <gtest/gtest.h>
+#include <sys/resource.h>
 
 #include <cstdio>
 #include <cstring>
@@ -16,6 +17,7 @@
 #include "api/filter_registry.h"
 #include "api/set_catalog.h"
 #include "core/file_io.h"
+#include "engine/auto_scaling_filter.h"
 #include "core/rng.h"
 #include "storage/filter_image.h"
 #include "trace/trace_generator.h"
@@ -371,8 +373,13 @@ std::vector<GoldenCase> GoldenCases() {
   for (const auto& name : FilterRegistry::Global().Names()) {
     cases.push_back({name, 8});
   }
-  cases.push_back({"bloom", 72});
-  cases.push_back({"shbf_m", 72});
+  // Past the probe bound: bloom and shbf_m take the per-key path, shbf_g
+  // runs t = 2 over 24 groups, and the split-block factories clamp k to 64,
+  // whose positions come from several Mix64 pool words.
+  for (const char* name :
+       {"bloom", "shbf_m", "shbf_g", "split_block_bloom", "split_block_shbf_m"}) {
+    cases.push_back({name, 72});
+  }
   return cases;
 }
 
@@ -415,6 +422,9 @@ TEST(RegistrySerdeTest, SerializedBytesMatchPinnedDigests) {
       {"split_block_shbf_m/k8", 0x636d0dd7538c5628ull},
       {"bloom/k72", 0x48423ec83707cc19ull},
       {"shbf_m/k72", 0xec84e1ad2fa03a4cull},
+      {"shbf_g/k72", 0x4ea9de9f817687ccull},
+      {"split_block_bloom/k72", 0xca77104b08a810f5ull},
+      {"split_block_shbf_m/k72", 0xcaf7476a27301cf8ull},
   };
   const auto keys = GoldenKeys();
   for (const GoldenCase& c : GoldenCases()) {
@@ -779,6 +789,121 @@ TEST(RegistrySerdeTest, MappedImageUnknownFilterNameIsNamed) {
   EXPECT_NE(s.message().find("field name"), std::string::npos)
       << s.ToString();
   std::remove(path.c_str());
+}
+
+/// `blob` with the `width`-byte little-endian field at `offset` set to
+/// `value`.
+std::string Patched(std::string blob, size_t offset, uint64_t value,
+                    size_t width) {
+  for (size_t i = 0; i < width; ++i) {
+    blob[offset + i] = static_cast<char>(value >> (8 * i));
+  }
+  return blob;
+}
+
+/// Peak resident set of this process, in KiB.
+long PeakRssKib() {
+  struct rusage usage {};
+  EXPECT_EQ(getrusage(RUSAGE_SELF, &usage), 0);
+  return usage.ru_maxrss;
+}
+
+TEST(RegistrySerdeTest, PatchedGeometryIsRefusedBeforeAllocating) {
+  // A file names its own geometry. A header claiming m = 2^40 bits must not
+  // make Deserialize allocate the 128 GiB array before it sees that the
+  // payload is a few hundred bytes, and k = 2^32 - 16 must not allocate a
+  // 32 GiB seed table: both are refused as InvalidArgument first.
+  const auto& registry = FilterRegistry::Global();
+  FilterSpec spec = TestSpec();
+  spec.num_cells = 2048;
+  for (const char* name : {"bloom", "shbf_m", "shbf_g", "split_block_bloom",
+                           "split_block_shbf_m"}) {
+    SCOPED_TRACE(name);
+    std::unique_ptr<MembershipFilter> filter;
+    ASSERT_TRUE(registry.Create(name, spec, &filter).ok());
+    for (int i = 0; i < 100; ++i) filter->Add("key-" + std::to_string(i));
+    const std::string envelope = FilterRegistry::Serialize(*filter);
+    // The envelope ends with the adapter payload: an 8-byte add counter,
+    // then the native blob, whose 6-byte header is followed by m (u64) and
+    // k (u32).
+    const size_t native = envelope.size() - filter->ToBytes().size() + 8;
+    std::vector<std::string> patched = {
+        Patched(envelope, native + 6, uint64_t{1} << 40, 8)};
+    if (std::string_view(name).substr(0, 11) != "split_block") {
+      // The split-block layouts bound k by 64 already.
+      patched.push_back(Patched(envelope, native + 14, 0xfffffff0u, 4));
+    }
+    for (const std::string& blob : patched) {
+      const long before = PeakRssKib();
+      std::unique_ptr<MembershipFilter> out;
+      Status s = registry.Deserialize(blob, &out);
+      EXPECT_EQ(s.code(), Status::Code::kInvalidArgument) << s.ToString();
+      EXPECT_LT(PeakRssKib() - before, 64 * 1024) << "peak RSS rose";
+    }
+  }
+
+  // A mapped image header is held to the same k <= m bound.
+  const std::string path = ::testing::TempDir() + "/serde_seed_table.shbi";
+  std::string image = SaveMappedImage(path);
+  storage::ImageHeader header;
+  ASSERT_TRUE(storage::DecodeImageHeader(
+                  reinterpret_cast<const uint8_t*>(image.data()),
+                  image.size(), &header)
+                  .ok());
+  header.geometry.num_hashes = 0xfffffff0u;
+  const std::string forged = storage::EncodeImageHeader(header);
+  image.replace(0, forged.size(), forged);
+  ASSERT_TRUE(WriteStringToFile(path, image).ok());
+  const long before = PeakRssKib();
+  std::unique_ptr<MembershipFilter> out;
+  Status s = FilterRegistry::Global().OpenMapped(path, &out);
+  EXPECT_FALSE(s.ok());
+  EXPECT_LT(PeakRssKib() - before, 64 * 1024) << "peak RSS rose";
+  std::remove(path.c_str());
+}
+
+TEST(RegistrySerdeTest, ShbfGShiftsOutOfRangeAreRefusedNotDivided) {
+  // shbf_g rounds k up to a multiple of t + 1; t = 2^32 - 1 made that a
+  // division by zero. The factory refuses t outside [1, 56] first.
+  const auto& registry = FilterRegistry::Global();
+  for (const uint32_t t : {57u, 0xffffffffu}) {
+    SCOPED_TRACE(t);
+    FilterSpec spec = TestSpec();
+    spec.num_shifts = t;
+    std::unique_ptr<MembershipFilter> filter;
+    EXPECT_EQ(registry.Create("shbf_g", spec, &filter).code(),
+              Status::Code::kInvalidArgument);
+  }
+
+  // A file reaches the factory too: a scaling/shbf_g envelope stores its
+  // base spec and opens each new generation from it. With t patched, the
+  // envelope still loads (its generation blobs are intact), and the Add
+  // that would open generation 1 overfills generation 0 instead.
+  FilterSpec spec = TestSpec();
+  spec.expected_keys = 200;
+  spec.auto_scale = true;
+  std::unique_ptr<MembershipFilter> filter;
+  ASSERT_TRUE(registry.Create("shbf_g", spec, &filter).ok());
+  ASSERT_EQ(filter->name(), "scaling/shbf_g");
+  const Workload w = MakeWorkload();
+  for (size_t i = 0; i < 100; ++i) filter->Add(w.members[i]);
+  std::string blob = FilterRegistry::Serialize(*filter);
+  // Envelope header (magic, version, name) and the payload's base name
+  // precede the spec record, whose m, k, counter_bits and max_count
+  // precede t.
+  const size_t shifts_at = 4 + 1 + 4 + filter->name().size() + 4 +
+                           std::string_view("shbf_g").size() + 8 + 3 * 4;
+  ASSERT_EQ(static_cast<uint8_t>(blob[shifts_at]), spec.num_shifts);
+  blob = Patched(blob, shifts_at, 0xffffffffu, 4);
+  std::unique_ptr<MembershipFilter> restored;
+  Status s = registry.Deserialize(blob, &restored);
+  ASSERT_TRUE(s.ok()) << s.ToString();
+  for (size_t i = 100; i < 500; ++i) restored->Add(w.members[i]);
+  EXPECT_EQ(
+      dynamic_cast<const AutoScalingFilter&>(*restored).num_generations(), 1u);
+  for (size_t i = 0; i < 500; ++i) {
+    ASSERT_TRUE(restored->Contains(w.members[i])) << "false negative at " << i;
+  }
 }
 
 }  // namespace

@@ -219,19 +219,25 @@ Status Load(const std::string& path,
   // legacy fallback's generic "not recognized".
   if (blob.size() >= 4 && blob.compare(0, 4, "SHBR") == 0) return s;
   // Legacy fallback: a raw concrete-filter blob is an adapter payload minus
-  // the 8-byte add-counter prefix (the concrete classes track their own
-  // element counts), so synthesize that prefix and retry.
-  ByteWriter writer;
-  writer.PutU64(0);
-  writer.PutBytes(blob.data(), blob.size());
-  std::string adapter_payload = writer.Take();
-  for (const char* legacy_name : {"shbf_m", "bloom"}) {
-    const auto* entry = FilterRegistry::Global().Find(legacy_name);
-    if (entry != nullptr && entry->deserializer(adapter_payload, out).ok()) {
-      return Status::Ok();
-    }
+  // the 8-byte add-counter prefix, so synthesize that prefix from the
+  // blob's own element count and retry.
+  std::optional<ShbfM> shbf_m;
+  std::optional<BloomFilter> bloom;
+  const char* legacy_name = "shbf_m";
+  size_t count = 0;
+  if (ShbfM::FromBytes(blob, &shbf_m).ok()) {
+    count = shbf_m->num_elements();
+  } else if (BloomFilter::FromBytes(blob, &bloom).ok()) {
+    legacy_name = "bloom";
+    count = bloom->num_elements();
+  } else {
+    return Status::InvalidArgument(path + " is not a recognized filter blob");
   }
-  return Status::InvalidArgument(path + " is not a recognized filter blob");
+  ByteWriter writer;
+  writer.PutU64(count);
+  writer.PutBytes(blob.data(), blob.size());
+  return FilterRegistry::Global().Find(legacy_name)->deserializer(
+      writer.Take(), out);
 }
 
 int Query(const std::string& filter_path, const std::string& keys_path) {
